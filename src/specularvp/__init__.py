@@ -16,19 +16,19 @@ from .geometry import (
     FlatteningMap,
     HalfSpace,
     reflect_velocity,
-    signed_distance,
 )
 from .fields import (
     CoincidentPoints,
     DimensionTooSmall,
+    FieldModel,
     GreenKind,
     NegativeArgument,
     RegularizationParams,
     boundary_cutoff,
     c_d,
     cutoff_rbar,
-    field_batch,
     field_halfspace_A,
+    field_model,
     field_problem_b,
     field_regularized,
     green,
@@ -52,6 +52,7 @@ from .ensemble import (
 from .flow import (
     Backend,
     NoCrossing,
+    NonFiniteState,
     ReflectionEvent,
     ReflectionOverflow,
     RunRecord,

@@ -21,13 +21,15 @@ A run emits snapshots.csv (t, id, x[0..d), v[0..d), w), events.csv
 (t, id, x, v_minus, v_plus), ledger.csv (t, kinetic, potential, total,
 K_integral, drift), diagnostics.json, and manifest.json listing every file
 with its content hash.  Outputs are byte-identical for identical
-(config, seed); the worker count only chunks field evaluation and is
-deliberately absent from the manifest.
+(config, seed).  A run stopped by a NonFiniteState or ReflectionOverflow
+exits 1 with a one-line error; its manifest says complete: false and
+carries the error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -46,8 +48,15 @@ from .diagnostics import (
     write_ledger_csv,
 )
 from .ensemble import Ensemble, Frame, InitialCondition, sample_initial, symmetrize
-from .fields import GreenKind, RegularizationParams, field_halfspace_A, make_field_factory
-from .flow import Backend, StepperConfig, fold_halfspace, integrate
+from .fields import GreenKind, RegularizationParams, make_field_factory
+from .flow import (
+    Backend,
+    NonFiniteState,
+    ReflectionOverflow,
+    StepperConfig,
+    fold_halfspace,
+    integrate,
+)
 from .geometry import Ball, HalfSpace
 from .selfconsistent import picard_iterate
 
@@ -92,7 +101,7 @@ _FIELD_KINDS = {
     "whole_space": GreenKind.WHOLE_SPACE,
     "halfspace_image": GreenKind.HALF_SPACE_IMAGE,
     "ball_image": GreenKind.BALL_IMAGE,
-    "halfspace_mollified": "halfspace_mollified",
+    "halfspace_mollified": GreenKind.HALF_SPACE_MOLLIFIED,
 }
 
 
@@ -317,23 +326,15 @@ def _build_ensemble(cfg: RunConfig, seed):
     return e
 
 
-def _build_field_factory(cfg: RunConfig, workers=1):
-    if cfg.backend is Backend.FOLD_HALFSPACE:
-        return make_field_factory(cfg.domain, GreenKind.WHOLE_SPACE, cfg.params,
-                                  hard_sign=True)
-    if cfg.field_kind == "halfspace_mollified":
-        def factory(ens):
-            def field_fn(x):
-                return field_halfspace_A(ens, cfg.params, x)
-            return field_fn
-        return factory
-    return make_field_factory(cfg.domain, cfg.field_kind, cfg.params, workers=workers)
+def _build_field_factory(cfg: RunConfig):
+    # the fold backend steps the symmetrized (ProblemB) ensemble in the hard-sign field
+    return make_field_factory(cfg.domain, cfg.field_kind, cfg.params,
+                              hard_sign=cfg.backend is Backend.FOLD_HALFSPACE)
 
 
 def _ledger_kind(cfg: RunConfig):
-    if cfg.backend is Backend.FOLD_HALFSPACE:
-        return GreenKind.WHOLE_SPACE
-    if cfg.field_kind == "halfspace_mollified":
+    if (cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED
+            and cfg.backend is Backend.EVENT_DRIVEN):
         return None  # the mollified A-route has no matching cut-Green ledger
     return cfg.field_kind
 
@@ -383,9 +384,12 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run(cfg: RunConfig, out_dir, seed=None, workers=1,
+def run(cfg: RunConfig, out_dir, seed=None,
         cadence_snapshot=None, cadence_ledger=None) -> int:
-    """Execute a configured run and emit artifacts; returns the exit status."""
+    """Execute a configured run and emit artifacts; returns the exit status.
+
+    The manifest is written however the run ends (complete: false and the
+    error when it raises)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
@@ -400,7 +404,7 @@ def run(cfg: RunConfig, out_dir, seed=None, workers=1,
     }
     try:
         e0 = _build_ensemble(cfg, seed)
-        factory = _build_field_factory(cfg, workers=workers)
+        factory = _build_field_factory(cfg)
         stepper = StepperConfig(
             dt=cfg.dt,
             max_reflections_per_step=cfg.max_reflections,
@@ -439,6 +443,9 @@ def run(cfg: RunConfig, out_dir, seed=None, workers=1,
         (out / "diagnostics.json").write_text(
             json.dumps(diag, sort_keys=True, indent=2) + "\n")
         manifest["complete"] = True
+    except Exception as exc:
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         for name in sorted(p.name for p in out.iterdir() if p.name != "manifest.json"):
             manifest["files"][name] = _sha256(out / name)
@@ -516,7 +523,7 @@ def bounce3d_config_text(dt=1e-3, t_end=2.0):
 
 def _cmd_simulate(args):
     cfg = parse_config(args.config)
-    return run(cfg, args.out, seed=args.seed, workers=args.workers,
+    return run(cfg, args.out, seed=args.seed,
                cadence_snapshot=args.cadence_snapshot,
                cadence_ledger=args.cadence_ledger)
 
@@ -531,9 +538,8 @@ def _cmd_picard(args):
     e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
     stepper = StepperConfig(dt=cfg.dt, backend=cfg.backend,
                             max_reflections_per_step=cfg.max_reflections)
-    kind = GreenKind.WHOLE_SPACE if cfg.backend is Backend.FOLD_HALFSPACE else cfg.field_kind
     state = picard_iterate(e0, cfg.params, stepper, pc["t0"], n_max=pc["n_max"],
-                           tol=pc["tol"], kind=kind, domain=cfg.domain,
+                           tol=pc["tol"], kind=cfg.field_kind, domain=cfg.domain,
                            compute_w1=pc["w1"] or args.w1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -563,24 +569,19 @@ def _cmd_compare_backends(args):
     if not isinstance(cfg.domain, HalfSpace):
         print("compare-backends needs a half-space configuration", file=sys.stderr)
         return 2
-    if isinstance(cfg.initial, tuple):
-        ic, weights = cfg.initial
-        base = sample_initial(ic, domain=cfg.domain, seed=seed)
-        base = Ensemble(x=base.x, v=base.v, w=weights, domain=cfg.domain)
-    else:
-        base = sample_initial(cfg.initial, domain=cfg.domain, seed=seed)
+    # Problem A in the mollified image field, event-driven, against its
+    # symmetrization in the hard-sign field, folded
+    event = dataclasses.replace(cfg, backend=Backend.EVENT_DRIVEN,
+                                field_kind=GreenKind.HALF_SPACE_MOLLIFIED)
+    fold = dataclasses.replace(cfg, backend=Backend.FOLD_HALFSPACE)
+    base = _build_ensemble(event, seed)
     n = len(base)
-    stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
-
-    def a_factory(ens):
-        def field_fn(x):
-            return field_halfspace_A(ens, cfg.params, x)
-        return field_fn
-
-    rec_a = integrate(base, a_factory, stepper, cfg.t_end)
+    rec_a = integrate(base, _build_field_factory(event),
+                      StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections),
+                      cfg.t_end)
     rec_b = integrate(
-        symmetrize(base),
-        make_field_factory(cfg.domain, GreenKind.WHOLE_SPACE, cfg.params, hard_sign=True),
+        _build_ensemble(fold, seed),
+        _build_field_factory(fold),
         StepperConfig(dt=cfg.dt, backend=Backend.FOLD_HALFSPACE,
                       max_reflections_per_step=cfg.max_reflections),
         cfg.t_end,
@@ -613,8 +614,6 @@ def _cmd_audit_green(args):
 def _add_common(p):
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="field-evaluation chunking; never changes results")
     p.add_argument("--out", default="run", help="output directory")
 
 
@@ -662,6 +661,9 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NonFiniteState, ReflectionOverflow) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,17 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, Frame, kinetic_energy, potential_energy
-from .fields import (
-    GreenKind,
-    boundary_cutoff,
-    c_d,
-    grad_green,
-    grad_green_cut,
-    green,
-    kernel_plummer,
-    smooth_sign,
-)
+from .ensemble import Ensemble, kinetic_energy, potential_energy
+from .fields import c_d, field_model, field_regularized, grad_green, green, make_field_factory
 from .flow import RunRecord, Trajectory
 
 __all__ = [
@@ -84,28 +75,13 @@ class SupportViolation(ValueError):
 # -----------------------------------------------------------------------------
 
 def _uncut_gradient_sum(e: Ensemble, kind, domain, params, at=None):
-    """S_i = sum_j w_j grad_x G^delta(x_i, x_j) (no boundary cutoff)."""
-    x = e.x if at is None else np.atleast_2d(at)
-    w = e.w * e.alive
-    out = np.zeros_like(x)
-    for lo in range(0, x.shape[0], 256):
-        hi = min(lo + 256, x.shape[0])
-        g = grad_green_cut(kind, domain, params.delta, x[lo:hi, None, :], e.x[None, :, :])
-        out[lo:hi] = np.sum(w[None, :, None] * g, axis=1)
-    return out
+    """S_i: the field model's gradient sum before the boundary cutoff or sign.
 
-
-def _odd_kernel_sum(e: Ensemble, params, at=None):
-    """[grad H_eps * rho_odd](x_i) = -c_d sum_j sgn(x_j1) w_j K_eps(x_i - x_j)."""
-    x = e.x if at is None else np.atleast_2d(at)
-    w = np.sign(e.x[:, 0]) * e.w * e.alive
-    cd = c_d(e.dim)
-    out = np.zeros_like(x)
-    for lo in range(0, x.shape[0], 256):
-        hi = min(lo + 256, x.shape[0])
-        k = kernel_plummer(params.eps_mollify, x[lo:hi, None, :] - e.x[None, :, :])
-        out[lo:hi] = -cd * np.sum(w[None, :, None] * k, axis=1)
-    return out
+    sum_j w_j grad_x G^delta(x_i, x_j) on the domain route; on the Problem B
+    route [grad H_eps * rho_odd](x_i) = -c_d sum_j sgn(x_j1) w_j K_eps(x_i - x_j).
+    """
+    return field_model(domain, kind, e.frame, params).pre_cutoff_sum(
+        e, e.x if at is None else at)
 
 
 def k_tau(e: Ensemble, params, kind, hard_sign=False) -> float:
@@ -120,22 +96,12 @@ def k_tau(e: Ensemble, params, kind, hard_sign=False) -> float:
     particle sits within the smoothed-sign strip.  A hard-sign run has no
     sign mismatch at all: its K is identically zero.
     """
-    w = e.w * e.alive
-    if e.frame is Frame.PROBLEM_B and kind == GreenKind.WHOLE_SPACE:
-        if hard_sign:
-            return 0.0
-        mismatch = np.sign(e.x[:, 0]) - smooth_sign(params.r_sign, e.x[:, 0])
-        if not np.any(mismatch):
-            return 0.0
-        t_sum = _odd_kernel_sum(e, params)
-        return 2.0 * float(np.sum(w * mismatch * np.sum(e.v * t_sum, axis=1)))
-    if kind == GreenKind.WHOLE_SPACE:
-        return 0.0
-    one_minus = 1.0 - boundary_cutoff(e.domain, params.zeta, e.x)
-    if not np.any(one_minus):
+    gap = field_model(e.domain, kind, e.frame, params, hard_sign).cutoff_gap(e.x)
+    if not np.any(gap):
         return 0.0
     s_sum = _uncut_gradient_sum(e, kind, e.domain, params)
-    return 2.0 * float(np.sum(w * one_minus * np.sum(e.v * s_sum, axis=1)))
+    w = e.w * e.alive
+    return 2.0 * float(np.sum(w * gap * np.sum(e.v * s_sum, axis=1)))
 
 
 @dataclass
@@ -166,17 +132,18 @@ def _event_corrections(run: RunRecord, params, kind, domain, times):
     (an O(dt) approximation of an O(dt) term).
     """
     corr = np.zeros(len(times))
-    if kind == GreenKind.WHOLE_SPACE:
-        return corr
+    model = field_model(domain, kind, run.snapshots[0][1].frame, params)
     for ev in run.events:
         k = int(np.searchsorted(times, ev.t) - 1)
         if k < 0 or k + 1 >= len(times):
             continue
+        gap = float(model.cutoff_gap(ev.x)[0])
+        if gap == 0.0:
+            continue
         e_snap = run.snapshots[k][1]
         s_at = _uncut_gradient_sum(e_snap, kind, domain, params, at=ev.x)[0]
-        one_minus = 1.0 - float(boundary_cutoff(domain, params.zeta, ev.x[None, :])[0])
         jump = (
-            2.0 * e_snap.w[ev.particle] * one_minus
+            2.0 * e_snap.w[ev.particle] * gap
             * float(np.dot(ev.v_plus - ev.v_minus, s_at))
         )
         h = times[k + 1] - times[k]
@@ -529,15 +496,11 @@ def _run_field_schedule(run: RunRecord, params, kind):
     """Per-step frozen field closures reconstructed from the snapshots."""
     if run.snapshot_every != 1:
         raise GridMismatch("incompressibility probe needs one snapshot per step")
-    from .fields import field_problem_b, field_regularized
-
     domain = run.snapshots[0][1].domain
+    factory = make_field_factory(domain, kind, params)
 
     def field_at(step_index):
-        e = run.snapshots[min(step_index, len(run.snapshots) - 1)][1]
-        if e.frame is Frame.PROBLEM_B and kind == GreenKind.WHOLE_SPACE:
-            return lambda x: field_problem_b(e, params, x)
-        return lambda x: field_regularized(domain, kind, e, params, x)
+        return factory(run.snapshots[min(step_index, len(run.snapshots) - 1)][1])
 
     return field_at, domain
 
@@ -606,8 +569,6 @@ def blowup_monitor(run: RunRecord, params=None, kind=None) -> BlowupReport:
     """
     params = params if params is not None else run.meta.get("params")
     kind = kind if kind is not None else run.meta.get("kind")
-    from .fields import field_problem_b, field_regularized
-
     times = np.array([t for t, _ in run.snapshots])
     moment = np.empty(len(times))
     bound = np.empty(len(times))
@@ -615,10 +576,7 @@ def blowup_monitor(run: RunRecord, params=None, kind=None) -> BlowupReport:
         znorm = np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
         w = e.w * e.alive
         moment[k] = float(np.sum(w * np.log(np.log(2.0 + znorm))))
-        if e.frame is Frame.PROBLEM_B and kind == GreenKind.WHOLE_SPACE:
-            e_val = field_problem_b(e, params, e.x)
-        else:
-            e_val = field_regularized(e.domain, kind, e, params, e.x)
+        e_val = field_regularized(e.domain, kind, e, params, e.x)
         bnorm = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(e_val**2, axis=1))
         bound[k] = float(np.sum(w * bnorm / ((1.0 + znorm) * np.log(2.0 + znorm))))
     tv = float(np.sum(np.abs(np.diff(moment))))

@@ -1,4 +1,4 @@
-"""Kernels, Green functions, regularizations, and pairwise field evaluation.
+"""Kernels, Green functions, regularizations, and the field model.
 
 Two regularization routes coexist, matching the two halves of the theory:
 
@@ -15,17 +15,21 @@ self-image interaction at x = z, which both the force and the energy ledger
 need; with the per-term cutoff the same object appears in the force and in
 the energy, and the energy identity closes.
 
-All pairwise sums run in a fixed order (ascending source index per target),
-so results do not depend on chunking or worker count.
+Every route is one ``FieldModel``: a radial kernel summed against a signed
+source cloud, times a factor at the target.  All pair sums go through one
+tiled loop and run in a fixed order (ascending source index per target), so
+results do not depend on the tiling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import Frame
 from .geometry import Ball, Domain
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "DimensionTooSmall",
     "CoincidentPoints",
     "NegativeArgument",
+    "FieldModel",
     "c_d",
     "cutoff_rbar",
     "cutoff_rbar_prime",
@@ -44,10 +49,10 @@ __all__ = [
     "green_cut",
     "grad_green_cut",
     "kernel_plummer",
+    "field_model",
     "field_halfspace_A",
     "field_problem_b",
     "field_regularized",
-    "field_batch",
     "interaction_energy",
     "make_field_factory",
 ]
@@ -71,8 +76,8 @@ class GreenKind:
     WHOLE_SPACE = "whole_space"
     HALF_SPACE_IMAGE = "half_space_image"
     BALL_IMAGE = "ball_image"
-
-    ALL = (WHOLE_SPACE, HALF_SPACE_IMAGE, BALL_IMAGE)
+    # Problem A with the Plummer-softened kernel against the odd reflection
+    HALF_SPACE_MOLLIFIED = "halfspace_mollified"
 
 
 @dataclass(frozen=True)
@@ -130,27 +135,34 @@ def _h_amp(d: int) -> float:
 # cutoff profiles
 # -----------------------------------------------------------------------------
 
+def _smoothstep(t):
+    # r(1 + t) = 6 t^5 - 15 t^4 + 10 t^3 on [0, 1]
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def _smoothstep_prime(t):
+    # vanishes at both ends, so a clipped t needs no mask
+    return 30.0 * t * t * (t - 1.0) ** 2
+
+
+def _clipped_t(s):
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise NegativeArgument("cutoff argument must be >= 0")
+    return np.clip(s - 1.0, 0.0, 1.0)
+
+
 def cutoff_rbar(s):
     """Monotone C^2 cutoff: 0 on [0,1], 1 on [2,inf), quintic smoothstep between.
 
     r(1+t) = 6 t^5 - 15 t^4 + 10 t^3 on [0,1]; max slope 1.875 <= 2.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise NegativeArgument("cutoff argument must be >= 0")
-    t = np.clip(s - 1.0, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    return _smoothstep(_clipped_t(s))
 
 
 def cutoff_rbar_prime(s):
     """Derivative of ``cutoff_rbar``."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise NegativeArgument("cutoff argument must be >= 0")
-    t = s - 1.0
-    inside = (t > 0.0) & (t < 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * t * t * (t - 1.0) ** 2, 0.0)
+    return _smoothstep_prime(_clipped_t(s))
 
 
 def smooth_sign(r_sign, x1):
@@ -159,21 +171,51 @@ def smooth_sign(r_sign, x1):
     return 0.5 * u * (3.0 - u * u)
 
 
-def smooth_sign_mismatch(r_sign, x1):
-    """sgn(x1) - s_bar(x1): the energy-error weight of the whole-space route."""
-    x1 = np.asarray(x1, dtype=float)
-    return np.sign(x1) - smooth_sign(r_sign, x1)
-
-
 def boundary_cutoff(domain: Domain, zeta, x):
     """r(dist(x, boundary)/zeta): 0 within zeta of the boundary, 1 beyond 2 zeta."""
     return cutoff_rbar(domain.signed_distance(x) / zeta)
 
 
-def _boundary_cutoff_or_one(domain, zeta, x, kind):
-    if kind == GreenKind.WHOLE_SPACE:
-        return np.ones(np.asarray(x, dtype=float).shape[:-1])
-    return boundary_cutoff(domain, zeta, x)
+# -----------------------------------------------------------------------------
+# radial profiles: g(sep) and the gradient coefficient g'(sep)/sep
+# -----------------------------------------------------------------------------
+
+def _cut_t(delta, sep):
+    # sep clamped at delta, where r is exactly 0 (no 0 * inf at sep = 0),
+    # and the clipped t of r(1 + t) = r(sep/delta)
+    sep = np.maximum(sep, delta)
+    return sep, np.minimum(sep / delta - 1.0, 1.0)
+
+
+def _cut_profile(d, delta, sep):
+    """g(sep) = r(sep/delta) H(sep); exactly 0 for sep <= delta."""
+    sep, t = _cut_t(delta, sep)
+    return _smoothstep(t) * _h_amp(d) * sep ** (2.0 - d)
+
+
+def _cut_slope(d, delta, sep):
+    """g'(sep)/sep = c_d/(d-2) sep^-d (r' sep/delta + (2 - d) r), with r and r'
+    from one clipped t; exactly 0 for sep <= delta (sep = 0 included)."""
+    sep, t = _cut_t(delta, sep)
+    bracket = _smoothstep_prime(t) * sep / delta + (2.0 - d) * _smoothstep(t)
+    return _h_amp(d) * bracket * sep ** (-float(d))
+
+
+def plummer_potential(d, eps, sep):
+    """H_eps(sep) = c_d/(d-2) (sep^2 + eps^2)^((2-d)/2); H_eps(0) is finite."""
+    sep = np.asarray(sep, dtype=float)
+    return _h_amp(d) * (sep**2 + eps**2) ** ((2.0 - d) / 2.0)
+
+
+def kernel_plummer(eps, dx):
+    """Softened kernel K_eps(dx) = dx (|dx|^2 + eps^2)^(-d/2).
+
+    Equals -grad H_eps / c_d; exactly antisymmetric, zero at dx = 0.
+    """
+    dx = np.asarray(dx, dtype=float)
+    d = dx.shape[-1]
+    r2 = np.sum(dx * dx, axis=-1, keepdims=True)
+    return dx * (r2 + eps**2) ** (-d / 2.0)
 
 
 # -----------------------------------------------------------------------------
@@ -225,6 +267,15 @@ def green(kind, domain, x, z):
     return g
 
 
+def _image_gradient_vector(kind, domain, x, z):
+    # grad_x of (image separation)^2 / 2: x - z' (mirror) or x |z|^2/R^2 - z (ball)
+    if kind == GreenKind.HALF_SPACE_IMAGE:
+        zm = z.copy()
+        zm[..., 0] = -zm[..., 0]
+        return x - zm
+    return x * (np.sum(z * z, axis=-1) / domain.radius**2)[..., None] - z
+
+
 def grad_green(kind, domain, x, z):
     """Gradient of G with respect to x (no regularization)."""
     d = domain.dim if domain is not None else np.asarray(x).shape[-1]
@@ -235,36 +286,9 @@ def grad_green(kind, domain, x, z):
         raise CoincidentPoints("grad_green(x, z) requires x != z")
     cd = c_d(d)
     g = -cd * u[..., None] ** (-float(d)) * (x - z)
-    if kind == GreenKind.HALF_SPACE_IMAGE:
-        zm = z.copy()
-        zm[..., 0] = -zm[..., 0]
-        g = g + cd * s[..., None] ** (-float(d)) * (x - zm)
-    elif kind == GreenKind.BALL_IMAGE:
-        R = domain.radius
-        w = x * (np.sum(z * z, axis=-1) / R**2)[..., None] - z
-        g = g + cd * s[..., None] ** (-float(d)) * w
+    if s is not None:
+        g = g + cd * s[..., None] ** (-float(d)) * _image_gradient_vector(kind, domain, x, z)
     return g
-
-
-def _cut_radial(d, delta, sep):
-    """g(sep) = r(sep/delta) * H(sep) with the 0*inf at sep < delta removed."""
-    sep = np.asarray(sep, dtype=float)
-    live = sep > delta
-    safe = np.where(live, sep, 1.0)
-    return np.where(live, cutoff_rbar(safe / delta) * _h_amp(d) * safe ** (2.0 - d), 0.0)
-
-
-def _cut_radial_prime(d, delta, sep):
-    """d/dsep of the cut radial profile."""
-    sep = np.asarray(sep, dtype=float)
-    live = sep > delta
-    safe = np.where(live, sep, 1.0)
-    h = _h_amp(d)
-    val = h * (
-        cutoff_rbar_prime(safe / delta) / delta * safe ** (2.0 - d)
-        + cutoff_rbar(safe / delta) * (2.0 - d) * safe ** (1.0 - d)
-    )
-    return np.where(live, val, 0.0)
 
 
 def green_cut(kind, domain, params: RegularizationParams, x, z):
@@ -276,80 +300,191 @@ def green_cut(kind, domain, params: RegularizationParams, x, z):
     """
     d = domain.dim if domain is not None else np.asarray(x).shape[-1]
     u, s = _pair_separations(kind, domain, x, z)
-    g = _cut_radial(d, params.delta, u)
+    g = _cut_profile(d, params.delta, u)
     if s is not None:
-        g = g - _cut_radial(d, params.delta, s)
+        g = g - _cut_profile(d, params.delta, s)
     return g
 
 
 def grad_green_cut(kind, domain, delta, x, z):
-    """Gradient with respect to x of the per-term-cut Green function."""
+    """Gradient with respect to x of the per-term-cut Green function.
+
+    Finite everywhere: a term whose separation is at most delta (a source on
+    the wall and its own image, say) contributes exactly 0.
+    """
     d = domain.dim if domain is not None else np.asarray(x).shape[-1]
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     u, s = _pair_separations(kind, domain, x, z)
-    gu = _cut_radial_prime(d, delta, u)
-    safe_u = np.where(u > 0, u, 1.0)
-    g = (gu / safe_u)[..., None] * (x - z)
-    if kind == GreenKind.HALF_SPACE_IMAGE:
-        zm = z.copy()
-        zm[..., 0] = -zm[..., 0]
-        gs = _cut_radial_prime(d, delta, s)
-        g = g - (gs / s)[..., None] * (x - zm)
-    elif kind == GreenKind.BALL_IMAGE:
-        R = domain.radius
-        gs = _cut_radial_prime(d, delta, s)
-        w = x * (np.sum(z * z, axis=-1) / R**2)[..., None] - z
-        g = g - (gs / s)[..., None] * w
+    g = _cut_slope(d, delta, u)[..., None] * (x - z)
+    if s is not None:
+        g = g - _cut_slope(d, delta, s)[..., None] * _image_gradient_vector(kind, domain, x, z)
     return g
 
 
 # -----------------------------------------------------------------------------
-# mollified whole-space kernel (Plummer softening)
+# the field model
 # -----------------------------------------------------------------------------
 
-def plummer_potential(d, eps, sep):
-    """H_eps(sep) = c_d/(d-2) (sep^2 + eps^2)^((2-d)/2); H_eps(0) is finite."""
-    sep = np.asarray(sep, dtype=float)
-    return _h_amp(d) * (sep**2 + eps**2) ** ((2.0 - d) / 2.0)
-
-
-def kernel_plummer(eps, dx):
-    """Softened kernel K_eps(dx) = dx (|dx|^2 + eps^2)^(-d/2).
-
-    Equals -grad H_eps / c_d; exactly antisymmetric, zero at dx = 0.
-    """
-    dx = np.asarray(dx, dtype=float)
-    d = dx.shape[-1]
-    r2 = np.sum(dx * dx, axis=-1, keepdims=True)
-    return dx * (r2 + eps**2) ** (-d / 2.0)
-
-
-def _sign_source(x1):
-    # odd-density weight of a source: sgn with sgn(0) = 0 (plane carries none)
-    return np.sign(np.asarray(x1, dtype=float))
-
-
-def _sign_prefactor(x1):
-    # hard-sign field prefactor; the boundary plane uses the upper branch
-    return np.where(np.asarray(x1, dtype=float) < 0.0, -1.0, 1.0)
-
-
-# -----------------------------------------------------------------------------
-# field evaluation
-# -----------------------------------------------------------------------------
-
-def _chunks(n, size):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
-
-
+# target rows per tile of the pair loop; bounds a pair temporary to
+# _CHUNK_TARGETS x sources entries
 _CHUNK_TARGETS = 256
 
 
-def _source_arrays(ens):
-    w = ens.w * ens.alive
-    return ens.x, w
+def _tiled(rows, x, out):
+    """out = rows(x) tile by tile: the one pair loop.  Each row is summed on
+    its own, so the tile size cannot change a bit of the result."""
+    for lo in range(0, len(x), _CHUNK_TARGETS):
+        out[lo:lo + _CHUNK_TARGETS] = rows(x[lo:lo + _CHUNK_TARGETS])
+    return out
+
+
+def _point_pairs(t, y):
+    """|x - y|^2 per (target, source), and a builder of the vectors x - y
+    (built after the kernel's temporaries are gone, to bound memory)."""
+    sep2 = sum((t[:, None, k] - y[None, :, k]) ** 2 for k in range(t.shape[1]))
+    return sep2, lambda: t[:, None, :] - y[None, :, :]
+
+
+def _kelvin_pairs(radius, t, z):
+    """Ball image of sources z: s^2 = |x|^2 |z|^2/R^2 - 2 x.z + R^2, and grad_x(s^2)/2.
+
+    The symmetric form equals (|z|/R)^2 |x - z*|^2 with z* the Kelvin image
+    point, and stays defined at z = 0 (s = R, zero gradient).
+    """
+    a2 = np.sum(z * z, axis=1) / radius**2
+    xz = sum(t[:, None, k] * z[None, :, k] for k in range(t.shape[1]))
+    sep2 = np.maximum(np.sum(t * t, axis=1)[:, None] * a2 + radius**2 - 2.0 * xz, 0.0)
+    return sep2, lambda: t[:, None, :] * a2[None, :, None] - z[None, :, :]
+
+
+class FieldModel:
+    """One field, resolved once from (domain, kind, frame, params, hard_sign).
+
+    A radial profile g summed against a signed source cloud (y_j, q_j) of
+    the live particles, times a factor at the target:
+
+        S(x) = sum_j q_j g'(s_j)/s_j grad_x(s_j^2)/2        pre-cutoff sum
+        E(x) = -factor(x) S(x)                              field
+        U    = sum_i w_i charge(x_i) sum_j q_j g(s_j(x_i))  potential
+
+    * domain route: cut Green profile against (x_j, w_j), plus the mirror
+      images (x_j', -w_j) or the Kelvin images; factor r^zeta, or 1 for the
+      whole-space kind;
+    * mollified image: Plummer profile against (x_j, w_j) and (x_j', -w_j),
+      the cloud ``symmetrize`` builds, in its order; factor 1;
+    * Problem B (ProblemB frame, whatever the kind, or ``hard_sign``):
+      Plummer profile against (x_j, sgn(x_j1) w_j); factor s_bar(x_1) or the
+      hard sign (``plane_split``: discontinuous across {x_1 = 0}).
+
+    ``charge`` is the unregularized factor (1, or sgn(x_1) for Problem B);
+    ``cutoff_gap`` = charge - factor is what the energy-error power K weighs.
+    """
+
+    def __init__(self, domain, kind, frame, params: RegularizationParams, hard_sign=False):
+        self.plane_split = bool(hard_sign)
+        self.odd = False        # weight the sources by sgn(x_1)
+        self.mirror = False     # append the mirror images (x', -w)
+        self.kelvin = None      # ball radius: add the Kelvin image term
+        self.factor = self.charge = lambda x: np.ones(len(x))
+        eps, delta = params.eps_mollify, params.delta
+        # Plummer: H_eps(s) = c_d/(d-2) (s^2 + eps^2)^((2-d)/2)
+        self.profile = lambda d, sep2: _h_amp(d) * (sep2 + eps**2) ** ((2.0 - d) / 2.0)
+        self.slope = lambda d, sep2: -c_d(d) * (sep2 + eps**2) ** (-d / 2.0)
+        if hard_sign or frame is Frame.PROBLEM_B:
+            self.odd = True
+            self.charge = lambda x: np.sign(x[:, 0])  # the plane carries no charge
+            if hard_sign:  # the plane takes the upper branch
+                self.factor = lambda x: np.where(x[:, 0] < 0.0, -1.0, 1.0)
+            else:
+                self.factor = lambda x: smooth_sign(params.r_sign, x[:, 0])
+        elif kind == GreenKind.HALF_SPACE_MOLLIFIED:
+            self.mirror = True
+        else:
+            self.profile = lambda d, sep2: _cut_profile(d, delta, np.sqrt(sep2, out=sep2))
+            self.slope = lambda d, sep2: _cut_slope(d, delta, np.sqrt(sep2, out=sep2))
+            if kind in (GreenKind.HALF_SPACE_IMAGE, GreenKind.BALL_IMAGE):
+                params.validate_for_domain(domain)
+                self.factor = lambda x: boundary_cutoff(domain, params.zeta, x)
+                self.mirror = kind == GreenKind.HALF_SPACE_IMAGE
+                self.kelvin = domain.radius if kind == GreenKind.BALL_IMAGE else None
+            elif kind != GreenKind.WHOLE_SPACE:
+                raise ValueError(f"unknown Green kind {kind!r}")
+
+    def _cloud(self, ens):
+        """[(pairs, y, q)]: the signed sources, one entry per pair geometry."""
+        y, q = ens.x, ens.w * ens.alive
+        if self.odd:
+            q = self.charge(y) * q
+        terms = []
+        if self.kelvin is not None:
+            terms.append((functools.partial(_kelvin_pairs, self.kelvin), y, -q))
+        if self.mirror:
+            ym = y.copy()
+            ym[:, 0] = -ym[:, 0]
+            y, q = np.concatenate([y, ym]), np.concatenate([q, -q])
+        return [(_point_pairs, y, q)] + terms
+
+    def _gradient_rows(self, cloud, t):
+        out = np.zeros_like(t)
+        for pairs, y, q in cloud:
+            sep2, vec = pairs(t, y)
+            coef = self.slope(t.shape[1], sep2)
+            coef *= q
+            del sep2
+            vec = vec()
+            vec *= coef[:, :, None]
+            out += vec.sum(axis=1)
+        return out
+
+    def _potential_rows(self, cloud, t):
+        out = np.zeros(len(t))
+        for pairs, y, q in cloud:
+            sep2, _ = pairs(t, y)
+            g = self.profile(t.shape[1], sep2)
+            g *= q
+            out += g.sum(axis=1)
+        return out
+
+    def pre_cutoff_sum(self, ens, x):
+        """S(x): the gradient sum before the target factor (sum_j w_j grad_x G^delta
+        on the domain route, the mollified-kernel sum on the others)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        rows = functools.partial(self._gradient_rows, self._cloud(ens))
+        return _tiled(rows, x, np.empty_like(x))
+
+    def field(self, ens, x):
+        """E(x) = -factor(x) S(x) at positions x, shape (n, d)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return -self.factor(x)[:, None] * self.pre_cutoff_sum(ens, x)
+
+    def potential(self, ens) -> float:
+        """Double sum over all particle pairs, i = j included (the self-image term survives)."""
+        rows = functools.partial(self._potential_rows, self._cloud(ens))
+        phi = _tiled(rows, ens.x, np.empty(len(ens)))
+        return float(np.sum(ens.w * ens.alive * self.charge(ens.x) * phi))
+
+    def cutoff_gap(self, x):
+        """charge - factor at x: 1 - r^zeta, sgn - s_bar, or 0 (hard sign, whole space)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self.plane_split:
+            return np.zeros(len(x))
+        return self.charge(x) - self.factor(x)
+
+
+# field_model(domain, kind, frame, params, hard_sign=False): each model is built once
+field_model = functools.lru_cache(maxsize=64)(FieldModel)
+
+
+def field_regularized(domain, kind, ens, params: RegularizationParams, x, hard_sign=False):
+    """Regularized self-consistent field of ``ens`` at positions x.
+
+    The route follows from the kind and the ensemble's frame (see
+    ``FieldModel``): a ProblemB-framed ensemble takes the smooth-sign (or,
+    with ``hard_sign``, the hard-sign) mollified route; everything else the
+    domain route, or the mollified image for HALF_SPACE_MOLLIFIED.
+    """
+    return field_model(domain, kind, ens.frame, params, hard_sign).field(ens, x)
 
 
 def field_halfspace_A(ens, params: RegularizationParams, x):
@@ -359,21 +494,8 @@ def field_halfspace_A(ens, params: RegularizationParams, x):
     the first coordinate.  Tangential components vanish on the boundary
     plane by the image antisymmetry.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    src, w = _source_arrays(ens)
-    d = src.shape[-1]
-    cd = c_d(d)
-    eps = params.eps_mollify
-    src_m = src.copy()
-    src_m[:, 0] = -src_m[:, 0]
-    out = np.zeros_like(x)
-    for lo, hi in _chunks(x.shape[0], _CHUNK_TARGETS):
-        t = x[lo:hi, None, :]
-        contrib = kernel_plummer(eps, t - src[None, :, :]) - kernel_plummer(
-            eps, t - src_m[None, :, :]
-        )
-        out[lo:hi] = cd * np.sum(w[None, :, None] * contrib, axis=1)
-    return out
+    model = field_model(ens.domain, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, params)
+    return model.field(ens, x)
 
 
 def field_problem_b(ens, params: RegularizationParams, x, hard_sign=False):
@@ -384,114 +506,34 @@ def field_problem_b(ens, params: RegularizationParams, x, hard_sign=False):
     problem; used by the fold backend, where it makes the folded flow agree
     with the event-driven half-space flow exactly).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    src, w = _source_arrays(ens)
-    d = src.shape[-1]
-    cd = c_d(d)
-    eps = params.eps_mollify
-    wo = _sign_source(src[:, 0]) * w
-    out = np.zeros_like(x)
-    for lo, hi in _chunks(x.shape[0], _CHUNK_TARGETS):
-        t = x[lo:hi, None, :]
-        contrib = kernel_plummer(eps, t - src[None, :, :])
-        out[lo:hi] = cd * np.sum(wo[None, :, None] * contrib, axis=1)
-    if hard_sign:
-        pref = _sign_prefactor(x[:, 0])
-    else:
-        pref = smooth_sign(params.r_sign, x[:, 0])
-    return pref[:, None] * out
+    model = field_model(ens.domain, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, params, hard_sign)
+    return model.field(ens, x)
 
 
-def _field_domain_route(domain, kind, ens, params, x):
-    """Domain-route field: -r^zeta(x) * sum_j w_j grad_x G^delta(x, x_j)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    src, w = _source_arrays(ens)
-    out = np.zeros_like(x)
-    for lo, hi in _chunks(x.shape[0], _CHUNK_TARGETS):
-        t = x[lo:hi, None, :]
-        g = grad_green_cut(kind, domain, params.delta, t, src[None, :, :])
-        out[lo:hi] = -np.sum(w[None, :, None] * g, axis=1)
-    rz = _boundary_cutoff_or_one(domain, params.zeta, x, kind)
-    return rz[:, None] * out
+def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=False):
+    """Factory: snapshot ensemble -> batch field closure over positions.
 
-
-def field_regularized(domain, kind, ens, params: RegularizationParams, x):
-    """Regularized self-consistent field at positions x.
-
-    Dispatch: a ProblemB-framed ensemble with the whole-space kind uses the
-    smooth-sign mollified route; everything else uses the domain route
-    (cut Green gradient with the boundary cutoff; for the whole-space kind
-    there is no image term and the boundary cutoff is identically 1).
+    Hard-sign closures carry ``plane_split = True``: the field is
+    discontinuous across {x_1 = 0}, and the fold stepper splits kicks there.
     """
-    if kind == GreenKind.WHOLE_SPACE and getattr(ens.frame, "name", "") == "PROBLEM_B":
-        return field_problem_b(ens, params, x)
-    if kind != GreenKind.WHOLE_SPACE:
-        params.validate_for_domain(domain)
-    return _field_domain_route(domain, kind, ens, params, x)
-
-
-def field_batch(domain, kind, ens, params: RegularizationParams, targets=None, workers=1):
-    """Field at every particle position (or explicit targets).
-
-    The direct diagonal term vanishes on its own: the delta-cutoff kills it
-    on the domain route, and K_eps(0) = 0 on the mollified route.  Summation
-    order per target is fixed (ascending source index), so the result is
-    independent of chunking and of ``workers``, which only sizes the chunks.
-    """
-    x = ens.x if targets is None else np.atleast_2d(np.asarray(targets, dtype=float))
-    if workers and workers > 1:
-        # scheduling-only knob: chunk the target range; per-target sums are
-        # row-local so the split cannot change any result bit
-        out = np.empty_like(x)
-        size = max(1, -(-x.shape[0] // int(workers)))
-        for lo, hi in _chunks(x.shape[0], size):
-            out[lo:hi] = field_regularized(domain, kind, ens, params, x[lo:hi])
-        return out
-    return field_regularized(domain, kind, ens, params, x)
-
-
-def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=False, workers=1):
-    """Factory: snapshot ensemble -> batch field closure over positions."""
 
     def factory(ens):
-        if hard_sign:
-            def field_fn(x):
-                return field_problem_b(ens, params, x, hard_sign=True)
+        def field_fn(x):
+            return field_regularized(domain, kind, ens, params, x, hard_sign=hard_sign)
 
-            field_fn.plane_split = True  # discontinuous across {x_1 = 0}
-        else:
-            def field_fn(x):
-                return field_batch(domain, kind, ens, params, targets=x, workers=workers)
+        field_fn.plane_split = hard_sign
         return field_fn
 
     return factory
 
-
-# -----------------------------------------------------------------------------
-# interaction energy (double sums; used by ensemble.potential_energy)
-# -----------------------------------------------------------------------------
 
 def interaction_energy(ens, kind, domain, params: RegularizationParams):
     """Double sum sum_{i,j} w_i w_j G^delta(x_i, x_j), all pairs including i = j.
 
     The delta-cutoff removes the singular direct self-term while keeping the
     finite self-image term, so this is the potential energy whose gradient
-    is the domain-route force.  ProblemB-framed ensembles with the
-    whole-space kind instead use the mollified kernel against the odd
-    density (signed weights), matching the smooth-sign force.
+    is the domain-route force.  ProblemB-framed ensembles instead use the
+    mollified kernel against the odd density (signed weights), matching the
+    smooth-sign force.
     """
-    src, w = _source_arrays(ens)
-    d = src.shape[-1]
-    if kind == GreenKind.WHOLE_SPACE and getattr(ens.frame, "name", "") == "PROBLEM_B":
-        wo = _sign_source(src[:, 0]) * w
-        total = 0.0
-        for lo, hi in _chunks(src.shape[0], _CHUNK_TARGETS):
-            sep = np.linalg.norm(src[lo:hi, None, :] - src[None, :, :], axis=-1)
-            h = plummer_potential(d, params.eps_mollify, sep)
-            total += float(np.sum(wo[lo:hi, None] * wo[None, :] * h))
-        return total
-    total = 0.0
-    for lo, hi in _chunks(src.shape[0], _CHUNK_TARGETS):
-        g = green_cut(kind, domain, params, src[lo:hi, None, :], src[None, :, :])
-        total += float(np.sum(w[lo:hi, None] * w[None, :] * g))
-    return total
+    return field_model(domain, kind, ens.frame, params).potential(ens)

@@ -37,6 +37,7 @@ __all__ = [
     "Trajectory",
     "RunRecord",
     "ReflectionOverflow",
+    "NonFiniteState",
     "NoCrossing",
     "step",
     "step_fold_halfspace",
@@ -54,6 +55,10 @@ EVENT_DIST_RTOL = 1e-13
 
 class ReflectionOverflow(RuntimeError):
     """More reflections in one step than the configured maximum."""
+
+
+class NonFiniteState(RuntimeError):
+    """A live particle's position or velocity became NaN or infinite."""
 
 
 class NoCrossing(RuntimeError):
@@ -211,6 +216,12 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
 
 
 def _mark_blowups(e: Ensemble, x, v):
+    """Alive mask after a step: particles beyond BLOWUP_LIMIT die; a live one
+    gone non-finite raises, since NaN * 0 would still poison the pair sums."""
+    bad = e.alive & ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
+    if np.any(bad):
+        raise NonFiniteState(
+            f"particle {int(np.flatnonzero(bad)[0])} has a non-finite position or velocity")
     scale = e.domain.scale if e.domain is not None else 1.0
     big = (np.max(np.abs(x), axis=1) > BLOWUP_LIMIT * scale) | (
         np.max(np.abs(v), axis=1) > BLOWUP_LIMIT * scale

@@ -24,7 +24,6 @@ __all__ = [
     "FlatteningMap",
     "ChartViolation",
     "reflect_velocity",
-    "signed_distance",
 ]
 
 # Velocities with |v . n| below GRAZE_RTOL * |v| at a boundary hit are treated
@@ -68,9 +67,6 @@ class Domain:
             dist=float(self.signed_distance(x)),
         )
 
-    def contains(self, x, tol=0.0):
-        return self.signed_distance(x) >= -tol
-
     def flattening_map(self) -> "FlatteningMap":
         raise NotImplementedError
 
@@ -99,12 +95,6 @@ class HalfSpace(Domain):
     def project_boundary(self, x):
         x = np.array(x, dtype=float)
         x[..., 0] = 0.0
-        return x
-
-    def mirror(self, x):
-        """Reflection x -> x' across the boundary plane (first coordinate flips)."""
-        x = np.array(x, dtype=float)
-        x[..., 0] = -x[..., 0]
         return x
 
     def flattening_map(self):
@@ -138,9 +128,18 @@ class Ball(Domain):
         return -x / r
 
     def project_boundary(self, x):
+        """Nearest sphere point, rounded onto the closed ball (signed distance >= 0).
+
+        R x / |x| can land an ulp outside; such points are pulled in by an
+        ulp at a time, so a wall hit never reads as outside the domain.
+        """
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return self.radius * x / r
+        p = self.radius * x / np.linalg.norm(x, axis=-1, keepdims=True)
+        outside = np.linalg.norm(p, axis=-1, keepdims=True) > self.radius
+        while np.any(outside):
+            p = np.where(outside, p * (1.0 - np.finfo(float).eps), p)
+            outside = np.linalg.norm(p, axis=-1, keepdims=True) > self.radius
+        return p
 
     def flattening_map(self):
         return FlatteningMap(self)
@@ -162,11 +161,6 @@ def reflect_velocity(frame, v):
     vn = np.einsum("...i,...i->...", vl, nl)[..., None]
     nn = np.einsum("...i,...i->...", nl, nl)[..., None]
     return np.asarray(vl - (2.0 * vn / nn) * nl, dtype=np.float64)
-
-
-def signed_distance(domain: Domain, x):
-    """Signed distance to the domain boundary (positive inside)."""
-    return domain.signed_distance(x)
 
 
 class FlatteningMap:

@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .ensemble import Ensemble, Frame
-from .fields import GreenKind, field_problem_b, field_regularized
+from .fields import GreenKind, make_field_factory
 from .flow import StepperConfig, step, step_fold_halfspace
 
 __all__ = [
@@ -190,36 +190,20 @@ class PicardState:
     converged: bool = False
 
 
-def _history_field_factory(domain, kind, params, h0: Ensemble, hist_x, k):
-    """Field closure generated by the recorded history at grid index k."""
-    src = h0.with_state(x=hist_x[k])
-
-    if kind == GreenKind.WHOLE_SPACE and h0.frame is Frame.PROBLEM_B:
-        def field_fn(x):
-            return field_problem_b(src, params, x)
-    else:
-        def field_fn(x):
-            return field_regularized(domain, kind, src, params, x)
-    return field_fn
-
-
 def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
-                   n_max=6, tol=0.0, kind=None, domain=None,
+                   n_max=6, tol=0.0, kind=GreenKind.HALF_SPACE_IMAGE, domain=None,
                    compute_w1=False) -> PicardState:
     """Run the Picard scheme of the regularized system on [0, T_0].
 
     Iterate n+1 advances h0 under the field generated by iterate n's
     recorded trajectory history (iterate 0 is the constant-in-time h0).
-    Stops when Z_n <= tol or after n_max iterates; emits a
+    A ProblemB-framed h0 takes the smooth-sign whole-space field whatever
+    ``kind`` says.  Stops when Z_n <= tol or after n_max iterates; emits a
     NonContractionWarning if the ratio exceeds 1 three times in a row.
     """
     if not t0_horizon > 0:
         raise ValueError("T_0 must be positive")
     domain = h0.domain if domain is None else domain
-    if kind is None:
-        kind = GreenKind.WHOLE_SPACE if h0.frame is Frame.PROBLEM_B else (
-            GreenKind.HALF_SPACE_IMAGE
-        )
     m = int(round(t0_horizon / cfg.dt))
     if m < 1 or abs(m * cfg.dt - t0_horizon) > 1e-9 * t0_horizon:
         raise ValueError("T_0 must be a positive integer number of steps")
@@ -227,6 +211,7 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
     n_part = len(h0)
     mass = h0.total_mass
     stepper = step_fold_halfspace if h0.frame is Frame.PROBLEM_B else step
+    factory = make_field_factory(domain, kind, params)
 
     hist_x = np.broadcast_to(h0.x, (m + 1, n_part, h0.dim)).copy()
     hist_v = np.broadcast_to(h0.v, (m + 1, n_part, h0.dim)).copy()
@@ -239,7 +224,8 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
         e = h0
         new_x[0], new_v[0] = e.x, e.v
         for k in range(m):
-            field_fn = _history_field_factory(domain, kind, params, h0, hist_x, k)
+            # the field generated by the recorded history at grid index k
+            field_fn = factory(h0.with_state(x=hist_x[k]))
             e, _ = stepper(e, field_fn, cfg, t0=times[k])
             new_x[k + 1], new_v[k + 1] = e.x, e.v
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import specularvp.fields as fields
 from specularvp.cli import bounce3d_config_text, bounce3d_ensemble, parse_config, run
 from specularvp.diagnostics import (
     audit_green,
@@ -314,23 +315,24 @@ def test_criterion_10_weakform_residual():
            f"residual {residuals[1e-4]:.2e}, dt/2 ratio {ratio:.2f}")
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
     t0 = time.time()
     cfg_path = tmp_path / "bounce3d.cfg"
     cfg_path.write_text(bounce3d_config_text(t_end=0.2))
     cfg = parse_config(cfg_path)
     outs = {}
-    for tag, workers in (("a", 1), ("b", 1), ("w8", 8)):
+    for tag, tile in (("a", 256), ("b", 256), ("t7", 7)):
+        monkeypatch.setattr(fields, "_CHUNK_TARGETS", tile)
         out = tmp_path / tag
-        assert run(cfg, out, workers=workers) == 0
+        assert run(cfg, out) == 0
         outs[tag] = out
     names = ["snapshots.csv", "events.csv", "ledger.csv",
              "diagnostics.json", "manifest.json"]
     for name in names:
         assert (outs["a"] / name).read_bytes() == (outs["b"] / name).read_bytes(), (
             f"{name} differs between identical invocations")
-        assert (outs["a"] / name).read_bytes() == (outs["w8"] / name).read_bytes(), (
-            f"{name} differs between worker counts")
+        assert (outs["a"] / name).read_bytes() == (outs["t7"] / name).read_bytes(), (
+            f"{name} differs between tile sizes")
     elapsed = time.time() - t0
     assert elapsed < 30.0
     report(11, "determinism", elapsed, 30, f"{len(names)} artifacts byte-identical")

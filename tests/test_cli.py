@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specularvp.fields as fields
 from specularvp.cli import (
     ParseError,
     ValidationError,
@@ -124,13 +125,14 @@ class TestRun:
                      "diagnostics.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_worker_count_changes_nothing(self, tmp_path):
+    def test_tile_size_changes_nothing(self, tmp_path, monkeypatch):
         cfg = parse_config(write(tmp_path, MINIMAL))
-        out1, out8 = tmp_path / "w1", tmp_path / "w8"
-        run(cfg, out1, workers=1)
-        run(cfg, out8, workers=8)
+        out1, out7 = tmp_path / "t256", tmp_path / "t7"
+        run(cfg, out1)
+        monkeypatch.setattr(fields, "_CHUNK_TARGETS", 7)
+        run(cfg, out7)
         for name in ("snapshots.csv", "ledger.csv", "manifest.json"):
-            assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+            assert (out1 / name).read_bytes() == (out7 / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -172,6 +174,113 @@ class TestCommands:
         cfg_path = write(tmp_path, MINIMAL.replace("zeta = 0.1", "zeta = -1"))
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+BALL_IMAGE_RUN = """
+[domain]
+kind = ball
+dim = 3
+radius = 1.0
+
+[field]
+kind = ball_image
+
+[regularization]
+eps_mollify = 0.05
+r_sign = 0.05
+zeta = 0.1
+delta = 0.1
+
+[initial]
+type = maxwellian
+n = 64
+mass = 0.5
+seed = 0
+x_min = -0.5, -0.5, -0.5
+x_max = 0.5, 0.5, 0.5
+temperature = 25.0
+
+[stepper]
+dt = 0.01
+t_end = 2.0
+backend = event
+max_reflections = 8
+
+[output]
+cadence_snapshot = 10
+"""
+
+# one particle: dt * v overflows to inf in the first step
+NON_FINITE_RUN = """
+[domain]
+kind = halfspace
+
+[regularization]
+eps_mollify = 0.05
+r_sign = 0.05
+zeta = 0.1
+delta = 0.1
+
+[initial]
+type = explicit
+
+[particles]
+0 = 1.0, 0.0, 0.0, 0.0, 1e308, 0.0, 0.1
+
+[stepper]
+dt = 10.0
+t_end = 10.0
+"""
+
+# one fast particle crossing the unit ball several times per step
+OVERFLOW_RUN = """
+[domain]
+kind = ball
+radius = 1.0
+
+[field]
+kind = whole_space
+
+[regularization]
+eps_mollify = 0.05
+r_sign = 0.05
+zeta = 0.1
+delta = 0.1
+
+[initial]
+type = explicit
+
+[particles]
+0 = 0.0, 0.0, 0.0, 100.0, 0.0, 0.0, 0.1
+
+[stepper]
+dt = 0.1
+t_end = 0.1
+max_reflections = 2
+"""
+
+
+class TestFailedRuns:
+    @pytest.mark.parametrize("seed", [6, 11, 13])
+    def test_ball_image_wall_hits_finish(self, tmp_path, seed):
+        # wall hits used to round an ulp outside the ball and raise NegativeArgument
+        cfg_path = write(tmp_path, BALL_IMAGE_RUN)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["complete"] is True
+
+    @pytest.mark.parametrize("text, error", [(NON_FINITE_RUN, "NonFiniteState"),
+                                             (OVERFLOW_RUN, "ReflectionOverflow")])
+    def test_clean_exit_and_incomplete_manifest(self, tmp_path, capsys, text, error):
+        cfg_path = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert manifest["error"].startswith(f"{error}: ")
 
 
 class TestBounceFixture:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import integrate as sps_integrate
 
+import specularvp.fields as fields_module
+
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import (
     CoincidentPoints,
@@ -13,7 +15,6 @@ from specularvp.fields import (
     c_d,
     cutoff_rbar,
     cutoff_rbar_prime,
-    field_batch,
     field_halfspace_A,
     field_problem_b,
     field_regularized,
@@ -265,7 +266,7 @@ class TestFields:
     def test_batch_single_particle_self_image_closed_form(self):
         x1 = 0.9
         e = ensemble([[x1, 0.0, 0.0]], w=[0.5])
-        field = field_batch(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS)[0]
+        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)[0]
         # image at (-x1, 0 ,0), strength -w, separation 2 x1 beyond the cutoffs
         expected = -0.5 * c_d(3) / (2 * x1) ** 2
         assert field[0] == pytest.approx(expected, rel=1e-12)
@@ -275,7 +276,7 @@ class TestFields:
         a = np.array([5.0, 0.0, 0.0])
         b = np.array([5.0, 0.7, 0.0])
         e = ensemble([a, b], w=[1.0, 1.0])
-        field = field_batch(None, GreenKind.WHOLE_SPACE, e, PARAMS)
+        field = field_regularized(None, GreenKind.WHOLE_SPACE, e, PARAMS, e.x)
         diff = a - b
         # the whole-space route is the cut Green gradient; beyond 2 delta it
         # coincides with the bare Coulomb kernel
@@ -283,16 +284,17 @@ class TestFields:
         assert np.allclose(field[0], expected, rtol=1e-12)
         assert np.allclose(field[1], -expected, rtol=1e-12)
 
-    def test_batch_worker_count_and_repeat_determinism(self):
+    def test_tile_size_and_repeat_determinism(self, monkeypatch):
+        # every target row is summed on its own: no tiling can change a bit
         rng = np.random.default_rng(5)
         e = ensemble(np.c_[0.2 + rng.random(33), rng.standard_normal((33, 2))],
                      w=rng.random(33))
-        ref = field_batch(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS)
-        again = field_batch(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS)
+        ref = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
+        again = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
         assert np.array_equal(ref, again)
-        for workers in (2, 3, 8):
-            out = field_batch(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS,
-                              workers=workers)
+        for tile in (1, 7, 32):
+            monkeypatch.setattr(fields_module, "_CHUNK_TARGETS", tile)
+            out = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
             assert np.array_equal(ref, out)
 
     def test_problem_b_field_symmetry(self):

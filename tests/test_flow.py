@@ -11,6 +11,7 @@ from specularvp.fields import (
 from specularvp.flow import (
     Backend,
     NoCrossing,
+    NonFiniteState,
     ReflectionOverflow,
     StepperConfig,
     fold_halfspace,
@@ -228,6 +229,59 @@ class TestIntegrate:
         assert np.array_equal(rec.final.x[0], e.x[0] + 0.01 * e.v[0])
         rec2 = integrate(rec.final, lambda ens: zero_field, StepperConfig(dt=0.01), 0.02)
         assert np.array_equal(rec2.final.x[0], rec.final.x[0])
+
+
+class TestBoundaryResidents:
+    """A particle sitting on the wall meets its own image at separation 0."""
+
+    @staticmethod
+    def step_with_wall_particle(domain, kind, wall_point):
+        rng = np.random.default_rng(4)
+        if domain is HS:
+            x = np.c_[0.2 + rng.random(8), rng.normal(size=(8, 2)) * 0.5]
+        else:
+            x = rng.uniform(-0.4, 0.4, size=(8, 3))
+        x[0] = wall_point
+        e = Ensemble(x=x, v=rng.normal(size=(8, 3)) * 0.3, w=np.full(8, 0.1), domain=domain)
+        fac = make_field_factory(domain, kind, PARAMS)
+        out, _ = step(e, fac(e), StepperConfig(dt=1e-2), field_factory=fac)
+        return out
+
+    def test_halfspace_image_source_on_the_wall_stays_finite(self):
+        out = self.step_with_wall_particle(HS, GreenKind.HALF_SPACE_IMAGE, [0.0, 0.1, -0.2])
+        assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.v))
+        assert np.all(out.alive)
+
+    def test_ball_image_source_on_the_sphere_stays_finite(self):
+        out = self.step_with_wall_particle(BALL, GreenKind.BALL_IMAGE, [0.0, 1.0, 0.0])
+        assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.v))
+        assert np.all(out.alive)
+
+
+class TestNonFiniteState:
+    def test_nan_field_raises_instead_of_staying_alive(self):
+        e = particle([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 3)), [1.0, 1.0])
+
+        def nan_field(x):
+            out = np.zeros_like(x)
+            out[1, 2] = np.nan
+            return out
+
+        with pytest.raises(NonFiniteState, match="particle 1"):
+            step(e, nan_field, StepperConfig(dt=0.01))
+
+    def test_dead_particles_are_not_checked(self):
+        # a particle that blew up earlier keeps its frozen state and raises nothing
+        e = particle([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 3)), [1.0, 1.0])
+        e = e.with_state(alive=np.array([True, False]))
+
+        def nan_for_dead(x):
+            out = np.zeros_like(x)
+            out[1] = np.nan
+            return out
+
+        out, _ = step(e, nan_for_dead, StepperConfig(dt=0.01))
+        assert np.array_equal(out.x, e.x) and not out.alive[1]
 
 
 class TestFoldBackend:

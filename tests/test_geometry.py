@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specularvp.geometry import (
     Ball,
     ChartViolation,
     HalfSpace,
     reflect_velocity,
-    signed_distance,
 )
 
 
@@ -54,12 +55,12 @@ class TestReflection:
 
 class TestSignedDistance:
     def test_halfspace(self):
-        assert signed_distance(HalfSpace(3), np.array([0.7, -1.0, 4.0])) == 0.7
+        assert HalfSpace(3).signed_distance(np.array([0.7, -1.0, 4.0])) == 0.7
 
     def test_ball_center_and_outside(self):
         ball = Ball(3, radius=2.0)
-        assert signed_distance(ball, np.zeros(3)) == 2.0
-        assert signed_distance(ball, np.array([3.0, 0.0, 0.0])) == -1.0
+        assert ball.signed_distance(np.zeros(3)) == 2.0
+        assert ball.signed_distance(np.array([3.0, 0.0, 0.0])) == -1.0
 
     def test_gradient_is_inward_normal(self):
         # finite differences of the distance against the analytic normal
@@ -86,6 +87,28 @@ class TestSignedDistance:
             Ball(3, radius=0.0)
         with pytest.raises(ValueError):
             Ball(2, radius=1.0)
+
+
+class TestBallProjection:
+    @given(
+        x=st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                   min_size=3, max_size=3).filter(lambda c: np.linalg.norm(c) > 1e-6),
+        radius=st.sampled_from([1.0, 0.3, 2.5, 7.0]),
+    )
+    def test_projection_lands_on_the_closed_ball(self, x, radius):
+        # rounding may put R x/|x| an ulp outside; the result must not be
+        ball = Ball(3, radius)
+        p = ball.project_boundary(np.array(x))
+        ulp = np.spacing(radius)
+        assert radius - 4 * ulp <= np.linalg.norm(p) <= radius
+        assert ball.signed_distance(p) >= 0.0
+
+    def test_batch_projection_never_reads_outside(self):
+        rng = np.random.default_rng(11)
+        ball = Ball(3, 1.0)
+        p = ball.project_boundary(rng.normal(size=(20000, 3)))
+        assert np.min(ball.signed_distance(p)) >= 0.0
+        assert np.max(ball.signed_distance(p)) <= 4 * np.spacing(1.0)
 
 
 def fd_jacobian(fm, x, h=1e-6):
