@@ -340,8 +340,8 @@ def _tiled(rows, x, out):
 
 
 def _point_pairs(t, y):
-    """|x - y|^2 per (target, source), and a builder of the vectors x - y
-    (built after the kernel's temporaries are gone, to bound memory)."""
+    """|x - y|^2 per (target, source), and a function making the vectors x - y
+    (called after the kernel's temporaries are gone, to bound memory)."""
     sep2 = sum((t[:, None, k] - y[None, :, k]) ** 2 for k in range(t.shape[1]))
     return sep2, lambda: t[:, None, :] - y[None, :, :]
 

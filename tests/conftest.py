@@ -1,4 +1,4 @@
-"""Session settings: a deterministic hypothesis profile, so tier-1 runs the same examples every time."""
+"""Test settings: a deterministic hypothesis profile, so tier-1 runs the same examples every time."""
 
 from hypothesis import settings
 
