@@ -40,9 +40,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    LedgerObserver,
     audit_green,
-    blowup_monitor,
-    energy_audit,
     energy_bound_check,
     read_ledger_csv,
     write_ledger_csv,
@@ -343,7 +342,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_snapshots_csv(path, run, cadence, dim):
+def _write_snapshots_csv(path, run, dim):
     header = (
         ["t", "id"]
         + [f"x{i}" for i in range(dim)]
@@ -351,9 +350,7 @@ def _write_snapshots_csv(path, run, cadence, dim):
         + ["w"]
     )
     lines = [",".join(header)]
-    for idx, (t, snap) in enumerate(run.snapshots):
-        if idx % cadence and idx != len(run.snapshots) - 1:
-            continue
+    for t, snap in run.snapshots:
         for pid in range(len(snap)):
             row = [_fmt(t), str(pid)]
             row += [_fmt(c) for c in snap.x[pid]]
@@ -412,33 +409,31 @@ def run(cfg: RunConfig, out_dir, seed=None,
             frozen_field=cfg.frozen_field,
         )
         kind = _ledger_kind(cfg)
+        hard_sign = cfg.backend is Backend.FOLD_HALFSPACE
+        # the ledger and the log-log moment stream from the stepper's own sweeps
+        ledger_obs = LedgerObserver(cfg.params, kind, hard_sign) if kind is not None else None
         rec = integrate(
             e0, factory, stepper, cfg.t_end,
-            snapshot_every=1,
+            snapshot_every=cad_snap,
             store_trajectories=cfg.store_trajectories,
-            meta={"params": cfg.params, "kind": kind,
-                  "hard_sign": cfg.backend is Backend.FOLD_HALFSPACE},
+            meta={"params": cfg.params, "kind": kind, "hard_sign": hard_sign},
+            observer=ledger_obs,
         )
         dim = e0.dim
-        _write_snapshots_csv(out / "snapshots.csv", rec, cad_snap, dim)
+        _write_snapshots_csv(out / "snapshots.csv", rec, dim)
         _write_events_csv(out / "events.csv", rec, dim)
         diag = {"events": len(rec.events), "particles": len(e0), "t_end": cfg.t_end}
-        if kind is not None:
-            ledger = energy_audit(rec, cfg.params, kind)
+        if ledger_obs is not None:
+            ledger = ledger_obs.ledger()
             if cad_ledger > 1:
-                sl = slice(None, None, cad_ledger)
-                from .diagnostics import EnergyLedger
-                ledger = EnergyLedger(*(getattr(ledger, f)[sl] for f in (
-                    "times", "kinetic", "potential", "total", "k_tau",
-                    "k_integral", "drift")))
+                ledger = ledger.every(cad_ledger)
             write_ledger_csv(ledger, out / "ledger.csv")
             check = energy_bound_check(ledger)
-            blow = blowup_monitor(rec, cfg.params, kind)
             diag.update({
                 "max_abs_drift": ledger.max_abs_drift,
                 "energy_bound_passed": check.passed,
                 "energy_bound_min_margin": check.min_margin,
-                "loglog_total_variation": blow.total_variation,
+                "loglog_total_variation": ledger_obs.total_variation,
             })
         (out / "diagnostics.json").write_text(
             json.dumps(diag, sort_keys=True, indent=2) + "\n")

@@ -15,10 +15,15 @@ Conventions worth pinning down once:
   event; without it the ledger loses an order of accuracy at bounces.
 * The whole-space (Problem B) route replaces (1 - rbar^zeta) S by
   (sgn - sbar)(x_1) times the mollified-kernel sum against the odd density.
+* ``energy_audit`` and ``blowup_monitor`` recompute everything from stored
+  snapshots; ``LedgerObserver`` accumulates the same ledger and moment
+  while ``integrate`` runs, from the stepper's own pair sweeps.  Both
+  assemble the ledger with one helper, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -30,6 +35,7 @@ from .flow import RunRecord, Trajectory
 
 __all__ = [
     "EnergyLedger",
+    "LedgerObserver",
     "SeparationProbe",
     "GridMismatch",
     "PairMismatch",
@@ -84,6 +90,12 @@ def _uncut_gradient_sum(e: Ensemble, kind, domain, params, at=None):
         e, e.x if at is None else at)
 
 
+def _k_power(e: Ensemble, gap, s_sum) -> float:
+    """K = 2 sum_i w_i gap(x_i) v_i . S_i over the live particles."""
+    w = e.w * e.alive
+    return 2.0 * float(np.sum(w * gap * np.sum(e.v * s_sum, axis=1)))
+
+
 def k_tau(e: Ensemble, params, kind, hard_sign=False) -> float:
     """Instantaneous energy-error power K of the regularized system.
 
@@ -99,9 +111,7 @@ def k_tau(e: Ensemble, params, kind, hard_sign=False) -> float:
     gap = field_model(e.domain, kind, e.frame, params, hard_sign).cutoff_gap(e.x)
     if not np.any(gap):
         return 0.0
-    s_sum = _uncut_gradient_sum(e, kind, e.domain, params)
-    w = e.w * e.alive
-    return 2.0 * float(np.sum(w * gap * np.sum(e.v * s_sum, axis=1)))
+    return _k_power(e, gap, _uncut_gradient_sum(e, kind, e.domain, params))
 
 
 @dataclass
@@ -123,25 +133,34 @@ class EnergyLedger:
     def max_abs_drift(self) -> float:
         return float(np.max(np.abs(self.drift)))
 
+    def every(self, stride) -> "EnergyLedger":
+        """Every ``stride``-th row."""
+        return EnergyLedger(*(getattr(self, f.name)[::stride]
+                              for f in dataclasses.fields(self)))
 
-def _event_corrections(run: RunRecord, params, kind, domain, times):
-    """Trapezoid corrections J h (1/2 - theta) from the recorded bounces.
 
-    K jumps by J = 2 w_i (1 - rbar^zeta)(x*) (v_plus - v_minus) . S_i(x*)
-    at a reflection; sources are taken from the snapshot entering the step
-    (an O(dt) approximation of an O(dt) term).
+def _add_event_corrections(corr, times, events, model, kind, params, snapshot_at):
+    """Add each bounce's trapezoid correction J h (1/2 - theta) to corr[k + 1].
+
+    K jumps by J = 2 w_i (charge - factor)(x*) (v_plus - v_minus) . S_i(x*)
+    at a reflection; k is the step holding the event (the first k with
+    t* <= times[k + 1]) and the sources are those of ``snapshot_at(k)``, the
+    snapshot entering it (an O(dt) approximation of an O(dt) term).  Events
+    of a step that ends after times[-1] are skipped and returned.
     """
-    corr = np.zeros(len(times))
-    model = field_model(domain, kind, run.snapshots[0][1].frame, params)
-    for ev in run.events:
+    later = []
+    for ev in events:
         k = int(np.searchsorted(times, ev.t) - 1)
-        if k < 0 or k + 1 >= len(times):
+        if k + 1 >= len(times):
+            later.append(ev)
+            continue
+        if k < 0:
             continue
         gap = float(model.cutoff_gap(ev.x)[0])
         if gap == 0.0:
             continue
-        e_snap = run.snapshots[k][1]
-        s_at = _uncut_gradient_sum(e_snap, kind, domain, params, at=ev.x)[0]
+        e_snap = snapshot_at(k)
+        s_at = _uncut_gradient_sum(e_snap, kind, e_snap.domain, params, at=ev.x)[0]
         jump = (
             2.0 * e_snap.w[ev.particle] * gap
             * float(np.dot(ev.v_plus - ev.v_minus, s_at))
@@ -149,7 +168,17 @@ def _event_corrections(run: RunRecord, params, kind, domain, times):
         h = times[k + 1] - times[k]
         theta = (ev.t - times[k]) / h
         corr[k + 1] += jump * h * (0.5 - theta)
-    return corr
+    return later
+
+
+def _ledger(times, ke, pe, kt, corr=None) -> EnergyLedger:
+    """Trapezoid K-integral, plus the summed event corrections, and the drift."""
+    total = ke + pe
+    k_int = np.concatenate([[0.0], np.cumsum(0.5 * (kt[1:] + kt[:-1]) * np.diff(times))])
+    if corr is not None:
+        k_int = k_int + np.cumsum(corr)
+    drift = total - total[0] - k_int
+    return EnergyLedger(times, ke, pe, total, kt, k_int, drift)
 
 
 def energy_audit(run: RunRecord, params=None, kind=None, event_correction=True) -> EnergyLedger:
@@ -164,19 +193,79 @@ def energy_audit(run: RunRecord, params=None, kind=None, event_correction=True) 
     kind = kind if kind is not None else run.meta.get("kind")
     if params is None or kind is None:
         raise ValueError("params and kind must be given or recorded in run.meta")
-    domain = run.snapshots[0][1].domain
+    first = run.snapshots[0][1]
 
     hard_sign = bool(run.meta.get("hard_sign", False))
     times = np.array([t for t, _ in run.snapshots])
     ke = np.array([kinetic_energy(s) for _, s in run.snapshots])
     pe = np.array([potential_energy(s, kind, params) for _, s in run.snapshots])
     kt = np.array([k_tau(s, params, kind, hard_sign=hard_sign) for _, s in run.snapshots])
-    total = ke + pe
-    k_int = np.concatenate([[0.0], np.cumsum(0.5 * (kt[1:] + kt[:-1]) * np.diff(times))])
+    corr = None
     if event_correction and run.events:
-        k_int = k_int + np.cumsum(_event_corrections(run, params, kind, domain, times))
-    drift = total - total[0] - k_int
-    return EnergyLedger(times, ke, pe, total, kt, k_int, drift)
+        corr = np.zeros(len(times))
+        model = field_model(first.domain, kind, first.frame, params, hard_sign)
+        _add_event_corrections(corr, times, run.events, model, kind, params,
+                               lambda k: run.snapshots[k][1])
+    return _ledger(times, ke, pe, kt, corr)
+
+
+class LedgerObserver:
+    """The energy ledger and the log-log moment, accumulated during a run.
+
+    Pass it as ``integrate(..., observer=LedgerObserver(params, kind,
+    hard_sign))`` with a field factory of the same kind, params and sign:
+    each snapshot's kinetic and potential energy, K and moment then come
+    from the sweep the stepper made anyway, and the run keeps O(steps)
+    scalars and the last three snapshots instead of one snapshot per step.
+    ``ledger()`` and ``total_variation`` equal ``energy_audit`` and
+    ``blowup_monitor`` on a run that stored every snapshot.
+
+    The step's start snapshot goes unused: a bounce at exactly t_k counts
+    in the step before (see ``_add_event_corrections``), so the observer
+    keeps the last three snapshots itself.
+    """
+
+    def __init__(self, params, kind, hard_sign=False):
+        self.params, self.kind, self.hard_sign = params, kind, hard_sign
+        self.times, self.kinetic, self.potential, self.k_tau = [], [], [], []
+        self.moment = []
+        self._corr = []         # event corrections per sample
+        self._bounced = False   # the run had events
+        self._pending = []      # events whose step ends after the last sample
+        self._recent = {}       # sample index -> snapshot, the last three
+        self._model = None
+
+    def __call__(self, t, snap, sweep, events, start):
+        if sweep.phi is None:
+            raise ValueError("the ledger needs sweeps with the per-row potential")
+        if self._model is None:
+            self._model = field_model(snap.domain, self.kind, snap.frame, self.params,
+                                      self.hard_sign)
+        model = self._model
+        n = len(self.times)
+        self.times.append(t)
+        self.kinetic.append(kinetic_energy(snap))
+        self.potential.append(model.energy(snap, sweep.phi))
+        gap = model.cutoff_gap(snap.x)
+        self.k_tau.append(_k_power(snap, gap, sweep.pre_cutoff) if np.any(gap) else 0.0)
+        self.moment.append(_loglog_moment(snap, _phase_norm(snap)))
+        self._corr.append(0.0)
+        self._recent = {k: s for k, s in self._recent.items() if k > n - 3}
+        self._recent[n] = snap
+        self._bounced = self._bounced or bool(events)
+        if self._pending or events:
+            self._pending = _add_event_corrections(
+                self._corr, np.array(self.times), self._pending + events, model,
+                self.kind, self.params, self._recent.__getitem__)
+
+    def ledger(self) -> EnergyLedger:
+        corr = np.array(self._corr) if self._bounced else None
+        return _ledger(*(np.array(a) for a in (self.times, self.kinetic, self.potential,
+                                               self.k_tau)), corr)
+
+    @property
+    def total_variation(self) -> float:
+        return _total_variation(np.array(self.moment))
 
 
 @dataclass(frozen=True)
@@ -560,27 +649,40 @@ class BlowupReport:
     integrand_bound: np.ndarray
 
 
+def _phase_norm(e: Ensemble):
+    return np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
+
+
+def _loglog_moment(e: Ensemble, znorm) -> float:
+    return float(np.sum(e.w * e.alive * np.log(np.log(2.0 + znorm))))
+
+
+def _total_variation(moment) -> float:
+    return float(np.sum(np.abs(np.diff(moment))))
+
+
 def blowup_monitor(run: RunRecord, params=None, kind=None) -> BlowupReport:
     """Per-sample sum_i w_i loglog(2 + |Z_i|) and its drive-term bound.
 
     The moment's total variation staying finite under refinement is the
     discrete face of trajectories not blowing up in finite time; the bound
-    series integrates |b(Z)| / ((1 + |Z|) log(2 + |Z|)).
+    series integrates |b(Z)| / ((1 + |Z|) log(2 + |Z|)), with the field the
+    run felt (the hard sign when ``run.meta["hard_sign"]``).
     """
     params = params if params is not None else run.meta.get("params")
     kind = kind if kind is not None else run.meta.get("kind")
+    hard_sign = bool(run.meta.get("hard_sign", False))
     times = np.array([t for t, _ in run.snapshots])
     moment = np.empty(len(times))
     bound = np.empty(len(times))
     for k, (_, e) in enumerate(run.snapshots):
-        znorm = np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
-        w = e.w * e.alive
-        moment[k] = float(np.sum(w * np.log(np.log(2.0 + znorm))))
-        e_val = field_regularized(e.domain, kind, e, params, e.x)
+        znorm = _phase_norm(e)
+        moment[k] = _loglog_moment(e, znorm)
+        e_val = field_regularized(e.domain, kind, e, params, e.x, hard_sign=hard_sign)
         bnorm = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(e_val**2, axis=1))
+        w = e.w * e.alive
         bound[k] = float(np.sum(w * bnorm / ((1.0 + znorm) * np.log(2.0 + znorm))))
-    tv = float(np.sum(np.abs(np.diff(moment))))
-    return BlowupReport(times, moment, tv, bound)
+    return BlowupReport(times, moment, _total_variation(moment), bound)
 
 
 # -----------------------------------------------------------------------------

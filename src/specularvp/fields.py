@@ -39,6 +39,8 @@ __all__ = [
     "CoincidentPoints",
     "NegativeArgument",
     "FieldModel",
+    "SnapshotField",
+    "Sweep",
     "c_d",
     "cutoff_rbar",
     "cutoff_rbar_prime",
@@ -180,24 +182,26 @@ def boundary_cutoff(domain: Domain, zeta, x):
 # radial profiles: g(sep) and the gradient coefficient g'(sep)/sep
 # -----------------------------------------------------------------------------
 
-def _cut_t(delta, sep):
-    # sep clamped at delta, where r is exactly 0 (no 0 * inf at sep = 0),
-    # and the clipped t of r(1 + t) = r(sep/delta)
+def _cut_base(delta, sep):
+    """(sep, t, r): sep clamped at delta, where r is exactly 0 (no 0 * inf at
+    sep = 0), the clipped t of r(1 + t) = r(sep/delta), and r.  The profile
+    and the slope share it, so a fused sweep computes it once."""
     sep = np.maximum(sep, delta)
-    return sep, np.minimum(sep / delta - 1.0, 1.0)
+    t = np.minimum(sep / delta - 1.0, 1.0)
+    return sep, t, _smoothstep(t)
 
 
-def _cut_profile(d, delta, sep):
+def _cut_profile(d, base):
     """g(sep) = r(sep/delta) H(sep); exactly 0 for sep <= delta."""
-    sep, t = _cut_t(delta, sep)
-    return _smoothstep(t) * _h_amp(d) * sep ** (2.0 - d)
+    sep, _, r = base
+    return r * _h_amp(d) * sep ** (2.0 - d)
 
 
-def _cut_slope(d, delta, sep):
+def _cut_slope(d, delta, base):
     """g'(sep)/sep = c_d/(d-2) sep^-d (r' sep/delta + (2 - d) r), with r and r'
     from one clipped t; exactly 0 for sep <= delta (sep = 0 included)."""
-    sep, t = _cut_t(delta, sep)
-    bracket = _smoothstep_prime(t) * sep / delta + (2.0 - d) * _smoothstep(t)
+    sep, t, r = base
+    bracket = _smoothstep_prime(t) * sep / delta + (2.0 - d) * r
     return _h_amp(d) * bracket * sep ** (-float(d))
 
 
@@ -300,9 +304,9 @@ def green_cut(kind, domain, params: RegularizationParams, x, z):
     """
     d = domain.dim if domain is not None else np.asarray(x).shape[-1]
     u, s = _pair_separations(kind, domain, x, z)
-    g = _cut_profile(d, params.delta, u)
+    g = _cut_profile(d, _cut_base(params.delta, u))
     if s is not None:
-        g = g - _cut_profile(d, params.delta, s)
+        g = g - _cut_profile(d, _cut_base(params.delta, s))
     return g
 
 
@@ -316,9 +320,10 @@ def grad_green_cut(kind, domain, delta, x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     u, s = _pair_separations(kind, domain, x, z)
-    g = _cut_slope(d, delta, u)[..., None] * (x - z)
+    g = _cut_slope(d, delta, _cut_base(delta, u))[..., None] * (x - z)
     if s is not None:
-        g = g - _cut_slope(d, delta, s)[..., None] * _image_gradient_vector(kind, domain, x, z)
+        g = g - (_cut_slope(d, delta, _cut_base(delta, s))[..., None]
+                 * _image_gradient_vector(kind, domain, x, z))
     return g
 
 
@@ -331,12 +336,14 @@ def grad_green_cut(kind, domain, delta, x, z):
 _CHUNK_TARGETS = 256
 
 
-def _tiled(rows, x, out):
-    """out = rows(x) tile by tile: the one pair loop.  Each row is summed on
-    its own, so the tile size cannot change a bit of the result."""
+def _tiled(rows, x, *outs):
+    """rows(targets, *out_slices) tile by tile: the one pair loop.  Each row
+    is summed on its own, so the tile size cannot change a bit of the result;
+    an output given as None is not computed."""
     for lo in range(0, len(x), _CHUNK_TARGETS):
-        out[lo:lo + _CHUNK_TARGETS] = rows(x[lo:lo + _CHUNK_TARGETS])
-    return out
+        tile = slice(lo, lo + _CHUNK_TARGETS)
+        rows(x[tile], *(None if out is None else out[tile] for out in outs))
+    return outs
 
 
 def _point_pairs(t, y):
@@ -388,9 +395,11 @@ class FieldModel:
         self.kelvin = None      # ball radius: add the Kelvin image term
         self.factor = self.charge = lambda x: np.ones(len(x))
         eps, delta = params.eps_mollify, params.delta
-        # Plummer: H_eps(s) = c_d/(d-2) (s^2 + eps^2)^((2-d)/2)
-        self.profile = lambda d, sep2: _h_amp(d) * (sep2 + eps**2) ** ((2.0 - d) / 2.0)
-        self.slope = lambda d, sep2: -c_d(d) * (sep2 + eps**2) ** (-d / 2.0)
+        # Plummer: H_eps(s) = c_d/(d-2) b^((2-d)/2) and H_eps'(s)/s = -c_d b^(-d/2),
+        # b = s^2 + eps^2
+        self.base = lambda sep2: sep2 + eps**2
+        self.profile = lambda d, b: _h_amp(d) * b ** ((2.0 - d) / 2.0)
+        self.slope = lambda d, b: -c_d(d) * b ** (-d / 2.0)
         if hard_sign or frame is Frame.PROBLEM_B:
             self.odd = True
             self.charge = lambda x: np.sign(x[:, 0])  # the plane carries no charge
@@ -401,8 +410,9 @@ class FieldModel:
         elif kind == GreenKind.HALF_SPACE_MOLLIFIED:
             self.mirror = True
         else:
-            self.profile = lambda d, sep2: _cut_profile(d, delta, np.sqrt(sep2, out=sep2))
-            self.slope = lambda d, sep2: _cut_slope(d, delta, np.sqrt(sep2, out=sep2))
+            self.base = lambda sep2: _cut_base(delta, np.sqrt(sep2, out=sep2))
+            self.profile = _cut_profile
+            self.slope = lambda d, base: _cut_slope(d, delta, base)
             if kind in (GreenKind.HALF_SPACE_IMAGE, GreenKind.BALL_IMAGE):
                 params.validate_for_domain(domain)
                 self.factor = lambda x: boundary_cutoff(domain, params.zeta, x)
@@ -425,43 +435,53 @@ class FieldModel:
             y, q = np.concatenate([y, ym]), np.concatenate([q, -q])
         return [(_point_pairs, y, q)] + terms
 
-    def _gradient_rows(self, cloud, t):
-        out = np.zeros_like(t)
+    def _rows(self, cloud, t, s, phi):
+        """Add to s the gradient rows and to phi the potential rows of targets t
+        (either may be None): one sep2 per pair geometry serves both."""
+        d = t.shape[1]
         for pairs, y, q in cloud:
             sep2, vec = pairs(t, y)
-            coef = self.slope(t.shape[1], sep2)
-            coef *= q
+            base = self.base(sep2)
             del sep2
-            vec = vec()
-            vec *= coef[:, :, None]
-            out += vec.sum(axis=1)
-        return out
+            if phi is not None:
+                g = self.profile(d, base)
+                g *= q
+                phi += g.sum(axis=1)
+                del g
+            if s is not None:
+                coef = self.slope(d, base)
+                del base
+                coef *= q
+                vec = vec()
+                vec *= coef[:, :, None]
+                s += vec.sum(axis=1)
 
-    def _potential_rows(self, cloud, t):
-        out = np.zeros(len(t))
-        for pairs, y, q in cloud:
-            sep2, _ = pairs(t, y)
-            g = self.profile(t.shape[1], sep2)
-            g *= q
-            out += g.sum(axis=1)
-        return out
+    def _sums(self, cloud, x, gradient=True, potential=False):
+        """(S, phi) at targets x; each only when asked, else None."""
+        return _tiled(functools.partial(self._rows, cloud), x,
+                      np.zeros_like(x) if gradient else None,
+                      np.zeros(len(x)) if potential else None)
+
+    def bind(self, ens) -> "SnapshotField":
+        """The field of one snapshot, its source cloud built once."""
+        return SnapshotField(self, ens)
 
     def pre_cutoff_sum(self, ens, x):
         """S(x): the gradient sum before the target factor (sum_j w_j grad_x G^delta
         on the domain route, the mollified-kernel sum on the others)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rows = functools.partial(self._gradient_rows, self._cloud(ens))
-        return _tiled(rows, x, np.empty_like(x))
+        return self.bind(ens).pre_cutoff_sum(x)
 
     def field(self, ens, x):
         """E(x) = -factor(x) S(x) at positions x, shape (n, d)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return -self.factor(x)[:, None] * self.pre_cutoff_sum(ens, x)
+        return self.bind(ens)(x)
 
     def potential(self, ens) -> float:
         """Double sum over all particle pairs, i = j included (the self-image term survives)."""
-        rows = functools.partial(self._potential_rows, self._cloud(ens))
-        phi = _tiled(rows, ens.x, np.empty(len(ens)))
+        phi = self._sums(self._cloud(ens), ens.x, gradient=False, potential=True)[1]
+        return self.energy(ens, phi)
+
+    def energy(self, ens, phi) -> float:
+        """The potential energy from the per-row sums phi of ``Sweep``."""
         return float(np.sum(ens.w * ens.alive * self.charge(ens.x) * phi))
 
     def cutoff_gap(self, x):
@@ -470,6 +490,52 @@ class FieldModel:
         if self.plane_split:
             return np.zeros(len(x))
         return self.charge(x) - self.factor(x)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One pair sweep of a snapshot at its own positions x_i.
+
+    field      : E(x_i)
+    pre_cutoff : S(x_i), the gradient sum before the target factor
+    phi        : sum_j q_j g(s_ij) per row when asked (``FieldModel.energy``
+                 turns it into the potential energy), else None
+    """
+
+    field: np.ndarray
+    pre_cutoff: np.ndarray | None = None
+    phi: np.ndarray | None = None
+
+
+class SnapshotField:
+    """The field of one snapshot: the model resolved once and the source cloud
+    built on first use.  Called on positions x, it returns E(x); ``sweep``
+    is the fused pass at the snapshot's own positions.  ``plane_split`` marks
+    a hard-sign field, discontinuous across {x_1 = 0}."""
+
+    def __init__(self, model: FieldModel, ens):
+        self.model, self.ens = model, ens
+        self.plane_split = model.plane_split
+
+    @functools.cached_property
+    def cloud(self):
+        return self.model._cloud(self.ens)
+
+    def pre_cutoff_sum(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self.model._sums(self.cloud, x)[0]
+
+    def __call__(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return -self.model.factor(x)[:, None] * self.pre_cutoff_sum(x)
+
+    def sweep(self, potential=False) -> Sweep:
+        """E, S and (with ``potential``) phi at the snapshot's positions, one
+        pair pass; bitwise equal to the field, ``pre_cutoff_sum`` and
+        ``potential`` computed on their own."""
+        x = self.ens.x
+        s, phi = self.model._sums(self.cloud, x, potential=potential)
+        return Sweep(-self.model.factor(x)[:, None] * s, s, phi)
 
 
 # field_model(domain, kind, frame, params, hard_sign=False): each model is built once
@@ -511,18 +577,14 @@ def field_problem_b(ens, params: RegularizationParams, x, hard_sign=False):
 
 
 def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=False):
-    """Factory: snapshot ensemble -> batch field closure over positions.
+    """Factory: snapshot ensemble -> its ``SnapshotField`` (callable on positions).
 
-    Hard-sign closures carry ``plane_split = True``: the field is
+    Hard-sign fields carry ``plane_split = True``: the field is
     discontinuous across {x_1 = 0}, and the fold stepper splits kicks there.
     """
 
     def factory(ens):
-        def field_fn(x):
-            return field_regularized(domain, kind, ens, params, x, hard_sign=hard_sign)
-
-        field_fn.plane_split = hard_sign
-        return field_fn
+        return field_model(domain, kind, ens.frame, params, hard_sign).bind(ens)
 
     return factory
 

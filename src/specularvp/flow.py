@@ -29,6 +29,7 @@ import numpy as np
 
 from .geometry import GRAZE_RTOL, Domain, reflect_velocity
 from .ensemble import Ensemble, Frame, FrameMismatch
+from .fields import Sweep
 
 __all__ = [
     "Backend",
@@ -231,18 +232,46 @@ def _mark_blowups(e: Ensemble, x, v):
     return e.alive & ~big
 
 
-def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None):
-    """One kick-drift-kick step; returns (new snapshot, reflection events).
+def _own_sweep(field_fn, x, potential):
+    """The sweep of a snapshot's own field at its own positions x; a plain
+    field function (no ``sweep``) gives the field alone."""
+    sweep = getattr(field_fn, "sweep", None)
+    return Sweep(field_fn(x)) if sweep is None else sweep(potential)
 
-    ``field_fn`` is the field frozen from the input snapshot.  With
-    cfg.frozen_field both half-kicks use it; otherwise the trailing kick of
-    reflection-free particles re-freezes the field from the drifted
-    positions (``field_factory`` must then be given).  Particles whose step
+
+def _tail_kick(e: Ensemble, field_fn, cfg: StepperConfig, field_factory, x_new, v_new,
+               crossing, potential):
+    """Trailing half-kick of the particles that did not cross; returns the new
+    snapshot and the tail sweep (None when the tail field is ``field_fn``)."""
+    alive = e.alive
+    x_new[~alive] = e.x[~alive]
+    if cfg.frozen_field or field_factory is None:
+        tail, kick = None, field_fn(x_new)
+    else:
+        tail = _own_sweep(field_factory(e.with_state(x=x_new, v=v_new)), x_new, potential)
+        kick = tail.field
+    rest = alive & ~crossing
+    v_new[rest] += 0.5 * cfg.dt * kick[rest]
+    v_new[~alive] = e.v[~alive]
+    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), tail
+
+
+def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
+         lead=None, potential=False):
+    """One kick-drift-kick step; returns (new snapshot, reflection events, tail).
+
+    ``field_fn`` is the field frozen from the input snapshot; ``lead`` is its
+    value at e.x when the caller has it (it is computed otherwise).  With
+    cfg.frozen_field both half-kicks use ``field_fn`` and ``tail`` is None;
+    otherwise the trailing kick of reflection-free particles re-freezes the
+    field from the drifted positions (``field_factory`` must then be given),
+    and ``tail`` is that field's sweep at the new positions, with the
+    per-row potential when ``potential`` is set.  Particles whose step
     crosses the boundary are advanced one by one with event sub-steps, in
     ascending index order.
     """
     alive = e.alive
-    e0 = field_fn(e.x)
+    e0 = field_fn(e.x) if lead is None else lead
     v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
     x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
     v_new = v_half.copy()
@@ -268,15 +297,8 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None):
         )
         events.extend(evts)
 
-    x_new[~alive] = e.x[~alive]
-    if cfg.frozen_field or field_factory is None:
-        tail = field_fn(x_new)
-    else:
-        tail = field_factory(e.with_state(x=x_new, v=v_new))(x_new)
-    rest = alive & ~crossing
-    v_new[rest] += 0.5 * cfg.dt * tail[rest]
-    v_new[~alive] = e.v[~alive]
-    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), events
+    new, tail = _tail_kick(e, field_fn, cfg, field_factory, x_new, v_new, crossing, potential)
+    return new, events, tail
 
 
 def _advance_fold_with_events(x, v, e_fn, dt, max_crossings):
@@ -332,18 +354,20 @@ def _advance_fold_with_events(x, v, e_fn, dt, max_crossings):
     raise ReflectionOverflow("particle exceeded plane-crossing budget in one step")
 
 
-def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None):
+def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
+                        lead=None, potential=False):
     """Whole-space step of an even-symmetric ensemble (no reflections).
 
     The ensemble must be in the ProblemB frame; the half-space trajectory is
     recovered through ``fold_halfspace``.  Field closures carrying
     ``plane_split = True`` (hard-sign fields) get their kicks split at plane
-    crossings; smooth fields take the plain KDK step.
+    crossings; smooth fields take the plain KDK step.  Arguments and result
+    as for ``step`` (the event list is always empty).
     """
     if e.frame is not Frame.PROBLEM_B:
         raise FrameMismatch("fold backend expects a ProblemB ensemble")
     alive = e.alive
-    e0 = field_fn(e.x)
+    e0 = field_fn(e.x) if lead is None else lead
     v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
     x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
     v_new = v_half.copy()
@@ -361,15 +385,8 @@ def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field
     else:
         crossing = np.zeros(len(e), dtype=bool)
 
-    x_new[~alive] = e.x[~alive]
-    if cfg.frozen_field or field_factory is None:
-        tail = field_fn(x_new)
-    else:
-        tail = field_factory(e.with_state(x=x_new, v=v_new))(x_new)
-    rest = alive & ~crossing
-    v_new[rest] += 0.5 * cfg.dt * tail[rest]
-    v_new[~alive] = e.v[~alive]
-    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), []
+    new, tail = _tail_kick(e, field_fn, cfg, field_factory, x_new, v_new, crossing, potential)
+    return new, [], tail
 
 
 def fold_halfspace(x, v):
@@ -391,8 +408,8 @@ class RunRecord:
 
     ``snapshots`` holds (time, Ensemble) pairs every ``snapshot_every``
     steps, always including the initial and final states.  Trajectory
-    arrays (sampled every step) and per-sample field values exist when the
-    run was asked to store them.
+    arrays (sampled every step), per-sample field values and the field at
+    each event exist when the run was asked to store them.
     """
 
     times: np.ndarray
@@ -427,12 +444,25 @@ class RunRecord:
 
 
 def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, store_trajectories=False, t0=0.0, meta=None):
+              snapshot_every=1, store_trajectories=False, t0=0.0, meta=None,
+              observer=None):
     """Fixed-dt run over [t0, t0 + t_end].
 
     Each step freezes the field from the snapshot entering the step (the
     Picard-style decoupling); events are merged in (particle, time) order
     within a step.  Deterministic for a fixed initial ensemble.
+
+    Force reuse: in refresh mode the trailing-kick field of a step is the
+    field of the snapshot it ends on, so its sweep is the next step's
+    leading field.  It is carried over unless a particle died in the step
+    (dead particles leave the sources); then, and in frozen mode, the new
+    snapshot's field is swept afresh.  Factories must therefore depend on
+    a snapshot's positions, weights and alive mask only.
+
+    ``observer(t, snapshot, sweep, events, start)`` is called on the initial
+    snapshot and after every step, with the snapshot's own ``Sweep`` (its
+    per-row potential included), the step's events and the snapshot the
+    step started from (None and no events for the initial call).
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
@@ -440,9 +470,14 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     if n_steps and abs(n_steps * cfg.dt - t_end) > 1e-9 * max(t_end, cfg.dt):
         raise ValueError("t_end must be an integer number of steps")
     stepper = step_fold_halfspace if cfg.backend is Backend.FOLD_HALFSPACE else step
+    potential = observer is not None
 
     e = e0
     t = float(t0)
+    field_fn = field_factory(e)
+    sweep = _own_sweep(field_fn, e.x, potential)  # of the current snapshot e
+    if observer is not None:
+        observer(t, e, sweep, [], None)
     snapshots = [(t, e)]
     events: list[ReflectionEvent] = []
     event_fields: list[np.ndarray] = []
@@ -452,30 +487,32 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
         tj_x = np.empty((n_steps + 1, len(e0), d))
         tj_v = np.empty_like(tj_x)
         tj_e = np.empty_like(tj_x)
-        tj_x[0], tj_v[0] = e0.x, e0.v
+        tj_x[0], tj_v[0], tj_e[0] = e0.x, e0.v, sweep.field
 
     times = [t]
     deaths: dict[int, float] = {}
     for k in range(n_steps):
-        field_fn = field_factory(e)
-        if store_trajectories:
-            tj_e[k] = field_fn(e.x)
-        was_alive = e.alive
-        e, evts = stepper(e, field_fn, cfg, t0=t,
-                          field_factory=None if cfg.frozen_field else field_factory)
+        start, lead, sweep = e, sweep.field, None
+        e, evts, sweep = stepper(e, field_fn, cfg, t0=t, lead=lead, potential=potential,
+                                 field_factory=None if cfg.frozen_field else field_factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events.extend(evts)
-        event_fields.extend(field_fn(ev.x[None, :])[0] for ev in evts)
+        if store_trajectories:
+            event_fields.extend(field_fn(ev.x[None, :])[0] for ev in evts)
         t = t0 + (k + 1) * cfg.dt
         times.append(t)
-        for i in np.flatnonzero(was_alive & ~e.alive):
+        died = start.alive & ~e.alive
+        for i in np.flatnonzero(died):
             deaths[int(i)] = t
+        field_fn = field_factory(e)
+        if sweep is None or died.any():
+            sweep = _own_sweep(field_fn, e.x, potential)
+        if observer is not None:
+            observer(t, e, sweep, evts, start)
         if store_trajectories:
-            tj_x[k + 1], tj_v[k + 1] = e.x, e.v
+            tj_x[k + 1], tj_v[k + 1], tj_e[k + 1] = e.x, e.v, sweep.field
         if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
             snapshots.append((t, e))
-    if store_trajectories:
-        tj_e[n_steps] = field_factory(e)(e.x)
 
     return RunRecord(
         times=np.asarray(times),

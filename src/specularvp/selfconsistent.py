@@ -226,7 +226,7 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
         for k in range(m):
             # the field generated by the recorded history at grid index k
             field_fn = factory(h0.with_state(x=hist_x[k]))
-            e, _ = stepper(e, field_fn, cfg, t0=times[k])
+            e, _, _ = stepper(e, field_fn, cfg, t0=times[k])
             new_x[k + 1], new_v[k + 1] = e.x, e.v
 
         disp = np.sqrt(

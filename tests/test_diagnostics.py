@@ -32,6 +32,7 @@ from specularvp.fields import (
     c_d,
     cutoff_rbar,
     cutoff_rbar_prime,
+    field_regularized,
     make_field_factory,
 )
 from specularvp.flow import Backend, StepperConfig, integrate
@@ -426,6 +427,33 @@ class TestBlowupMonitor:
             tv[dt] = blowup_monitor(rec).total_variation
         assert np.isfinite(tv[1e-3])
         assert abs(tv[2e-3] - tv[1e-3]) <= 0.05 * max(tv[1e-3], 1e-12)
+
+
+    def test_hard_sign_run_is_bounded_with_the_hard_sign_field(self):
+        # particles inside the smoothed-sign strip feel the hard sign in a
+        # fold run; the drive-term bound must use that field, not the smooth one
+        rng = np.random.default_rng(3)
+        base = make(np.c_[0.005 + 0.08 * rng.random(16), rng.normal(size=(16, 2)) * 0.05],
+                    rng.normal(size=(16, 3)) * 0.3, np.full(16, 1.0 / 16))
+        fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True)
+        rec = integrate(symmetrize(base), fac,
+                        StepperConfig(dt=1e-3, backend=Backend.FOLD_HALFSPACE), 0.01,
+                        meta={"params": PARAMS, "kind": GreenKind.WHOLE_SPACE,
+                              "hard_sign": True})
+
+        def bound(hard_sign):
+            out = []
+            for _, e in rec.snapshots:
+                z = np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
+                ev = field_regularized(HS, GreenKind.WHOLE_SPACE, e, PARAMS, e.x,
+                                       hard_sign=hard_sign)
+                b = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(ev**2, axis=1))
+                out.append(np.sum(e.w * b / ((1.0 + z) * np.log(2.0 + z))))
+            return np.array(out)
+
+        rep = blowup_monitor(rec)
+        assert np.allclose(rep.integrand_bound, bound(True), rtol=1e-12, atol=0.0)
+        assert not np.allclose(bound(False), bound(True), rtol=1e-3, atol=0.0)
 
 
 class TestMirrorSymmetryOfDiagnostics:

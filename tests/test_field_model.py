@@ -11,12 +11,14 @@ Tolerance: 1e-12 relative to the sum of the absolute pair contributions
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import specularvp.fields as fields
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import GreenKind, RegularizationParams, field_model
 from specularvp.geometry import Ball, HalfSpace
@@ -228,3 +230,19 @@ def test_model_matches_pair_reference(route, data):
 def test_validation_runs_when_the_model_is_built():
     with pytest.raises(ValueError, match="collar"):
         field_model(Ball(3, 0.2), GreenKind.BALL_IMAGE, Frame.PROBLEM_A, P)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@given(data=st.data(), tile=st.sampled_from([1, 2, 256]))
+def test_sweep_is_bitwise_the_separate_passes(route, data, tile):
+    # one fused pass gives exactly the field, the pre-cutoff sum and the
+    # potential that the three separate passes give, whatever the tiling
+    e, _ = data.draw(clouds(route))
+    domain, kind, frame, hard = ROUTES[route]
+    model = field_model(domain, kind, frame, P, hard)
+    with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
+        sweep = model.bind(e).sweep(potential=True)
+        assert model.bind(e).sweep().phi is None
+    assert np.array_equal(sweep.field, model.field(e, e.x))
+    assert np.array_equal(sweep.pre_cutoff, model.pre_cutoff_sum(e, e.x))
+    assert model.energy(e, sweep.phi) == model.potential(e)

@@ -49,7 +49,7 @@ def particle(x, v, w=1.0, domain=HS, frame=Frame.PROBLEM_A):
 class TestStep:
     def test_free_streaming_bounce(self):
         e = particle([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
-        out, events = step(e, zero_field, StepperConfig(dt=2.0))
+        out, events, _ = step(e, zero_field, StepperConfig(dt=2.0))
         assert np.array_equal(out.x[0], [1.0, 0.0, 0.0])
         assert np.array_equal(out.v[0], [1.0, 0.0, 0.0])
         assert len(events) == 1
@@ -58,7 +58,7 @@ class TestStep:
 
     def test_free_streaming_no_boundary(self):
         e = particle([2.0, 0.0, 0.0], [0.5, 1.0, -0.5])
-        out, events = step(e, zero_field, StepperConfig(dt=0.25))
+        out, events, _ = step(e, zero_field, StepperConfig(dt=0.25))
         assert events == []
         assert np.array_equal(out.x[0], e.x[0] + 0.25 * e.v[0])
 
@@ -82,7 +82,7 @@ class TestStep:
             v = rng.normal(size=3) * 2
             v[0] = -abs(v[0]) - 0.5
             e = particle(x, v)
-            _, events = step(e, zero_field, StepperConfig(dt=2.0))
+            _, events, _ = step(e, zero_field, StepperConfig(dt=2.0))
             for ev in events:
                 s_minus = np.linalg.norm(ev.v_minus)
                 s_plus = np.linalg.norm(ev.v_plus)
@@ -139,7 +139,7 @@ class TestHandleReflection:
     def test_grazing_passes_through(self):
         # v . n = 0 exactly on the plane: no event, stays on the plane
         e = particle([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        out, events = step(e, zero_field, StepperConfig(dt=1.0))
+        out, events, _ = step(e, zero_field, StepperConfig(dt=1.0))
         assert events == []
         assert out.x[0, 0] == 0.0
         assert np.array_equal(out.v[0], [0.0, 1.0, 0.0])
@@ -244,7 +244,7 @@ class TestBoundaryResidents:
         x[0] = wall_point
         e = Ensemble(x=x, v=rng.normal(size=(8, 3)) * 0.3, w=np.full(8, 0.1), domain=domain)
         fac = make_field_factory(domain, kind, PARAMS)
-        out, _ = step(e, fac(e), StepperConfig(dt=1e-2), field_factory=fac)
+        out, _, _ = step(e, fac(e), StepperConfig(dt=1e-2), field_factory=fac)
         return out
 
     def test_halfspace_image_source_on_the_wall_stays_finite(self):
@@ -280,7 +280,7 @@ class TestNonFiniteState:
             out[1] = np.nan
             return out
 
-        out, _ = step(e, nan_for_dead, StepperConfig(dt=0.01))
+        out, _, _ = step(e, nan_for_dead, StepperConfig(dt=0.01))
         assert np.array_equal(out.x, e.x) and not out.alive[1]
 
 
@@ -301,7 +301,7 @@ class TestFoldBackend:
         e = Ensemble(x=np.array([[0.0, 0.5, 0.0], [0.0, 0.5, 0.0]]),
                      v=np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
                      w=np.ones(2), domain=HS, frame=Frame.PROBLEM_B)
-        out, _ = step_fold_halfspace(e, zero_field, StepperConfig(dt=1.0))
+        out, _, _ = step_fold_halfspace(e, zero_field, StepperConfig(dt=1.0))
         assert np.all(out.x[:, 0] == 0.0)
 
     def test_frame_mismatch(self):

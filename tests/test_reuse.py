@@ -1,0 +1,221 @@
+"""Force reuse and the streamed ledger.
+
+``integrate`` carries each step's trailing-kick sweep into the next step as
+its leading field, and drops it when a particle dies.  Every run here is
+compared with a reference loop that reuses nothing: it evaluates each
+step's leading field afresh, as the stepper did before the reuse, and the
+two must agree bit for bit.  The ledger and log-log moment streamed by
+``LedgerObserver`` must equal ``energy_audit`` and ``blowup_monitor``,
+recomputed from stored snapshots, bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from specularvp.cli import bounce3d_ensemble
+from specularvp.diagnostics import LedgerObserver, blowup_monitor, energy_audit
+from specularvp.ensemble import Ensemble, symmetrize
+from specularvp.fields import FieldModel, GreenKind, RegularizationParams, make_field_factory
+from specularvp.flow import (
+    Backend,
+    ReflectionEvent,
+    StepperConfig,
+    integrate,
+    step,
+    step_fold_halfspace,
+)
+from specularvp.geometry import Ball, HalfSpace
+
+HS = HalfSpace(3)
+BALL = Ball(3, 1.0)
+PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.1, delta=0.1)
+
+
+def bounce(frozen=False):
+    e0, params = bounce3d_ensemble()
+    kind = GreenKind.HALF_SPACE_IMAGE
+    return (e0, make_field_factory(HS, kind, params), kind, params, False,
+            StepperConfig(dt=1e-2, frozen_field=frozen), 0.8)
+
+
+def ball_image():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-0.4, 0.4, size=(12, 3))
+    e0 = Ensemble(x=x, v=rng.normal(size=(12, 3)) * 5.0, w=np.full(12, 0.5 / 12), domain=BALL)
+    kind = GreenKind.BALL_IMAGE
+    return (e0, make_field_factory(BALL, kind, PARAMS), kind, PARAMS, False,
+            StepperConfig(dt=1e-2), 0.3)
+
+
+def fold(hard_sign):
+    # a thin layer at the plane: plane crossings, and the smoothed-sign strip
+    rng = np.random.default_rng(5)
+    base = Ensemble(x=np.c_[0.005 + 0.08 * rng.random(8), rng.normal(size=(8, 2)) * 0.2],
+                    v=rng.normal(size=(8, 3)), w=np.full(8, 1.0 / 16), domain=HS)
+    kind = GreenKind.WHOLE_SPACE
+    return (symmetrize(base), make_field_factory(HS, kind, PARAMS, hard_sign=hard_sign), kind,
+            PARAMS, hard_sign, StepperConfig(dt=1e-2, backend=Backend.FOLD_HALFSPACE), 0.3)
+
+
+def heavy_escapee():
+    # particle 0 is heavy and far out; it passes BLOWUP_LIMIT at t = 1.5 and
+    # its death still moves the field the others feel
+    rng = np.random.default_rng(6)
+    x = np.c_[1.0 + rng.random(6), rng.normal(size=(6, 2)) * 0.5]
+    v = rng.normal(size=(6, 3)) * 0.1
+    x[0], v[0] = [5e11, 0.0, 0.0], [4e11, 0.0, 0.0]
+    w = np.full(6, 0.1)
+    w[0] = 1e20
+    e0 = Ensemble(x=x, v=v, w=w, domain=HS)
+    kind = GreenKind.WHOLE_SPACE
+    return (e0, make_field_factory(HS, kind, PARAMS), kind, PARAMS, False,
+            StepperConfig(dt=0.25), 3.0)
+
+
+CASES = {
+    "halfspace_event": lambda: bounce(),
+    "ball_image_event": ball_image,
+    "fold_hard_sign": lambda: fold(True),
+    "fold_smooth_sign": lambda: fold(False),
+    "frozen_field": lambda: bounce(frozen=True),
+    "death_mid_run": heavy_escapee,
+}
+
+
+def reference_run(e, factory, cfg, t_end):
+    """integrate without reuse: every step's leading field is evaluated afresh."""
+    stepper = step_fold_halfspace if cfg.backend is Backend.FOLD_HALFSPACE else step
+    snaps, events, event_fields, traj_e = [e], [], [], []
+    for k in range(int(round(t_end / cfg.dt))):
+        field_fn = factory(e)
+        traj_e.append(field_fn(e.x))
+        e, evts, _ = stepper(e, field_fn, cfg, t0=k * cfg.dt,
+                             field_factory=None if cfg.frozen_field else factory)
+        evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
+        events += evts
+        event_fields += [field_fn(ev.x[None, :])[0] for ev in evts]
+        snaps.append(e)
+    traj_e.append(factory(e)(e.x))
+    return snaps, events, event_fields, np.array(traj_e)
+
+
+def assert_same_run(rec, ref):
+    snaps, events, event_fields, traj_e = ref
+    assert len(rec.snapshots) == len(snaps)
+    for (_, a), b in zip(rec.snapshots, snaps):
+        for name in ("x", "v", "alive"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert len(rec.events) == len(events) == len(rec.event_fields) == len(event_fields)
+    for a, b in zip(rec.events, events):
+        assert (a.t, a.particle) == (b.t, b.particle)
+        for name in ("x", "v_minus", "v_plus"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(rec.event_fields, event_fields):
+        assert np.array_equal(a, b)
+    assert np.array_equal(rec.traj_x, np.array([s.x for s in snaps]))
+    assert np.array_equal(rec.traj_v, np.array([s.v for s in snaps]))
+    assert np.array_equal(rec.traj_e, traj_e)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reuse_matches_a_run_without_reuse(case):
+    e0, factory, kind, params, hard_sign, cfg, t_end = CASES[case]()
+    rec = integrate(e0, factory, cfg, t_end, store_trajectories=True)
+    assert_same_run(rec, reference_run(e0, factory, cfg, t_end))
+    if case.endswith("_event"):
+        assert rec.events, "the case must reflect"
+    if case.startswith("fold"):
+        assert np.any(rec.traj_x[:, :, 0] * rec.traj_x[0, :, 0] < 0), "no plane crossing"
+
+
+def test_a_death_drops_the_carried_sweep():
+    e0, factory, *_, cfg, t_end = heavy_escapee()
+    rec = integrate(e0, factory, cfg, t_end)
+    assert rec.deaths == {0: 1.5}
+    # the dead particle's sources changed the field: a sweep carried across
+    # its death would have been wrong
+    k = int(1.5 / cfg.dt)
+    e = rec.snapshots[k][1]
+    before = e.with_state(alive=rec.snapshots[k - 1][1].alive)
+    assert not np.array_equal(factory(before)(e.x), factory(e)(e.x))
+
+
+def test_a_plain_field_function_is_reused_and_dropped_too():
+    # a field that counts the live particles: carrying it across the death
+    # would kick every particle with the old count
+    e0, *_, cfg, t_end = heavy_escapee()
+
+    def counting_factory(ens):
+        return lambda x: np.full_like(x, -1e-3 * np.sum(ens.alive))
+
+    rec = integrate(e0, counting_factory, cfg, t_end, store_trajectories=True)
+    assert 0 in rec.deaths
+    assert_same_run(rec, reference_run(e0, counting_factory, cfg, t_end))
+
+
+def test_one_full_sweep_per_step(monkeypatch):
+    # the initial sweep, then one tail sweep per step; event sub-steps make
+    # single-target calls only
+    e0, factory, *_, cfg, t_end = bounce()
+    passes = []
+    sums = FieldModel._sums
+
+    def counted(self, cloud, x, *args, **kwargs):
+        passes.append(len(x))
+        return sums(self, cloud, x, *args, **kwargs)
+
+    monkeypatch.setattr(FieldModel, "_sums", counted)
+    rec = integrate(e0, factory, cfg, t_end)
+    assert rec.events
+    assert passes.count(len(e0)) == int(round(t_end / cfg.dt)) + 1
+    assert set(passes) == {len(e0), 1}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_streamed_ledger_equals_the_audits(case):
+    e0, factory, kind, params, hard_sign, cfg, t_end = CASES[case]()
+    obs = LedgerObserver(params, kind, hard_sign)
+    rec = integrate(e0, factory, cfg, t_end, observer=obs,
+                    meta={"params": params, "kind": kind, "hard_sign": hard_sign})
+    audit = energy_audit(rec)
+    ledger = obs.ledger()
+    for f in dataclasses.fields(audit):
+        assert np.array_equal(getattr(ledger, f.name), getattr(audit, f.name)), f.name
+    report = blowup_monitor(rec)
+    assert np.array_equal(obs.moment, report.loglog_moment)
+    assert obs.total_variation == report.total_variation
+    if case in ("halfspace_event", "ball_image_event", "fold_smooth_sign"):
+        assert np.any(ledger.k_tau != 0.0), "the case must exercise K"
+
+
+def test_streamed_event_corrections_follow_the_step_index_rule():
+    # events at a step's start time, just past its end, and past the run's
+    # end take the same step index, source snapshot and order in both paths
+    e0, factory, kind, params, _, cfg, _ = bounce()
+    rec = integrate(e0, factory, cfg, 0.3, meta={"params": params, "kind": kind})
+    times = rec.times
+    snaps = [s for _, s in rec.snapshots]
+
+    def bounce_at(t):
+        return ReflectionEvent(t, 1, np.array([0.0, 0.1, 0.0]),
+                               np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.2, 0.0]))
+
+    by_step = {
+        5: [bounce_at(times[5] + 0.3 * cfg.dt)],
+        10: [bounce_at(times[10])],                             # counted in step 9
+        11: [bounce_at(np.nextafter(times[12], np.inf))],       # counted in step 12
+        len(snaps) - 2: [bounce_at(np.nextafter(times[-1], np.inf))],  # dropped
+    }
+    obs = LedgerObserver(params, kind)
+    obs(times[0], snaps[0], factory(snaps[0]).sweep(potential=True), [], None)
+    for m in range(1, len(snaps)):
+        obs(times[m], snaps[m], factory(snaps[m]).sweep(potential=True),
+            by_step.get(m - 1, []), snaps[m - 1])
+    events = [ev for k in sorted(by_step) for ev in by_step[k]]
+    audit = energy_audit(dataclasses.replace(rec, events=events))
+    assert np.array_equal(obs.ledger().k_integral, audit.k_integral)
+    assert np.array_equal(obs.ledger().drift, audit.drift)
+    jumps = np.diff(audit.k_integral - energy_audit(rec).k_integral)
+    assert list(np.flatnonzero(jumps) + 1) == [6, 10, 13]
