@@ -1,12 +1,12 @@
 """Time integration of the specular flow.
 
-The stepper is kick-drift-kick leapfrog.  A step that would cross the
-boundary is re-done as a composition of KDK sub-steps split at the crossing
-time, with the specular velocity jump applied exactly on the boundary; this
-keeps the integrator second order through bounces.  Crossing times are
-located by bisection of the signed distance along the kicked sub-path
-(robust near grazing; a closed-form billiard map for the ball is
-deliberately not used so that both domains share one code path).
+The stepper is kick-drift-kick leapfrog.  A step whose kicked path leaves
+the domain is re-done as a composition of KDK sub-steps split at the first
+exit time, with the specular velocity jump applied exactly on the boundary;
+this keeps the integrator second order through bounces.  Along a sub-step
+the distance to the wall is a polynomial in time (a quadratic for the
+half-space, a quartic for the ball), and the exit is its first root where
+the path leaves, so an excursion that returns within the step is found.
 
 Two backends:
 
@@ -15,19 +15,20 @@ Two backends:
 * FOLD_HALFSPACE: an even-symmetric whole-space ensemble is advanced with
   no reflections; half-space observables are read through the fold
   x_1 -> |x_1|, v_1 -> sgn(x_1) v_1, which reproduces the reflected flow.
-  For the hard-sign field the step is split at plane crossings exactly like
-  the event-driven step is split at bounces, so the two backends agree in
-  folded coordinates to integrator roundoff.
+  For the hard-sign field the same sub-stepper splits the step at plane
+  crossings, passing through instead of reflecting, so the two backends
+  agree bitwise in folded coordinates.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GRAZE_RTOL, Domain, reflect_velocity
+from .geometry import GRAZE_RTOL, Domain, HalfSpace, reflect_velocity
 from .ensemble import Ensemble, Frame, FrameMismatch
 from .fields import Sweep
 
@@ -52,6 +53,10 @@ BLOWUP_LIMIT = 1e12
 
 # event location tolerance, relative to the domain scale
 EVENT_DIST_RTOL = 1e-13
+
+# an exit time settles on a grid of this many ulps either side of its root
+ULP_WALK = 4
+_OFFSETS = np.arange(-ULP_WALK, ULP_WALK + 1)
 
 
 class ReflectionOverflow(RuntimeError):
@@ -119,80 +124,152 @@ class Trajectory:
     t_plus: float = np.inf
 
 
-def _bisect_fraction(dist_of, hi):
-    """Largest theta in [0, hi] with dist(theta) >= 0, by bisection.
+def _path(x, v, e, s):
+    """Point at time s along the kicked sub-path from x (rows broadcast)."""
+    return x + s * v + 0.5 * s * s * e
 
-    ``dist_of`` must satisfy dist(0) >= 0 and dist(hi) < 0.  The invariant
-    dist(lo) >= 0 > dist(hi) is kept throughout, so starting exactly on the
-    boundary (dist(0) = 0, moving inward) converges to the later crossing.
+
+def _distance_poly(domain: Domain, x, v, e, h, side):
+    """Coefficients (lowest degree first, last axis) of the distance to the
+    wall along ``_path`` in theta = s / h, for one particle or rows: side *
+    x_1 for the half-space wall or the fold plane, R^2 - |x|^2 for the ball.
+    The constant term comes from the start's computed signed distance d
+    (R^2 - |x|^2 = d (2R - d)), clipped at 0: a start that reads as on the
+    wall is a root at theta = 0, and one an ulp outside is not an exit."""
+    d = np.maximum(side * domain.signed_distance(x), 0.0)
+    if isinstance(domain, HalfSpace):
+        return np.stack([d, side * h * v[..., 0], side * 0.5 * h * h * e[..., 0]], axis=-1)
+    xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
+                          for a, b in ((x, v), (v, v), (x, e), (v, e), (e, e)))
+    return np.stack([d * (2.0 * domain.radius - d), -2.0 * h * xv, -h * h * (vv + xe),
+                     -h**3 * ve, -0.25 * h**4 * ee], axis=-1)
+
+
+def _real_roots(c):
+    """Real roots of sum_k c[k] t^k, leading terms below rounding on [0, 1]
+    dropped: the stable closed form up to degree 2 (the half-space, the
+    plane, a ball in a zero field), else companion-matrix eigenvalues."""
+    while len(c) > 1 and abs(c[-1]) <= np.finfo(float).eps * sum(map(abs, c)):
+        c = c[:-1]
+    if len(c) > 3:
+        comp = np.eye(len(c) - 1, k=-1)
+        comp[:, -1] = [-ck / c[-1] for ck in c[:-1]]
+        z = np.linalg.eigvals(comp)
+        return list(z.real[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z.real))])
+    c0, b, a = c + [0.0] * (3 - len(c))
+    disc = b * b - 4.0 * a * c0
+    if a == 0.0 or disc < 0.0:
+        return [-c0 / b] if a == 0.0 and b else []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c0 / q] if q else [0.0]
+
+
+def _first_exit(domain: Domain, x, v, e, h, side=1.0):
+    """Fraction theta in [0, 1) of the sub-step h at which the path first
+    leaves the domain, or None if it stays in the closed domain.
+
+    The real roots of the distance polynomial split [0, 1]; the exit starts
+    the first piece on which it is negative, so a tangency, a start on the
+    wall moving inward and an arrival on the wall at theta = 1 are not
+    exits.  A root gets two Newton steps, then theta moves to the last float
+    with computed distance >= 0 in the run from ULP_WALK ulps below to
+    ULP_WALK above (further back if there is none).  A path whose computed
+    end point rounds outside exits just before theta = 1.
     """
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if dist_of(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    c = _distance_poly(domain, x, v, e, h, side).tolist()
+
+    def poly(t, c=c):
+        return sum(cj * t**j for j, cj in enumerate(c))
+
+    def dist(t):
+        return side * domain.signed_distance(_path(x, v, e, t * h))
+
+    cut = sorted([0.0, 1.0, *(r for r in _real_roots(c) if 0.0 < r < 1.0)])
+    mid = [0.5 * (a + b) for a, b in zip(cut, cut[1:])]
+    k = next((k for k, m in enumerate(mid) if cut[k + 1] > cut[k] and poly(m) < 0.0), None)
+    theta = 1.0 if k is None else cut[k]
+    if k:
+        # a root: Newton, kept between the midpoints of the pieces around it
+        slope = [j * cj for j, cj in enumerate(c)][1:]
+        for _ in range(2):
+            if poly(theta, slope):
+                theta = min(max(theta - poly(theta) / poly(theta, slope), mid[k - 1]), mid[k])
+    grid = np.clip(theta + np.spacing(theta) * _OFFSETS, 0.0, 1.0)
+    d = dist(grid[:, None])
+    if k is None and d[ULP_WALK] >= 0.0:
+        return None
+    ok = (d >= 0.0) & ((_OFFSETS <= 0) | (bool(k) & (grid < 1.0)))
+    run = len(ok) if ok.all() else int(np.argmin(ok))
+    theta, step = float(grid[max(run - 1, 0)]), 2.0 * ULP_WALK
+    while not run and theta > 0.0 and dist(theta) < 0.0:
+        theta = max(theta - step * np.spacing(theta), 0.0)
+        step *= 2.0
+    return theta
 
 
-def _advance_with_events(x, v, e_fn, dt, t0, domain: Domain, max_reflections, particle):
-    """One full KDK step of a single particle, split at boundary crossings.
+def _advance_with_events(x, v, e_fn, dt, t0, domain: Domain, max_reflections, particle,
+                         fold=False):
+    """One full KDK step of a single particle, split where its path leaves.
 
-    Between crossings each sub-interval is an ordinary kick-drift-kick
-    sub-step with the frozen field ``e_fn``; the crossing time is found on
-    the kicked parabola, the velocity is reflected exactly on the boundary,
-    and the composition stays second order through the bounce.
+    Between exits each sub-interval is a kick-drift-kick sub-step with the
+    frozen field ``e_fn``, and the partial sub-step up to an exit is
+    completed on the wall, where the velocity is reflected and the event
+    recorded.  With ``fold`` the wall is the plane {x_1 = 0} of a
+    whole-space particle, passed with no jump and no event; the particle
+    then takes the field branch of its new side (the hard-sign field has
+    E(0-) = (E(0+))'), so the folded step equals the reflected one.  Grazing
+    hits (|v . n| < GRAZE_RTOL |v|) finish the step with no jump.  Returns
+    (x, v, events), or None when the path does not leave at all.
     """
-    x = np.array(x, dtype=float)
-    v = np.array(v, dtype=float)
+    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
     tol = EVENT_DIST_RTOL * domain.scale
-    events = []
-    t = float(t0)
-    remaining = float(dt)
-    for _ in range(max_reflections + 1):
-        e0 = e_fn(x[None, :])[0]
+    side = -1.0 if fold and x[0] < 0.0 else 1.0
+    events, t, remaining = [], float(t0), float(dt)
 
-        def path(theta, x=x, v=v, e0=e0, h=remaining):
-            s = theta * h
-            return x + s * v + 0.5 * s * s * e0
+    def field(p):
+        # the closure gives the upper branch on the plane; the lower side flips it
+        val = e_fn(p[None, :])[0]
+        return np.r_[-val[0], val[1:]] if side < 0 and p[0] == 0.0 else val
 
-        hi = None
-        for probe in (1.0, 0.5):
-            if domain.signed_distance(path(probe)) < 0.0:
-                hi = probe
-        if hi is None:
-            x_end = path(1.0)
+    for k in range(max_reflections + 1):
+        e0 = field(x)
+        theta = _first_exit(domain, x, v, e0, remaining, side)
+        if theta is None:
+            if k == 0:
+                return None
+            x_end = _path(x, v, e0, remaining)
             v_half = v + 0.5 * remaining * e0
-            v_end = v_half + 0.5 * remaining * e_fn(x_end[None, :])[0]
+            v_end = v_half + 0.5 * remaining * field(x_end)
             return x_end, v_end, events
-        theta = _bisect_fraction(lambda th: domain.signed_distance(path(th)), hi)
         s = theta * remaining
-        x_hit = domain.project_boundary(path(theta))
-        e_hit = e_fn(x_hit[None, :])[0]
-        # complete the partial KDK sub-step [t, t + s] ending on the boundary
+        x_hit = domain.project_boundary(_path(x, v, e0, s))
+        e_hit = field(x_hit)
+        # complete the partial KDK sub-step [t, t + s] ending on the wall
         v_minus = v + 0.5 * s * (e0 + e_hit)
         frame = domain.boundary_frame(x_hit)
         vn = float(np.dot(v_minus, frame.normal))
         if abs(vn) < GRAZE_RTOL * float(np.linalg.norm(v_minus)):
-            # grazing set: no jump; finish the step and clamp back inside if
-            # the path dips out by a rounding margin
+            # grazing set: no jump; finish the step and clamp back onto the
+            # wall if the path dips through it by a rounding margin
             rest = remaining - s
-            x_end = x_hit + rest * v_minus + 0.5 * rest * rest * e_hit
-            if domain.signed_distance(x_end) < 0.0:
+            x_end = _path(x_hit, v_minus, e_hit, rest)
+            if side * domain.signed_distance(x_end) < 0.0:
                 x_end = domain.project_boundary(x_end)
-            v_end = v_minus + 0.5 * rest * (e_hit + e_fn(x_end[None, :])[0])
+            v_end = v_minus + 0.5 * rest * (e_hit + field(x_end))
             return x_end, v_end, events
-        v_plus = reflect_velocity(frame, v_minus)
-        events.append(ReflectionEvent(t + s, particle, x_hit, v_minus, v_plus))
-        x, v = x_hit, v_plus
+        if fold:
+            v = v_minus
+            side = -side
+        else:
+            v = reflect_velocity(frame, v_minus)
+            events.append(ReflectionEvent(t + s, particle, x_hit, v_minus, v))
+        x = x_hit
         t += s
         remaining -= s
         if remaining <= tol / max(float(np.linalg.norm(v)), 1e-300):
             return x, v, events
     raise ReflectionOverflow(
-        f"particle {particle} exceeded {max_reflections} reflections in one step"
-    )
+        f"particle {particle} exceeded {max_reflections} reflections in one step")
 
 
 def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
@@ -204,16 +281,11 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
     ``max_reflections`` bounces.  Grazing hits (|v . n| < GRAZE_RTOL |v|)
     pass through with no jump.
     """
-    x = np.asarray(x_enter, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if domain.signed_distance(x + dt_remaining * v) >= 0.0:
+    out = _advance_with_events(x_enter, v, np.zeros_like, dt_remaining, t_enter, domain,
+                               max_reflections, particle)
+    if out is None:
         raise NoCrossing("drift segment does not exit the domain")
-
-    def no_field(p):
-        return np.zeros_like(p)
-
-    return _advance_with_events(x, v, no_field, dt_remaining, t_enter, domain,
-                                max_reflections, particle)
+    return out
 
 
 def _mark_blowups(e: Ensemble, x, v):
@@ -224,12 +296,8 @@ def _mark_blowups(e: Ensemble, x, v):
         raise NonFiniteState(
             f"particle {int(np.flatnonzero(bad)[0])} has a non-finite position or velocity")
     scale = e.domain.scale if e.domain is not None else 1.0
-    big = (np.max(np.abs(x), axis=1) > BLOWUP_LIMIT * scale) | (
-        np.max(np.abs(v), axis=1) > BLOWUP_LIMIT * scale
-    )
-    if not np.any(big & e.alive):
-        return e.alive
-    return e.alive & ~big
+    return e.alive & (np.maximum(np.abs(x).max(axis=1), np.abs(v).max(axis=1))
+                      <= BLOWUP_LIMIT * scale)
 
 
 def _own_sweep(field_fn, x, potential):
@@ -239,11 +307,39 @@ def _own_sweep(field_fn, x, potential):
     return Sweep(field_fn(x)) if sweep is None else sweep(potential)
 
 
-def _tail_kick(e: Ensemble, field_fn, cfg: StepperConfig, field_factory, x_new, v_new,
-               crossing, potential):
-    """Trailing half-kick of the particles that did not cross; returns the new
-    snapshot and the tail sweep (None when the tail field is ``field_fn``)."""
+def _step(e: Ensemble, field_fn, cfg: StepperConfig, t0, field_factory, lead, potential,
+          wall: Domain | None, fold=False):
+    """The body of ``step`` (the wall ``e.domain``) and
+    ``step_fold_halfspace`` (the plane {x_1 = 0}, or None)."""
     alive = e.alive
+    e0 = field_fn(e.x) if lead is None else lead
+    v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
+    x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
+    v_new = v_half.copy()
+    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
+        _mark_blowups(e, x_new, v_new)  # raises before any field sees a non-finite point
+    events: list[ReflectionEvent] = []
+
+    crossing = np.zeros(len(e), dtype=bool)
+    if wall is not None:
+        side = np.where(e.x[:, 0] >= 0.0, 1.0, -1.0) if fold else 1.0
+        # on [0, 1] the distance polynomial is at least its constant term
+        # plus its negative coefficients; the end point may round outside
+        c = _distance_poly(wall, e.x, e.v, e0, cfg.dt, side)
+        outside = side * wall.signed_distance(x_new) < 0.0
+        near = alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside)
+        for i in np.flatnonzero(near):
+            out = _advance_with_events(e.x[i], e.v[i], field_fn, cfg.dt, t0, wall,
+                                       cfg.max_reflections_per_step, int(i), fold)
+            if out is not None:
+                x_new[i], v_new[i], evts = out
+                crossing[i] = True
+                events.extend(evts)
+            elif outside[i]:
+                # the path stays in the closed domain but its end rounds outside
+                x_new[i] = wall.project_boundary(x_new[i])
+
+    # trailing half-kick of the particles that did not cross
     x_new[~alive] = e.x[~alive]
     if cfg.frozen_field or field_factory is None:
         tail, kick = None, field_fn(x_new)
@@ -253,7 +349,7 @@ def _tail_kick(e: Ensemble, field_fn, cfg: StepperConfig, field_factory, x_new, 
     rest = alive & ~crossing
     v_new[rest] += 0.5 * cfg.dt * kick[rest]
     v_new[~alive] = e.v[~alive]
-    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), tail
+    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), events, tail
 
 
 def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
@@ -266,92 +362,11 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     otherwise the trailing kick of reflection-free particles re-freezes the
     field from the drifted positions (``field_factory`` must then be given),
     and ``tail`` is that field's sweep at the new positions, with the
-    per-row potential when ``potential`` is set.  Particles whose step
-    crosses the boundary are advanced one by one with event sub-steps, in
-    ascending index order.
+    per-row potential when ``potential`` is set.  Particles whose path
+    leaves the domain take their whole step, trailing kick included, in the
+    event sub-stepper against the frozen field, in ascending index order.
     """
-    alive = e.alive
-    e0 = field_fn(e.x) if lead is None else lead
-    v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
-    x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
-    v_new = v_half.copy()
-    events: list[ReflectionEvent] = []
-
-    if e.domain is not None:
-        x_mid = e.x + np.where(
-            alive[:, None], 0.5 * cfg.dt * e.v + 0.125 * cfg.dt**2 * e0, 0.0
-        )
-        crossing = alive & (
-            (e.domain.signed_distance(x_new) < 0.0)
-            | (e.domain.signed_distance(x_mid) < 0.0)
-        )
-    else:
-        crossing = np.zeros(len(e), dtype=bool)
-
-    # crossing particles take their whole step (tail kick included) against
-    # the frozen field; the rest get the configured tail kick below
-    for i in np.flatnonzero(crossing):
-        x_new[i], v_new[i], evts = _advance_with_events(
-            e.x[i], e.v[i], field_fn, cfg.dt, t0, e.domain,
-            cfg.max_reflections_per_step, int(i),
-        )
-        events.extend(evts)
-
-    new, tail = _tail_kick(e, field_fn, cfg, field_factory, x_new, v_new, crossing, potential)
-    return new, events, tail
-
-
-def _advance_fold_with_events(x, v, e_fn, dt, max_crossings):
-    """Whole-space KDK sub-stepped at plane crossings (hard-sign field).
-
-    The field is discontinuous across {x_1 = 0}; splitting the kick there
-    (with the one-sided limits, related by the mirror symmetry
-    E(0-) = (E(0+))') keeps the scheme second order and makes the folded
-    step match the event-driven step exactly.
-    """
-    x = np.array(x, dtype=float)
-    v = np.array(v, dtype=float)
-    remaining = float(dt)
-    side = 1.0 if x[0] >= 0.0 else -1.0
-
-    def eval_field(p, s):
-        # on the plane itself the field closure returns the upper branch;
-        # correct it when the particle travels on the lower side
-        val = e_fn(p[None, :])[0]
-        if s < 0 and p[0] == 0.0:
-            val = val.copy()
-            val[0] = -val[0]
-        return val
-
-    for _ in range(max_crossings + 1):
-        e0 = eval_field(x, side)
-
-        def path(theta, x=x, v=v, e0=e0, h=remaining):
-            s = theta * h
-            return x + s * v + 0.5 * s * s * e0
-
-        hi = None
-        for probe in (1.0, 0.5):
-            if side * path(probe)[0] < 0.0:
-                hi = probe
-        if hi is None:
-            x_end = path(1.0)
-            v_half = v + 0.5 * remaining * e0
-            v_end = v_half + 0.5 * remaining * e_fn(x_end[None, :])[0]
-            return x_end, v_end
-        theta = _bisect_fraction(lambda th: side * path(th)[0], hi)
-        s = theta * remaining
-        x_hit = path(theta)
-        x_hit[0] = 0.0
-        e_hit = e_fn(x_hit[None, :])[0]
-        if side < 0:
-            e_hit = e_hit.copy()
-            e_hit[0] = -e_hit[0]
-        v = v + 0.5 * s * (e0 + e_hit)
-        x = x_hit
-        remaining -= s
-        side = -side
-    raise ReflectionOverflow("particle exceeded plane-crossing budget in one step")
+    return _step(e, field_fn, cfg, t0, field_factory, lead, potential, e.domain)
 
 
 def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
@@ -366,27 +381,8 @@ def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field
     """
     if e.frame is not Frame.PROBLEM_B:
         raise FrameMismatch("fold backend expects a ProblemB ensemble")
-    alive = e.alive
-    e0 = field_fn(e.x) if lead is None else lead
-    v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
-    x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
-    v_new = v_half.copy()
-
-    if getattr(field_fn, "plane_split", False):
-        x_mid = e.x + np.where(
-            alive[:, None], 0.5 * cfg.dt * e.v + 0.125 * cfg.dt**2 * e0, 0.0
-        )
-        s0 = np.where(e.x[:, 0] >= 0.0, 1.0, -1.0)
-        crossing = alive & ((s0 * x_new[:, 0] < 0.0) | (s0 * x_mid[:, 0] < 0.0))
-        for i in np.flatnonzero(crossing):
-            x_new[i], v_new[i] = _advance_fold_with_events(
-                e.x[i], e.v[i], field_fn, cfg.dt, cfg.max_reflections_per_step
-            )
-    else:
-        crossing = np.zeros(len(e), dtype=bool)
-
-    new, tail = _tail_kick(e, field_fn, cfg, field_factory, x_new, v_new, crossing, potential)
-    return new, [], tail
+    plane = HalfSpace(e.dim) if getattr(field_fn, "plane_split", False) else None
+    return _step(e, field_fn, cfg, t0, field_factory, lead, potential, plane, fold=True)
 
 
 def fold_halfspace(x, v):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import (
@@ -31,12 +34,16 @@ def zero_field(x):
     return np.zeros_like(x)
 
 
-def uniform_field(g):
+def constant_field(g):
+    g = np.asarray(g, float)
+
     def field(x):
-        out = np.zeros_like(x)
-        out[:, 0] = -g
-        return out
+        return np.tile(g, (len(x), 1))
     return field
+
+
+def uniform_field(g):
+    return constant_field([-g, 0.0, 0.0])
 
 
 def particle(x, v, w=1.0, domain=HS, frame=Frame.PROBLEM_A):
@@ -163,6 +170,167 @@ class TestBilliards:
             assert abs(cos_in - cos_out) < 1e-10
 
 
+class TestMissedExcursion:
+    """Paths that leave the domain and come back within one step."""
+
+    def test_halfspace_dip_between_probe_points_bounces(self):
+        # x_1(s) = 0.01 - s + 2 s^2 dips to -0.115 at s = 1/4 and is back
+        # above the wall at s = 1/2 and s = 1
+        e = particle([0.01, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        out, events, _ = step(e, constant_field([4.0, 0.0, 0.0]), StepperConfig(dt=1.0))
+        s = (1.0 - np.sqrt(0.92)) / 4.0
+        assert len(events) == 1
+        assert events[0].t == pytest.approx(s, abs=1e-15)
+        assert events[0].x[0] == 0.0
+        # after the bounce the particle leaves with 1 - 4 s along +e_1
+        rest = 1.0 - s
+        assert out.x[0, 0] == pytest.approx((1.0 - 4.0 * s) * rest + 2.0 * rest**2, abs=1e-13)
+        assert out.v[0, 0] == pytest.approx(1.0 - 4.0 * s + 4.0 * rest, abs=1e-13)
+
+    def test_ball_bulge_between_probe_points_bounces(self):
+        # x_1(s) = 0.99 + s - 4 s^2 reaches 1.0525 at s = 1/8
+        e = particle([0.99, 0.0, 0.0], [1.0, 0.0, 0.0], domain=BALL)
+        out, events, _ = step(e, constant_field([-8.0, 0.0, 0.0]), StepperConfig(dt=0.5))
+        assert len(events) == 1
+        assert events[0].t == pytest.approx((1.0 - np.sqrt(0.84)) / 8.0, abs=1e-14)
+        assert 0.0 <= BALL.signed_distance(events[0].x) <= 4 * np.spacing(1.0)
+        assert BALL.signed_distance(out.x[0]) >= 0.0
+
+    def test_fold_twin_crosses_the_plane_and_equals_the_bounce(self):
+        base = particle([0.01, 0.2, -0.1], [-1.0, 0.3, 0.5])
+        half = constant_field([4.0, 0.0, 0.0])
+
+        def whole(x):
+            # odd extension of the half-space field, upper branch on the plane
+            out = np.zeros_like(x)
+            out[:, 0] = np.where(x[:, 0] >= 0.0, 4.0, -4.0)
+            return out
+        whole.plane_split = True
+
+        cfg = StepperConfig(dt=1.0)
+        evt, events, _ = step(base, half, cfg)
+        fold, _, _ = step_fold_halfspace(symmetrize(base), whole, cfg)
+        assert len(events) == 1
+        assert fold.x[0, 0] < 0.0 < fold.x[1, 0]
+        for i in (0, 1):
+            xf, vf = fold_halfspace(fold.x[i:i + 1], fold.v[i:i + 1])
+            assert np.array_equal(xf, evt.x) and np.array_equal(vf, evt.v)
+
+    def test_reaching_the_wall_at_the_step_end_is_not_an_event(self):
+        e = particle([0.25, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        cfg = StepperConfig(dt=0.25)
+        out, events, _ = step(e, zero_field, cfg)
+        assert events == [] and out.x[0, 0] == 0.0
+        # the next step starts on the wall moving out: it bounces at once
+        out, events, _ = step(out, zero_field, cfg, t0=0.25)
+        assert [ev.t for ev in events] == [0.25]
+        assert np.array_equal(out.x[0], [0.25, 0.0, 0.0])
+
+    def test_start_on_the_wall_moving_inward_bounces_only_on_return(self):
+        # x_1(s) = s - 2 s^2 leaves the wall at s = 0 and comes back at s = 1/2
+        e = particle([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        out, events, _ = step(e, constant_field([-4.0, 0.0, 0.0]), StepperConfig(dt=1.0))
+        assert [ev.t for ev in events] == [0.5]
+        assert np.array_equal(out.x[0], [0.0, 0.0, 0.0])
+        assert np.array_equal(out.v[0], [-1.0, 0.0, 0.0])
+
+
+def reference_bounces(domain, x, v, g, dt):
+    """Bounce count of the constant-field billiard over dt, from a fine grid.
+
+    Each parabola piece is sampled on a grid; the first sample outside
+    brackets the exit, which brentq refines.  Returns None for a draw too
+    close to a tangency, a grazing hit or a piece end to count reliably.
+    """
+    x, v = np.array(x, float), np.array(v, float)
+    remaining, count = dt, 0
+    while count < 8:
+        def dist(s, x=x, v=v):
+            return float(domain.signed_distance(x + s * v + 0.5 * s * s * g))
+        s = np.linspace(0.0, remaining, 20001)
+        d = domain.signed_distance(x + s[:, None] * v + 0.5 * (s * s)[:, None] * g)
+        out = np.flatnonzero(d[1:] < 0.0)
+        stop = out[0] + 1 if len(out) else len(s) - 1
+        inner = d[1:stop]
+        dips = (inner[1:-1] <= inner[:-2]) & (inner[1:-1] <= inner[2:]) & (inner[1:-1] < 1e-6)
+        if dips.any() or abs(d[-1]) < 1e-6:
+            return None
+        if not len(out):
+            return count
+        hit = brentq(dist, s[stop - 1], s[stop], xtol=1e-15)
+        if hit > remaining - 1e-9:
+            return None
+        x_hit = x + hit * v + 0.5 * hit * hit * g
+        v_minus = v + hit * g
+        n = domain.inward_normal(x_hit)
+        if abs(np.dot(v_minus, n)) < 1e-3 * np.linalg.norm(v_minus):
+            return None
+        x, v = x_hit, v_minus - 2.0 * np.dot(v_minus, n) * n
+        remaining -= hit
+        count += 1
+    return None
+
+
+coord = st.floats(-1.0, 1.0)
+vec3 = st.tuples(coord, coord, coord).map(np.array)
+
+
+@st.composite
+def start_in(draw, domain):
+    if domain is HS:
+        return np.array([draw(st.floats(1e-3, 1.0)), draw(coord), draw(coord)])
+    p = draw(vec3)
+    assume(np.linalg.norm(p) <= 0.95)
+    return p
+
+
+class TestEventProperties:
+    """One step of a constant-field billiard against an independent count."""
+
+    @pytest.mark.parametrize("domain", [HS, BALL], ids=["halfspace", "ball"])
+    @given(data=st.data())
+    def test_events_match_a_fine_grid_reference(self, domain, data):
+        x = data.draw(start_in(domain))
+        v = 3.0 * data.draw(vec3)
+        g = 10.0 * data.draw(vec3)
+        dt = data.draw(st.floats(0.05, 1.0))
+        expected = reference_bounces(domain, x, v, g, dt)
+        assume(expected is not None)
+        event(f"{expected} bounces")
+        e = particle(x, v, domain=domain)
+        out, events, _ = step(e, constant_field(g), StepperConfig(dt=dt))
+        assert len(events) == expected
+        for ev in events:
+            assert 0.0 <= domain.signed_distance(ev.x) <= 4 * np.spacing(domain.scale)
+        assert domain.signed_distance(out.x[0]) >= 0.0
+        Ensemble(x=out.x, v=out.v, w=out.w, domain=domain)
+
+    @pytest.mark.parametrize("domain", [HS, BALL], ids=["halfspace", "ball"])
+    @given(data=st.data())
+    def test_grazing_start_records_no_event(self, domain, data):
+        # a tangential start on the wall (v . n = 0); in the ball the path
+        # must leave the wall at once, or it may bounce later in the step.
+        # A start an ulp inside the sphere is not on the wall: its tangent
+        # chord meets the sphere at an angle of about 1e-8, far above the
+        # grazing set, and it bounces.
+        u = data.draw(vec3)
+        assume(np.linalg.norm(u) > 0.1)
+        x = domain.project_boundary(u / np.linalg.norm(u))
+        assume(domain.signed_distance(x) == 0.0)
+        n = domain.inward_normal(x)
+        v = 3.0 * data.draw(vec3)
+        v = v - np.dot(v, n) * n
+        g = 10.0 * data.draw(vec3)
+        dt = data.draw(st.floats(0.05, 1.0))
+        assume(np.linalg.norm(v) > 0.1)
+        assume(domain is HS or np.dot(v, v) - domain.radius * np.dot(g, n) > 0.1)
+        e = particle(x, v, domain=domain)
+        out, events, _ = step(e, constant_field(g), StepperConfig(dt=dt))
+        assert events == []
+        assert domain.signed_distance(out.x[0]) >= 0.0
+        Ensemble(x=out.x, v=out.v, w=out.w, domain=domain)
+
+
 class TestIntegrate:
     def test_zero_time_returns_initial(self):
         e = particle([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -283,6 +451,14 @@ class TestNonFiniteState:
         out, _, _ = step(e, nan_for_dead, StepperConfig(dt=0.01))
         assert np.array_equal(out.x, e.x) and not out.alive[1]
 
+    def test_infinite_position_raises_before_the_tail_sweep(self):
+        # the drift overflows to inf; the trailing field must not see it
+        e = particle([1.0, 0.0, 0.0], [0.0, 1e308, 0.0])
+        fac = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, PARAMS)
+        with np.errstate(invalid="raise", over="ignore"):
+            with pytest.raises(NonFiniteState):
+                step(e, fac(e), StepperConfig(dt=10.0), field_factory=fac)
+
 
 class TestFoldBackend:
     def test_zero_field_fold_equals_reflection(self):
@@ -331,3 +507,31 @@ class TestFoldBackend:
             xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
             dev = max(dev, np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]).max())
         assert dev <= 10 * dt**2
+
+    def test_hard_sign_fold_equals_the_mollified_image_bounces_exactly(self):
+        # the plane crossings of the fold and the bounces of the event run go
+        # through one sub-stepper, so the folded states agree to the bit
+        rng = np.random.default_rng(8)
+        n = 6
+        x = np.c_[0.01 + 0.05 * rng.random(n), rng.normal(size=(n, 2))]
+        v = rng.normal(size=(n, 3))
+        v[:, 0] = -np.abs(v[:, 0]) - 0.5
+        base = Ensemble(x=x, v=v, w=np.full(n, 0.05), domain=HS)
+
+        def a_factory(ens):
+            def field(pos):
+                return field_halfspace_A(ens, PARAMS, pos)
+            return field
+
+        dt = 1e-2
+        rec_a = integrate(base, a_factory, StepperConfig(dt=dt), 0.2)
+        rec_b = integrate(
+            symmetrize(base),
+            make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True),
+            StepperConfig(dt=dt, backend=Backend.FOLD_HALFSPACE), 0.2)
+        assert len(rec_a.events) >= 1
+        dev = 0.0
+        for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
+            xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
+            dev = max(dev, np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]).max())
+        assert dev == 0.0
