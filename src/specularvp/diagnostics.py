@@ -650,7 +650,8 @@ class BlowupReport:
 
 
 def _phase_norm(e: Ensemble):
-    return np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
+    with np.errstate(over="ignore"):  # |z| = inf at the float limit; the stepper reports it
+        return np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
 
 
 def _loglog_moment(e: Ensemble, znorm) -> float:

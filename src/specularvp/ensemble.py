@@ -184,8 +184,12 @@ def restrict(e: Ensemble) -> Ensemble:
 
 
 def kinetic_energy(e: Ensemble) -> float:
-    """sum_i w_i |v_i|^2 (no 1/2: the energy ledger uses the bare second moment)."""
-    return float(np.sum(e.w * e.alive * np.sum(e.v**2, axis=1)))
+    """sum_i w_i |v_i|^2 (no 1/2: the energy ledger uses the bare second moment).
+
+    A velocity near the float limit squares to inf without a warning; the
+    stepper's ``NonFiniteState`` check reports such a state."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(e.w * e.alive * np.sum(e.v**2, axis=1)))
 
 
 def potential_energy(e: Ensemble, kind, params) -> float:

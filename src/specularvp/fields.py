@@ -17,15 +17,26 @@ the energy, and the energy identity closes.
 
 Every route is one ``FieldModel``: a radial kernel summed against a signed
 source cloud, times a factor at the target.  All pair sums go through one
-tiled loop and run in a fixed order (ascending source index per target), so
-results do not depend on the tiling.
+tiled loop, and the sum order is part of the specification: each target row
+runs over the sources in ascending index order and adds one pair term at a
+time, so results do not depend on the tiling.  The loop is a small C kernel
+(``pairs.c``), built by gcc on first use and cached in this package's
+``__pycache__`` under a name keyed by the sha256 of the source and flags.
+Without a compiler, or if the build fails, ``_rows_numpy`` does the same
+float operations in the same order and gives the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import math
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -331,9 +342,91 @@ def grad_green_cut(kind, domain, delta, x, z):
 # the field model
 # -----------------------------------------------------------------------------
 
-# target rows per tile of the pair loop; bounds a pair temporary to
-# _CHUNK_TARGETS x sources entries
+# target rows per tile of the pair loop; bounds a pair temporary of the
+# numpy path to _CHUNK_TARGETS x sources entries
 _CHUNK_TARGETS = 256
+
+_KERNEL_SOURCE = Path(__file__).with_name("pairs.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _load_kernel():
+    """``pair_rows`` of pairs.c as a ctypes function, or None when it cannot be
+    built or loaded (the numpy path then gives the same bits).
+
+    gcc builds it on first use into the package's ``__pycache__``, under a
+    name keyed by the sha256 of the source and the flags, and publishes it
+    by atomic rename, so concurrent first uses cannot load a partial file.
+    """
+    try:
+        code = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(code + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+        lib = _KERNEL_SOURCE.parent / "__pycache__" / f"pairs-{key}.so"
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run(["gcc", *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                               check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).pair_rows
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    p, dbl = ctypes.c_void_p, ctypes.c_double
+    kernel.argtypes = [ctypes.c_int, ctypes.c_int, dbl, dbl, dbl, dbl, p,
+                       ctypes.c_long, p, ctypes.c_long, p, p, p, p]
+    kernel.restype = None
+    return kernel
+
+
+def _address(a):
+    return None if a is None else a.ctypes.data
+
+
+def _accumulate(out, terms):
+    """out += the rows of terms, each summed left to right: the kernel's
+    sequential order (np.add.accumulate is sequential, .sum is not)."""
+    terms[:, 0] += out
+    out[...] = np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _rows_numpy(d, cut, param, amp, gain, radius2, a2, t, y, q, s, phi):
+    """pairs.c in numpy: the same float operations per pair, vectorised over
+    a tile x sources block, and the same per-row order."""
+    if a2 is None:
+        vec = [t[:, None, k] - y[None, :, k] for k in range(d)]
+        sep2 = sum(v * v for v in vec)
+    else:
+        xx = sum(t[:, k] * t[:, k] for k in range(d))[:, None]
+        xz = sum(t[:, None, k] * y[None, :, k] for k in range(d))
+        vec = [t[:, None, k] * a2 - y[None, :, k] for k in range(d)]
+        sep2 = np.maximum(xx * a2 + radius2 - 2.0 * xz, 0.0)
+    if cut:
+        sep = np.maximum(np.sqrt(sep2), param)
+        u = np.minimum(sep / param - 1.0, 1.0)
+        r = _smoothstep(u)
+        inv = 1.0 / sep
+    else:
+        inv = 1.0 / np.sqrt(sep2 + param)
+    p = inv
+    for _ in range(d - 3):
+        p = p * inv
+    if phi is not None:
+        _accumulate(phi, (r * amp if cut else amp) * p * q)
+    if s is not None:
+        coef = p * inv * inv
+        if cut:
+            coef = gain * (_smoothstep_prime(u) * sep / param + (2.0 - d) * r) * coef
+        else:
+            coef = gain * coef
+        coef = coef * q
+        for k in range(d):
+            _accumulate(s[:, k], vec[k] * coef)
 
 
 def _tiled(rows, x, *outs):
@@ -344,25 +437,6 @@ def _tiled(rows, x, *outs):
         tile = slice(lo, lo + _CHUNK_TARGETS)
         rows(x[tile], *(None if out is None else out[tile] for out in outs))
     return outs
-
-
-def _point_pairs(t, y):
-    """|x - y|^2 per (target, source), and a function making the vectors x - y
-    (called after the kernel's temporaries are gone, to bound memory)."""
-    sep2 = sum((t[:, None, k] - y[None, :, k]) ** 2 for k in range(t.shape[1]))
-    return sep2, lambda: t[:, None, :] - y[None, :, :]
-
-
-def _kelvin_pairs(radius, t, z):
-    """Ball image of sources z: s^2 = |x|^2 |z|^2/R^2 - 2 x.z + R^2, and grad_x(s^2)/2.
-
-    The symmetric form equals (|z|/R)^2 |x - z*|^2 with z* the Kelvin image
-    point, and stays defined at z = 0 (s = R, zero gradient).
-    """
-    a2 = np.sum(z * z, axis=1) / radius**2
-    xz = sum(t[:, None, k] * z[None, :, k] for k in range(t.shape[1]))
-    sep2 = np.maximum(np.sum(t * t, axis=1)[:, None] * a2 + radius**2 - 2.0 * xz, 0.0)
-    return sep2, lambda: t[:, None, :] * a2[None, :, None] - z[None, :, :]
 
 
 class FieldModel:
@@ -392,14 +466,10 @@ class FieldModel:
         self.plane_split = bool(hard_sign)
         self.odd = False        # weight the sources by sgn(x_1)
         self.mirror = False     # append the mirror images (x', -w)
-        self.kelvin = None      # ball radius: add the Kelvin image term
+        self.kelvin = None      # R^2 of the ball: add the Kelvin image term
         self.factor = self.charge = lambda x: np.ones(len(x))
-        eps, delta = params.eps_mollify, params.delta
-        # Plummer: H_eps(s) = c_d/(d-2) b^((2-d)/2) and H_eps'(s)/s = -c_d b^(-d/2),
-        # b = s^2 + eps^2
-        self.base = lambda sep2: sep2 + eps**2
-        self.profile = lambda d, b: _h_amp(d) * b ** ((2.0 - d) / 2.0)
-        self.slope = lambda d, b: -c_d(d) * b ** (-d / 2.0)
+        # the profile for pairs.c: Plummer with eps^2, or the cut Green one with delta
+        self.cut, self.param = False, params.eps_mollify * params.eps_mollify
         if hard_sign or frame is Frame.PROBLEM_B:
             self.odd = True
             self.charge = lambda x: np.sign(x[:, 0])  # the plane carries no charge
@@ -410,56 +480,54 @@ class FieldModel:
         elif kind == GreenKind.HALF_SPACE_MOLLIFIED:
             self.mirror = True
         else:
-            self.base = lambda sep2: _cut_base(delta, np.sqrt(sep2, out=sep2))
-            self.profile = _cut_profile
-            self.slope = lambda d, base: _cut_slope(d, delta, base)
+            self.cut, self.param = True, params.delta
             if kind in (GreenKind.HALF_SPACE_IMAGE, GreenKind.BALL_IMAGE):
                 params.validate_for_domain(domain)
                 self.factor = lambda x: boundary_cutoff(domain, params.zeta, x)
                 self.mirror = kind == GreenKind.HALF_SPACE_IMAGE
-                self.kelvin = domain.radius if kind == GreenKind.BALL_IMAGE else None
+                if kind == GreenKind.BALL_IMAGE:
+                    self.kelvin = domain.radius * domain.radius
             elif kind != GreenKind.WHOLE_SPACE:
                 raise ValueError(f"unknown Green kind {kind!r}")
 
     def _cloud(self, ens):
-        """[(pairs, y, q)]: the signed sources, one entry per pair geometry."""
-        y, q = ens.x, ens.w * ens.alive
+        """[(y, q, a2)]: the signed sources in summation order, one entry per
+        pair geometry; a2 = |y|^2/R^2 marks the Kelvin images, None points."""
+        y, q = np.ascontiguousarray(ens.x), ens.w * ens.alive  # pairs.c reads rows
         if self.odd:
             q = self.charge(y) * q
         terms = []
         if self.kelvin is not None:
-            terms.append((functools.partial(_kelvin_pairs, self.kelvin), y, -q))
+            a2 = sum(y[:, k] * y[:, k] for k in range(y.shape[1])) / self.kelvin
+            terms.append((y, -q, a2))
         if self.mirror:
             ym = y.copy()
             ym[:, 0] = -ym[:, 0]
             y, q = np.concatenate([y, ym]), np.concatenate([q, -q])
-        return [(_point_pairs, y, q)] + terms
+        return [(y, q, None)] + terms
 
     def _rows(self, cloud, t, s, phi):
-        """Add to s the gradient rows and to phi the potential rows of targets t
-        (either may be None): one sep2 per pair geometry serves both."""
+        """Add to s the gradient rows and to phi the potential rows of targets
+        t (either may be None): each row runs over the cloud in order, in the
+        compiled kernel, or in the numpy path when there is none."""
         d = t.shape[1]
-        for pairs, y, q in cloud:
-            sep2, vec = pairs(t, y)
-            base = self.base(sep2)
-            del sep2
-            if phi is not None:
-                g = self.profile(d, base)
-                g *= q
-                phi += g.sum(axis=1)
-                del g
-            if s is not None:
-                coef = self.slope(d, base)
-                del base
-                coef *= q
-                vec = vec()
-                vec *= coef[:, :, None]
-                s += vec.sum(axis=1)
+        amp = _h_amp(d)
+        args = (d, self.cut, self.param, amp, amp if self.cut else -c_d(d), self.kelvin or 0.0)
+        kernel = _load_kernel()
+        if kernel is None:
+            for y, q, a2 in cloud:
+                if len(y):
+                    _rows_numpy(*args, a2, t, y, q, s, phi)
+            return
+        t = np.ascontiguousarray(t, dtype=float)
+        for y, q, a2 in cloud:
+            kernel(*args, _address(a2), len(t), t.ctypes.data, len(y), y.ctypes.data,
+                   q.ctypes.data, _address(s), _address(phi))
 
     def _sums(self, cloud, x, gradient=True, potential=False):
         """(S, phi) at targets x; each only when asked, else None."""
         return _tiled(functools.partial(self._rows, cloud), x,
-                      np.zeros_like(x) if gradient else None,
+                      np.zeros(x.shape) if gradient else None,
                       np.zeros(len(x)) if potential else None)
 
     def bind(self, ens) -> "SnapshotField":

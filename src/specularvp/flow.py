@@ -218,7 +218,8 @@ def _advance_with_events(x, v, e_fn, dt, t0, domain: Domain, max_reflections, pa
     whole-space particle, passed with no jump and no event; the particle
     then takes the field branch of its new side (the hard-sign field has
     E(0-) = (E(0+))'), so the folded step equals the reflected one.  Grazing
-    hits (|v . n| < GRAZE_RTOL |v|) finish the step with no jump.  Returns
+    hits (|v . n| <= GRAZE_RTOL |v|, v = 0 included) finish the step with no
+    jump, sliding along the wall if the field pushes them into it.  Returns
     (x, v, events), or None when the path does not leave at all.
     """
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
@@ -248,14 +249,20 @@ def _advance_with_events(x, v, e_fn, dt, t0, domain: Domain, max_reflections, pa
         v_minus = v + 0.5 * s * (e0 + e_hit)
         frame = domain.boundary_frame(x_hit)
         vn = float(np.dot(v_minus, frame.normal))
-        if abs(vn) < GRAZE_RTOL * float(np.linalg.norm(v_minus)):
-            # grazing set: no jump; finish the step and clamp back onto the
-            # wall if the path dips through it by a rounding margin
+        if abs(vn) <= GRAZE_RTOL * float(np.linalg.norm(v_minus)):
+            # grazing set, a particle at rest on the wall included: no jump;
+            # finish the step.  A path the field pushes through the wall
+            # slides along it: its end is clamped back onto the wall and
+            # loses its outward normal velocity
             rest = remaining - s
             x_end = _path(x_hit, v_minus, e_hit, rest)
-            if side * domain.signed_distance(x_end) < 0.0:
+            through = side * domain.signed_distance(x_end) < 0.0
+            if through:
                 x_end = domain.project_boundary(x_end)
             v_end = v_minus + 0.5 * rest * (e_hit + field(x_end))
+            if through:
+                n = side * domain.inward_normal(x_end)
+                v_end = v_end - min(float(np.dot(v_end, n)), 0.0) * n
             return x_end, v_end, events
         if fold:
             v = v_minus
@@ -278,7 +285,7 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
 
     Returns (x_exit, v_exit, events).  Raises NoCrossing if the segment
     never leaves the domain (caller contract) and ReflectionOverflow past
-    ``max_reflections`` bounces.  Grazing hits (|v . n| < GRAZE_RTOL |v|)
+    ``max_reflections`` bounces.  Grazing hits (|v . n| <= GRAZE_RTOL |v|)
     pass through with no jump.
     """
     out = _advance_with_events(x_enter, v, np.zeros_like, dt_remaining, t_enter, domain,
@@ -314,7 +321,8 @@ def _step(e: Ensemble, field_fn, cfg: StepperConfig, t0, field_factory, lead, po
     alive = e.alive
     e0 = field_fn(e.x) if lead is None else lead
     v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
-    x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
+    with np.errstate(over="ignore"):  # an overflow is caught as non-finite below
+        x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
     v_new = v_half.copy()
     if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
         _mark_blowups(e, x_new, v_new)  # raises before any field sees a non-finite point

@@ -26,8 +26,9 @@ __all__ = [
     "reflect_velocity",
 ]
 
-# Velocities with |v . n| below GRAZE_RTOL * |v| at a boundary hit are treated
-# as tangential (no reflection): the grazing set is excluded from events.
+# Velocities with |v . n| at most GRAZE_RTOL * |v| at a boundary hit (v = 0
+# included) are treated as tangential (no reflection): the grazing set is
+# excluded from events.
 GRAZE_RTOL = 1e-12
 
 

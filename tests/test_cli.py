@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,15 @@ class TestFailedRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert manifest["error"].startswith(f"{error}: ")
+
+    def test_non_finite_run_warns_nothing(self, tmp_path):
+        # pytest captures warnings, so the capsys check above cannot see them
+        cfg_path = write(tmp_path, NON_FINITE_RUN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert [str(w.message) for w in caught] == []
 
 
 class TestBounceFixture:

@@ -5,12 +5,18 @@ closed-form kernels, written here in scalar Python: the cut Green profile
 g(s) = r(s/delta) c_d s^(2-d)/(d-2) and its slope, the Plummer kernel, the
 mirror image for the half-space and the Kelvin image point z* = R^2 z/|z|^2
 for the ball.  Clouds put points on the wall and on top of each other.
+Every route runs in d = 3 and d = 4, where the integer powers of the cut
+profile and the half-powers of the Plummer kernel differ in parity.
 
 Tolerance: 1e-12 relative to the sum of the absolute pair contributions
 (the scale of a sum whose terms may cancel).
+
+The compiled kernel (pairs.c) and the numpy path must agree bit for bit.
 """
 
+import functools
 import math
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -24,12 +30,9 @@ from specularvp.fields import GreenKind, RegularizationParams, field_model
 from specularvp.geometry import Ball, HalfSpace
 
 RTOL = 1e-12
-D = 3
-CD = 1.0 / (4.0 * math.pi)
-H = CD / (D - 2)
+CD = {3: 1.0 / (4.0 * math.pi), 4: 1.0 / (2.0 * math.pi**2)}
 P = RegularizationParams(eps_mollify=0.05, r_sign=0.3, zeta=0.1, delta=0.2)
-HS = HalfSpace(3)
-BALL = Ball(3, 1.0)
+RADIUS = 1.0
 
 
 # -- closed-form scalar kernels ------------------------------------------------
@@ -39,30 +42,32 @@ def smoothstep(s):
     return 6 * t**5 - 15 * t**4 + 10 * t**3, 30 * t**4 - 60 * t**3 + 30 * t**2
 
 
-def cut_g(sep):
+def cut_g(d, sep):
     if sep <= P.delta:
         return 0.0, 0.0
     r, _ = smoothstep(sep / P.delta)
-    return r * H * sep ** (2 - D), abs(r * H * sep ** (2 - D))
+    h = CD[d] / (d - 2)
+    return r * h * sep ** (2 - d), abs(r * h * sep ** (2 - d))
 
 
-def cut_slope(sep):
+def cut_slope(d, sep):
     """g'(sep)/sep and a bound on its magnitude from the absolute sub-terms."""
     if sep <= P.delta:
         return 0.0, 0.0
     r, rp = smoothstep(sep / P.delta)
-    a = H * rp / P.delta * sep ** (2 - D) / sep
-    b = H * r * (2 - D) * sep ** (1 - D) / sep
+    h = CD[d] / (d - 2)
+    a = h * rp / P.delta * sep ** (2 - d) / sep
+    b = h * r * (2 - d) * sep ** (1 - d) / sep
     return a + b, abs(a) + abs(b)
 
 
-def plummer_g(sep2):
-    value = H * (sep2 + P.eps_mollify**2) ** ((2 - D) / 2)
+def plummer_g(d, sep):
+    value = CD[d] / (d - 2) * (sep * sep + P.eps_mollify**2) ** ((2 - d) / 2)
     return value, abs(value)
 
 
-def plummer_slope(sep2):
-    value = -CD * (sep2 + P.eps_mollify**2) ** (-D / 2)
+def plummer_slope(d, sep):
+    value = -CD[d] * (sep * sep + P.eps_mollify**2) ** (-d / 2)
     return value, abs(value)
 
 
@@ -91,7 +96,7 @@ def images(route, z):
         nz2 = dot(z, z)
         if nz2 == 0.0:
             return None, 0.0   # image at infinity: s = R, zero gradient
-        R = BALL.radius
+        R = RADIUS
         return [R * R * c / nz2 for c in z], math.sqrt(nz2) / R
     return None, 1.0
 
@@ -104,9 +109,10 @@ def source_weight(route, z, w):
 
 def reference(route, xs, ws, targets):
     """Pre-cutoff sums S, their scales, and the potential with its scale."""
+    d = len(targets[0])
     plummer = route in ("mollified", "b_smooth", "b_hard")
-    slope = (lambda sep: plummer_slope(sep * sep)) if plummer else cut_slope
-    prof = (lambda sep: plummer_g(sep * sep)) if plummer else cut_g
+    slope = functools.partial(plummer_slope if plummer else cut_slope, d)
+    prof = functools.partial(plummer_g if plummer else cut_g, d)
 
     def terms(x, z, w):
         """[(signed weight, separation, gradient vector)] of source z at target x."""
@@ -116,12 +122,12 @@ def reference(route, xs, ws, targets):
         if img is not None:
             out.append((-w, a * math.dist(x, img), [a * a * c for c in sub(x, img)]))
         elif route == "ball_image":
-            out.append((-w, BALL.radius, [0.0] * D))
+            out.append((-w, RADIUS, [0.0] * d))
         return out
 
     sums, scales = [], []
     for x in targets:
-        s, m = [0.0] * D, 0.0
+        s, m = [0.0] * d, 0.0
         for z, w in zip(xs, ws):
             for q, sep, vec in terms(x, z, w):
                 c, c_bound = slope(sep)
@@ -148,7 +154,7 @@ def factor(route, x):
     if route == "b_hard":
         return -1.0 if x[0] < 0 else 1.0
     if route in ("hs_image", "ball_image"):
-        dist = x[0] if route == "hs_image" else BALL.radius - math.sqrt(dot(x, x))
+        dist = x[0] if route == "hs_image" else RADIUS - math.sqrt(dot(x, x))
         return smoothstep(max(dist, 0.0) / P.zeta)[0]
     return 1.0
 
@@ -156,37 +162,54 @@ def factor(route, x):
 # -- clouds ----------------------------------------------------------------------
 
 ROUTES = {
-    # route: (domain, kind, frame, hard_sign)
-    "hs_whole": (HS, GreenKind.WHOLE_SPACE, Frame.PROBLEM_A, False),
-    "hs_image": (HS, GreenKind.HALF_SPACE_IMAGE, Frame.PROBLEM_A, False),
-    "mollified": (HS, GreenKind.HALF_SPACE_MOLLIFIED, Frame.PROBLEM_A, False),
-    "b_smooth": (HS, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, False),
-    "b_hard": (HS, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, True),
-    "ball_whole": (BALL, GreenKind.WHOLE_SPACE, Frame.PROBLEM_A, False),
-    "ball_image": (BALL, GreenKind.BALL_IMAGE, Frame.PROBLEM_A, False),
+    # route: (domain class, kind, frame, hard_sign)
+    "hs_whole": (HalfSpace, GreenKind.WHOLE_SPACE, Frame.PROBLEM_A, False),
+    "hs_image": (HalfSpace, GreenKind.HALF_SPACE_IMAGE, Frame.PROBLEM_A, False),
+    "mollified": (HalfSpace, GreenKind.HALF_SPACE_MOLLIFIED, Frame.PROBLEM_A, False),
+    "b_smooth": (HalfSpace, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, False),
+    "b_hard": (HalfSpace, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, True),
+    "ball_whole": (Ball, GreenKind.WHOLE_SPACE, Frame.PROBLEM_A, False),
+    "ball_image": (Ball, GreenKind.BALL_IMAGE, Frame.PROBLEM_A, False),
 }
 
+# (route, d), named by the route in d = 3 and "<route>-d4" in d = 4
+CASES = [pytest.param(route, d, id=route if d == 3 else f"{route}-d{d}")
+         for d in (3, 4) for route in sorted(ROUTES)]
+
+
+def route_domain(route, d):
+    cls = ROUTES[route][0]
+    return HalfSpace(d) if cls is HalfSpace else Ball(d, RADIUS)
+
+
+def route_model(route, d):
+    _, kind, frame, hard = ROUTES[route]
+    return field_model(route_domain(route, d), kind, frame, P, hard)
+
+
 grid = st.integers(-20, 20).map(lambda k: k / 16.0)
-point = st.tuples(grid, grid, grid, st.sampled_from(["free", "wall", "copy"]))
+tag = st.sampled_from(["free", "wall", "copy"])
 
 
 def place(domain, raw, placed):
-    x = np.array(raw[:3])
-    if raw[3] == "copy" and placed:
+    coords, kind = raw
+    x = np.array(coords)
+    if kind == "copy" and placed:
         return placed[-1].copy()
     if isinstance(domain, HalfSpace):
-        x[0] = 0.0 if raw[3] == "wall" else abs(x[0])
+        x[0] = 0.0 if kind == "wall" else abs(x[0])
         return x
     x = 0.75 * x
     norm = np.linalg.norm(x)
-    if norm > 0 and (raw[3] == "wall" or norm > domain.radius):
+    if norm > 0 and (kind == "wall" or norm > domain.radius):
         x = domain.project_boundary(x)
     return x
 
 
 @st.composite
-def clouds(draw, route):
-    domain, _, frame, _ = ROUTES[route]
+def clouds(draw, route, d):
+    domain, frame = route_domain(route, d), ROUTES[route][2]
+    point = st.tuples(st.lists(grid, min_size=d, max_size=d), tag)
     raws = draw(st.lists(point, min_size=1, max_size=6))
     xs = []
     for raw in raws:
@@ -195,7 +218,7 @@ def clouds(draw, route):
     w = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))) / 8.0
     alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     alive[0] = True
-    e = Ensemble(x=np.array(xs), v=np.zeros((n, 3)), w=w, domain=domain, alive=alive)
+    e = Ensemble(x=np.array(xs), v=np.zeros((n, d)), w=w, domain=domain, alive=alive)
     if frame is Frame.PROBLEM_B:
         e = symmetrize(e)
     extra = [place(domain, raw, []) for raw in draw(st.lists(point, max_size=3))]
@@ -203,12 +226,11 @@ def clouds(draw, route):
     return e, targets
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("route, d", CASES)
 @given(data=st.data())
-def test_model_matches_pair_reference(route, data):
-    e, targets = data.draw(clouds(route))
-    domain, kind, frame, hard = ROUTES[route]
-    model = field_model(domain, kind, frame, P, hard)
+def test_model_matches_pair_reference(route, d, data):
+    e, targets = data.draw(clouds(route, d))
+    model = route_model(route, d)
     ws = list(e.w * e.alive)
     s_ref, scale, pot_ref, pot_scale = reference(route, e.x.tolist(), ws, targets.tolist())
 
@@ -232,17 +254,35 @@ def test_validation_runs_when_the_model_is_built():
         field_model(Ball(3, 0.2), GreenKind.BALL_IMAGE, Frame.PROBLEM_A, P)
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("route, d", CASES)
 @given(data=st.data(), tile=st.sampled_from([1, 2, 256]))
-def test_sweep_is_bitwise_the_separate_passes(route, data, tile):
+def test_sweep_is_bitwise_the_separate_passes(route, d, data, tile):
     # one fused pass gives exactly the field, the pre-cutoff sum and the
     # potential that the three separate passes give, whatever the tiling
-    e, _ = data.draw(clouds(route))
-    domain, kind, frame, hard = ROUTES[route]
-    model = field_model(domain, kind, frame, P, hard)
+    e, _ = data.draw(clouds(route, d))
+    model = route_model(route, d)
     with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
         sweep = model.bind(e).sweep(potential=True)
         assert model.bind(e).sweep().phi is None
     assert np.array_equal(sweep.field, model.field(e, e.x))
     assert np.array_equal(sweep.pre_cutoff, model.pre_cutoff_sum(e, e.x))
     assert model.energy(e, sweep.phi) == model.potential(e)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: numpy is the only path")
+@pytest.mark.parametrize("route, d", CASES)
+@given(data=st.data(), tile=st.sampled_from([1, 7, 256]))
+def test_kernel_and_numpy_path_are_bitwise_equal(route, d, data, tile):
+    # the numpy path is the reference: same float operations, same per-row order
+    assert fields._load_kernel() is not None
+    e, targets = data.draw(clouds(route, d))
+    model = route_model(route, d)
+    cloud = model.bind(e).cloud
+    modes = [(True, False), (False, True), (True, True)]
+    with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
+        compiled = [model._sums(cloud, targets, *mode) for mode in modes]
+        with mock.patch.object(fields, "_load_kernel", lambda: None):
+            reference = [model._sums(cloud, targets, *mode) for mode in modes]
+    for got, want in zip(compiled, reference):
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)

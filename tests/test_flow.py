@@ -151,6 +151,20 @@ class TestHandleReflection:
         assert out.x[0, 0] == 0.0
         assert np.array_equal(out.v[0], [0.0, 1.0, 0.0])
 
+    def test_rest_on_the_wall_slides_under_an_outward_field(self):
+        # v = 0 on the wall is in the grazing set; pushed into the wall by
+        # E = (-1, 1/2, 0) the particle slides along it, x_2 = t^2/4, rather
+        # than recording a null bounce (v- = v+ = 0) and stopping every step
+        e = particle([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        events = []
+        for k in range(10):
+            e, evts, _ = step(e, constant_field([-1.0, 0.5, 0.0]), StepperConfig(dt=0.1),
+                              t0=0.1 * k)
+            events.extend(evts)
+        assert e.x[0, 0] == 0.0
+        assert e.x[0, 1] == pytest.approx(0.25, rel=1e-14)
+        assert not any(np.array_equal(ev.v_minus, ev.v_plus) for ev in events)
+
 
 class TestBilliards:
     def test_chord_reflection_angles(self):

@@ -3,13 +3,17 @@
 The hashes pin the exact bytes of ``snapshots.csv``, ``events.csv``,
 ``ledger.csv`` and ``diagnostics.json``, so a refactor or speed-up that
 changes any float the CLI writes fails here, not silently.  A change that
-is meant to move these bytes must say so and update the table.
+is meant to move these bytes must say so and update the table.  The
+numpy path of the pair sums must write the same bytes as the compiled
+kernel.
 """
 
 import hashlib
+import shutil
 
 import pytest
 
+import specularvp.fields as fields
 from specularvp.cli import bounce3d_config_text, parse_config, run
 
 FOLD_RUN = """
@@ -90,48 +94,72 @@ ARTIFACTS = ("snapshots.csv", "events.csv", "ledger.csv", "diagnostics.json")
 GOLDEN = {
     # re-pinned when exit times moved from bisection to polynomial roots:
     # the same 78 bounces in the same order, event times within 3.4e-16,
-    # snapshots within 8.2e-14, ledger drift within 1.5e-14 of the old bytes
+    # snapshots within 8.2e-14, ledger drift within 1.5e-14 of the old bytes.
+    # All three re-pinned when the pair sums became sequential per row
+    # (pairs.c): events.csv and diagnostics.json unchanged; snapshots within
+    # 1.1e-16 (bounce3d, fold; ball_image unchanged), ledger within 1.1e-16
     "ball_image": {
         "snapshots.csv":
             "85215a861bdd88540bf532392657100fa2276708075c71d35f59581fb54e8398",
         "events.csv":
             "72d43f11b7cf835cf21c75f67b94e01a375d4caf9c05d2244f069f7c9d4f6778",
         "ledger.csv":
-            "e3f8a9b3ee537ebc472fa67692f6b12a55f2b09c931d7b90a6f81eb7aa92a452",
+            "50a6948057359f4a4fbf6d7de6ea667dcf2cf9f58d9f66353a53007bdab03fca",
         "diagnostics.json":
             "2c9264b3a71649bb74fc07a629bf82b9964186b2be1d74bbec92df9dd7725042",
     },
     "bounce3d": {
         "snapshots.csv":
-            "4ab08eb7df2af44169bcc766e76dbbbe8faa8cd864f778246f62f269dd38fe85",
+            "032394c937e4eb298a4a7e44cc29c95ed2376af1ba8cfaa6a54c97c57169d6d1",
         "events.csv":
             "7865586c06f087f4e48ae934b8dfbd7c4a4c4f943a0f9e026762630ef8649ca6",
         "ledger.csv":
-            "188782bf8c8f92eb1ccd1f680e7d42645075bf7312cc6300d9986ed4ee95b698",
+            "23aaf6ff36d3651fc06cbefe3f0061eb98225c1046c5720a030bc3af95032a5e",
         "diagnostics.json":
             "5c14b05a0b35d47e9feb946714d02f242b28df257647e8d73b5689fb7357c0e7",
     },
     "fold": {
         "snapshots.csv":
-            "369cd20420dacb854a7a1e36b044c93d3b4a9b99f3dd1132455e38adf42710ba",
+            "7a72dbbdc749f412f33c64b2257a029f4a077802cdc5f98a23b71010d7c3b828",
         "events.csv":
             "7865586c06f087f4e48ae934b8dfbd7c4a4c4f943a0f9e026762630ef8649ca6",
         "ledger.csv":
-            "a23d24dbeb4dc7e8d3238d8a9d3d154f6b8eb83f43b2a0487166ce82c3d9cd68",
+            "53f14dc41517d879c7050530f8ea02ceed8c296bb53fd143e235f88a09b95784",
         "diagnostics.json":
             "ef717c43f79e1bb77e4c6b9850bef6be661368304dc3d8328d9d1645a96d1ae1",
     },
 }
 
 
-def artifact_hashes(tmp_path, name):
+def run_config(tmp_path, name):
+    tmp_path.mkdir(exist_ok=True)
     cfg_path = tmp_path / f"{name}.cfg"
     cfg_path.write_text(CONFIGS[name])
     out = tmp_path / name
     assert run(parse_config(cfg_path), out) == 0
+    return out
+
+
+def artifact_hashes(tmp_path, name):
+    out = run_config(tmp_path, name)
     return {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS}
+
+
+def all_files(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_golden_hashes(tmp_path, name):
     assert artifact_hashes(tmp_path, name) == GOLDEN[name]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: numpy is the only path")
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_numpy_path_writes_the_same_bytes(tmp_path, monkeypatch, name):
+    # the compiled pair kernel against the numpy path, manifest.json included
+    assert fields._load_kernel() is not None
+    compiled = all_files(run_config(tmp_path / "compiled", name))
+    monkeypatch.setattr(fields, "_load_kernel", lambda: None)
+    assert "manifest.json" in compiled
+    assert all_files(run_config(tmp_path / "numpy", name)) == compiled
