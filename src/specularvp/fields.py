@@ -342,8 +342,8 @@ def grad_green_cut(kind, domain, delta, x, z):
 # the field model
 # -----------------------------------------------------------------------------
 
-# target rows per tile of the pair loop; bounds a pair temporary of the
-# numpy path to _CHUNK_TARGETS x sources entries
+# target rows per tile of the pair loop; bounds a pair array of the numpy
+# path to _CHUNK_TARGETS x sources entries (times d for the gradient terms)
 _CHUNK_TARGETS = 256
 
 _KERNEL_SOURCE = Path(__file__).with_name("pairs.c")
@@ -388,45 +388,64 @@ def _address(a):
     return None if a is None else a.ctypes.data
 
 
-def _accumulate(out, terms):
-    """out += the rows of terms, each summed left to right: the kernel's
-    sequential order (np.add.accumulate is sequential, .sum is not)."""
-    terms[:, 0] += out
-    out[...] = np.add.accumulate(terms, axis=1)[:, -1]
+def _summed(start, terms):
+    """start + terms summed down axis 0 (the sources) in source order: the
+    kernel's order.  numpy reduces along a slow axis one row at a time, and
+    sums only the fast axis pairwise, so a single column is accumulated."""
+    terms[0] += start
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _rows_numpy(d, cut, param, amp, gain, radius2, a2, t, y, q, s, phi):
-    """pairs.c in numpy: the same float operations per pair, vectorised over
-    a tile x sources block, and the same per-row order."""
+    """pairs.c in numpy: the same float operations per pair on blocks with
+    the sources on axis 0, each pair array dropped once used, and the same
+    per-target order (``_summed``)."""
+    tk, yk, q = np.ascontiguousarray(t.T)[None], y[:, :, None], q[:, None]  # (1, d, m), (n, d, 1)
     if a2 is None:
-        vec = [t[:, None, k] - y[None, :, k] for k in range(d)]
-        sep2 = sum(v * v for v in vec)
+        sep2 = sum((tk[:, k] - yk[:, k]) ** 2 for k in range(d))
+
+        def vec():
+            return tk - yk
     else:
-        xx = sum(t[:, k] * t[:, k] for k in range(d))[:, None]
-        xz = sum(t[:, None, k] * y[None, :, k] for k in range(d))
-        vec = [t[:, None, k] * a2 - y[None, :, k] for k in range(d)]
+        a2 = a2[:, None]
+        xx = sum(tk[0, k] * tk[0, k] for k in range(d))
+        xz = sum(tk[:, k] * yk[:, k] for k in range(d))
         sep2 = np.maximum(xx * a2 + radius2 - 2.0 * xz, 0.0)
+        del xz
+
+        def vec():
+            return tk * a2[:, :, None] - yk
     if cut:
         sep = np.maximum(np.sqrt(sep2), param)
+        del sep2
         u = np.minimum(sep / param - 1.0, 1.0)
         r = _smoothstep(u)
+        if s is not None:
+            slope = gain * (_smoothstep_prime(u) * sep / param + (2.0 - d) * r)
+        del u
         inv = 1.0 / sep
+        del sep
+        weight = r * amp if phi is not None else None
+        del r
     else:
         inv = 1.0 / np.sqrt(sep2 + param)
+        del sep2
+        slope, weight = gain, amp
     p = inv
     for _ in range(d - 3):
         p = p * inv
     if phi is not None:
-        _accumulate(phi, (r * amp if cut else amp) * p * q)
+        phi[...] = _summed(phi, weight * p * q)
+        del weight
     if s is not None:
-        coef = p * inv * inv
-        if cut:
-            coef = gain * (_smoothstep_prime(u) * sep / param + (2.0 - d) * r) * coef
-        else:
-            coef = gain * coef
-        coef = coef * q
-        for k in range(d):
-            _accumulate(s[:, k], vec[k] * coef)
+        coef = slope * (p * inv * inv) * q
+        del slope, p, inv
+        terms = vec()
+        terms *= coef[:, None]
+        del coef
+        s[...] = _summed(s.T, terms).T
 
 
 def _tiled(rows, x, *outs):
@@ -526,6 +545,9 @@ class FieldModel:
 
     def _sums(self, cloud, x, gradient=True, potential=False):
         """(S, phi) at targets x; each only when asked, else None."""
+        if x.shape[-1] != cloud[0][0].shape[1]:
+            raise ValueError(f"targets in dimension {x.shape[-1]}, "
+                             f"sources in dimension {cloud[0][0].shape[1]}")
         return _tiled(functools.partial(self._rows, cloud), x,
                       np.zeros(x.shape) if gradient else None,
                       np.zeros(len(x)) if potential else None)

@@ -106,12 +106,10 @@ void pair_rows(int d, int cut, double param, double amp, double gain,
                long m, const double *t, long n, const double *y, const double *q,
                double *s, double *phi)
 {
-    /* the same loop with d fixed at compile time in the dimensions the
-       paper's global flows use; the float operations do not change */
+    /* the same loop with d fixed at compile time in d = 3, the dimension of
+       the demos and benchmark workloads; the float operations do not change */
     if (d == 3)
         rows(3, cut, param, amp, gain, radius2, a2, m, t, n, y, q, s, phi);
-    else if (d == 4)
-        rows(4, cut, param, amp, gain, radius2, a2, m, t, n, y, q, s, phi);
     else
         rows(d, cut, param, amp, gain, radius2, a2, m, t, n, y, q, s, phi);
 }

@@ -286,3 +286,40 @@ def test_kernel_and_numpy_path_are_bitwise_equal(route, d, data, tile):
     for got, want in zip(compiled, reference):
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: numpy is the only path")
+@pytest.mark.parametrize("route, d", CASES)
+@pytest.mark.parametrize("tile", [1, 256])
+def test_kernel_and_numpy_path_agree_on_a_large_cloud(route, d, tile):
+    # hundreds of sources per row: long enough for numpy's pairwise blocks,
+    # which the numpy path must not use
+    domain, frame = route_domain(route, d), ROUTES[route][2]
+    rng = np.random.default_rng(7)
+    x = np.array([place(domain, (c, "free"), []) for c in rng.uniform(-1.25, 1.25, (300, d))])
+    e = Ensemble(x=x, v=np.zeros_like(x), w=rng.uniform(0.0, 1.0, len(x)), domain=domain)
+    if frame is Frame.PROBLEM_B:
+        e = symmetrize(e)
+    model = route_model(route, d)
+    cloud = model.bind(e).cloud
+    with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
+        compiled = model._sums(cloud, e.x, True, True)
+        with mock.patch.object(fields, "_load_kernel", lambda: None):
+            reference = model._sums(cloud, e.x, True, True)
+    assert np.array_equal(compiled[0], reference[0])
+    assert np.array_equal(compiled[1], reference[1])
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("route", ["hs_image", "ball_image", "b_smooth"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_targets_of_another_dimension_raise(route, shift, compiled):
+    model = route_model(route, 3)
+    x = np.full((2, 3), 0.5)
+    x[:, 0] = [0.25, -0.25] if route == "b_smooth" else 0.25
+    e = Ensemble(x=x, v=np.zeros_like(x), w=np.ones(2), domain=route_domain(route, 3),
+                 frame=ROUTES[route][2])
+    loader = fields._load_kernel if compiled else (lambda: None)
+    with mock.patch.object(fields, "_load_kernel", loader):
+        with pytest.raises(ValueError, match="dimension"):
+            model.field(e, np.full((1, 3 + shift), 0.1))
