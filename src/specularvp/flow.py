@@ -7,6 +7,11 @@ this keeps the integrator second order through bounces.  Along a sub-step
 the distance to the wall is a polynomial in time (a quadratic for the
 half-space, a quartic for the ball), and the exit is its first root where
 the path leaves, so an excursion that returns within the step is found.
+All particles whose path leaves in a step advance together, in rounds of
+one bounce each, with one field call per round; round 0 reuses the leading
+field and distance polynomials the step computed to find them.  Particles
+are summed and located independently, so the result is bitwise the same as
+stepping them one at a time.
 
 Two backends:
 
@@ -57,6 +62,7 @@ EVENT_DIST_RTOL = 1e-13
 # an exit time settles on a grid of this many ulps either side of its root
 ULP_WALK = 4
 _OFFSETS = np.arange(-ULP_WALK, ULP_WALK + 1)
+_EPS = np.finfo(float).eps
 
 
 class ReflectionOverflow(RuntimeError):
@@ -129,44 +135,67 @@ def _path(x, v, e, s):
     return x + s * v + 0.5 * s * s * e
 
 
+def _dot(a, b):
+    """Row-wise a . b; per row bitwise equal to np.dot of the two rows."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _distance_poly(domain: Domain, x, v, e, h, side):
     """Coefficients (lowest degree first, last axis) of the distance to the
-    wall along ``_path`` in theta = s / h, for one particle or rows: side *
-    x_1 for the half-space wall or the fold plane, R^2 - |x|^2 for the ball.
-    The constant term comes from the start's computed signed distance d
-    (R^2 - |x|^2 = d (2R - d)), clipped at 0: a start that reads as on the
-    wall is a root at theta = 0, and one an ulp outside is not an exit."""
+    wall along ``_path`` in theta = s / h, for rows with a scalar or per-row
+    h: side * x_1 for the half-space wall or the fold plane, R^2 - |x|^2 for
+    the ball.  The constant term comes from the start's computed signed
+    distance d (R^2 - |x|^2 = d (2R - d)), clipped at 0: a start that reads
+    as on the wall is a root at theta = 0, and one an ulp outside is not an
+    exit.  The powers h^3 and h^4 are taken per value as Python floats,
+    whose rounding differs from numpy's array power."""
     d = np.maximum(side * domain.signed_distance(x), 0.0)
     if isinstance(domain, HalfSpace):
         return np.stack([d, side * h * v[..., 0], side * 0.5 * h * h * e[..., 0]], axis=-1)
+    hs = np.asarray(h, dtype=float)
+    h3, h4 = (np.array([t**p for t in hs.ravel().tolist()]).reshape(hs.shape) for p in (3, 4))
     xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
                           for a, b in ((x, v), (v, v), (x, e), (v, e), (e, e)))
     return np.stack([d * (2.0 * domain.radius - d), -2.0 * h * xv, -h * h * (vv + xe),
-                     -h**3 * ve, -0.25 * h**4 * ee], axis=-1)
+                     -h3 * ve, -0.25 * h4 * ee], axis=-1)
 
 
-def _real_roots(c):
-    """Real roots of sum_k c[k] t^k, leading terms below rounding on [0, 1]
-    dropped: the stable closed form up to degree 2 (the half-space, the
-    plane, a ball in a zero field), else companion-matrix eigenvalues."""
-    while len(c) > 1 and abs(c[-1]) <= np.finfo(float).eps * sum(map(abs, c)):
-        c = c[:-1]
-    if len(c) > 3:
-        comp = np.eye(len(c) - 1, k=-1)
-        comp[:, -1] = [-ck / c[-1] for ck in c[:-1]]
+def _real_roots(cs):
+    """Real roots of each sum_k c[k] t^k in the list cs, leading terms below
+    rounding on [0, 1] dropped: the stable closed form up to degree 2 (the
+    half-space, the plane, a ball in a zero field), else companion-matrix
+    eigenvalues, one stacked ``eigvals`` per matrix size."""
+    trimmed, roots = [], []
+    for c in cs:
+        while len(c) > 1 and abs(c[-1]) <= _EPS * sum(map(abs, c)):
+            c = c[:-1]
+        trimmed.append(c)
+        if len(c) > 3:
+            roots.append(None)
+            continue
+        c0, b, a = c + [0.0] * (3 - len(c))
+        disc = b * b - 4.0 * a * c0
+        if a == 0.0 or disc < 0.0:
+            roots.append([-c0 / b] if a == 0.0 and b else [])
+        else:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots.append([q / a, c0 / q] if q else [0.0])
+    for m in {len(c) - 1 for c in trimmed if len(c) > 3}:
+        rows = [k for k, c in enumerate(trimmed) if len(c) == m + 1]
+        comp = np.zeros((len(rows), m, m))
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        comp[:, :, -1] = [[-ck / trimmed[k][-1] for ck in trimmed[k][:-1]] for k in rows]
         z = np.linalg.eigvals(comp)
-        return list(z.real[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z.real))])
-    c0, b, a = c + [0.0] * (3 - len(c))
-    disc = b * b - 4.0 * a * c0
-    if a == 0.0 or disc < 0.0:
-        return [-c0 / b] if a == 0.0 and b else []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c0 / q] if q else [0.0]
+        real = np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z.real))
+        for k, zk, rk in zip(rows, z.real.tolist(), real.tolist()):
+            roots[k] = [r for r, keep in zip(zk, rk) if keep]
+    return roots
 
 
-def _first_exit(domain: Domain, x, v, e, h, side=1.0):
-    """Fraction theta in [0, 1) of the sub-step h at which the path first
-    leaves the domain, or None if it stays in the closed domain.
+def _first_exit(domain: Domain, c, x, v, e, h, side):
+    """Fraction theta in [0, 1) of each row's sub-step h at which its path
+    first leaves the domain, NaN where it stays in the closed domain; c holds
+    the rows' ``_distance_poly`` coefficients.
 
     The real roots of the distance polynomial split [0, 1]; the exit starts
     the first piece on which it is negative, so a tangency, a start on the
@@ -174,109 +203,166 @@ def _first_exit(domain: Domain, x, v, e, h, side=1.0):
     exits.  A root gets two Newton steps, then theta moves to the last float
     with computed distance >= 0 in the run from ULP_WALK ulps below to
     ULP_WALK above (further back if there is none).  A path whose computed
-    end point rounds outside exits just before theta = 1.
+    end point rounds outside exits just before theta = 1.  The piece search
+    and Newton steps run per row in Python floats, the ulp walk on all rows
+    at once.
     """
-    c = _distance_poly(domain, x, v, e, h, side).tolist()
-
-    def poly(t, c=c):
+    def poly(t, c):
         return sum(cj * t**j for j, cj in enumerate(c))
 
-    def dist(t):
-        return side * domain.signed_distance(_path(x, v, e, t * h))
+    def dist(i, t):
+        # side * signed distance at fractions t (a row of columns per row i)
+        return side[i, None] * domain.signed_distance(
+            _path(x[i, None], v[i, None], e[i, None], (t * h[i, None])[..., None]))
 
-    cut = sorted([0.0, 1.0, *(r for r in _real_roots(c) if 0.0 < r < 1.0)])
-    mid = [0.5 * (a + b) for a, b in zip(cut, cut[1:])]
-    k = next((k for k, m in enumerate(mid) if cut[k + 1] > cut[k] and poly(m) < 0.0), None)
-    theta = 1.0 if k is None else cut[k]
-    if k:
-        # a root: Newton, kept between the midpoints of the pieces around it
-        slope = [j * cj for j, cj in enumerate(c)][1:]
-        for _ in range(2):
-            if poly(theta, slope):
-                theta = min(max(theta - poly(theta) / poly(theta, slope), mid[k - 1]), mid[k])
-    grid = np.clip(theta + np.spacing(theta) * _OFFSETS, 0.0, 1.0)
-    d = dist(grid[:, None])
-    if k is None and d[ULP_WALK] >= 0.0:
-        return None
-    ok = (d >= 0.0) & ((_OFFSETS <= 0) | (bool(k) & (grid < 1.0)))
-    run = len(ok) if ok.all() else int(np.argmin(ok))
-    theta, step = float(grid[max(run - 1, 0)]), 2.0 * ULP_WALK
-    while not run and theta > 0.0 and dist(theta) < 0.0:
-        theta = max(theta - step * np.spacing(theta), 0.0)
-        step *= 2.0
+    polys = c.tolist()
+    theta = np.empty(len(polys))
+    root, none = np.zeros(len(polys), dtype=bool), np.zeros(len(polys), dtype=bool)
+    for i, (cf, roots) in enumerate(zip(polys, _real_roots(polys))):
+        cut = sorted([0.0, 1.0, *(r for r in roots if 0.0 < r < 1.0)])
+        mid = [0.5 * (a + b) for a, b in zip(cut, cut[1:])]
+        k = next((k for k, m in enumerate(mid) if cut[k + 1] > cut[k] and poly(m, cf) < 0.0),
+                 None)
+        th = 1.0 if k is None else cut[k]
+        if k:
+            # a root: Newton, kept between the midpoints of the pieces around it
+            slope = [j * cj for j, cj in enumerate(cf)][1:]
+            for _ in range(2):
+                if poly(th, slope):
+                    th = min(max(th - poly(th, cf) / poly(th, slope), mid[k - 1]), mid[k])
+        theta[i], root[i], none[i] = th, bool(k), k is None
+    grid = np.clip(theta[:, None] + np.spacing(theta)[:, None] * _OFFSETS, 0.0, 1.0)
+    d = dist(slice(None), grid)
+    stay = none & (d[:, ULP_WALK] >= 0.0)
+    ok = (d >= 0.0) & ((_OFFSETS <= 0) | (root[:, None] & (grid < 1.0)))
+    run = np.where(ok.all(axis=1), len(_OFFSETS), ok.argmin(axis=1))
+    theta = grid[np.arange(len(grid)), np.maximum(run - 1, 0)]
+    for i in np.flatnonzero((run == 0) & ~stay):
+        step = 2.0 * ULP_WALK
+        while theta[i] > 0.0 and dist([i], theta[[i], None])[0, 0] < 0.0:
+            theta[i] = max(theta[i] - step * np.spacing(theta[i]), 0.0)
+            step *= 2.0
+    theta[stay] = np.nan
     return theta
 
 
-def _advance_with_events(x, v, e_fn, dt, t0, domain: Domain, max_reflections, particle,
-                         fold=False):
-    """One full KDK step of a single particle, split where its path leaves.
+def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflections,
+                         particles, fold=False):
+    """One full KDK step of the rows (x, v), each split where its path leaves.
 
-    Between exits each sub-interval is a kick-drift-kick sub-step with the
-    frozen field ``e_fn``, and the partial sub-step up to an exit is
-    completed on the wall, where the velocity is reflected and the event
-    recorded.  With ``fold`` the wall is the plane {x_1 = 0} of a
-    whole-space particle, passed with no jump and no event; the particle
-    then takes the field branch of its new side (the hard-sign field has
-    E(0-) = (E(0+))'), so the folded step equals the reflected one.  Grazing
-    hits (|v . n| <= GRAZE_RTOL |v|, v = 0 included) finish the step with no
-    jump, sliding along the wall if the field pushes them into it.  Returns
-    (x, v, events), or None when the path does not leave at all.
+    ``e`` is the frozen field ``e_fn`` at x and ``c`` the rows'
+    ``_distance_poly`` over the whole step, as the caller computed them to
+    flag the rows.  Between exits each sub-interval is a kick-drift-kick
+    sub-step with the frozen field, and the partial sub-step up to an exit
+    is completed on the wall, where the velocity is reflected and the event
+    recorded.  With ``fold`` the wall is the plane {x_1 = 0} of whole-space
+    particles, passed with no jump and no event; a particle then takes the
+    field branch of its new side (the hard-sign field has E(0-) =
+    (E(0+))'), so the folded step equals the reflected one.  Grazing hits
+    (|v . n| <= GRAZE_RTOL |v|, v = 0 included) finish the step with no
+    jump, sliding along the wall if the field pushes them into it.
+
+    The rows advance together in rounds.  Round 0 locates the first exits
+    from ``c`` and calls no field.  Every later round makes one ``e_fn``
+    call, at the wall hits just located, the step ends of rows with no
+    further exit and the ends of the last round's grazing slides; then the
+    rows that bounced locate their next exits.  Each row goes through the
+    float operations it would go through alone.
+
+    ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
+    events): ``crossed`` marks the rows whose path leaves, x and v are the
+    rows' end states (rows that do not cross come back as given), and the
+    events are in (particle, time) order.  ReflectionOverflow names the
+    lowest particle with more than ``max_reflections`` bounces.
     """
-    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    x, v, e = (np.array(a, dtype=float) for a in (x, v, e))
+    n = len(x)
+    side = np.where(x[:, 0] < 0.0, -1.0, 1.0) if fold else np.ones(n)
+    t, remaining = np.full(n, float(t0)), np.full(n, float(dt))
+    bounces = np.zeros(n, dtype=int)
     tol = EVENT_DIST_RTOL * domain.scale
-    side = -1.0 if fold and x[0] < 0.0 else 1.0
-    events, t, remaining = [], float(t0), float(dt)
+    events, overflow, slide = [], [], None
 
-    def field(p):
-        # the closure gives the upper branch on the plane; the lower side flips it
-        val = e_fn(p[None, :])[0]
-        return np.r_[-val[0], val[1:]] if side < 0 and p[0] == 0.0 else val
+    theta = _first_exit(domain, c, x, v, e, remaining, side)
+    crossed = ~np.isnan(theta)
+    rows, theta = np.flatnonzero(crossed), theta[crossed]
+    while len(rows) or slide is not None:
+        leave = ~np.isnan(theta)
+        end, hit, s = rows[~leave], rows[leave], theta[leave] * remaining[rows[leave]]
+        # one field call for the round: at the step ends of the rows with no
+        # further exit, at the wall hits and at the ends of last round's slides
+        ends = _path(x[end], v[end], e[end], remaining[end, None]) if len(end) else x[:0]
+        hits = (domain.project_boundary(_path(x[hit], v[hit], e[hit], s[:, None]))
+                if len(hit) else x[:0])
+        slid, slid_end = slide[:2] if slide is not None else (rows[:0], x[:0])
+        at, p = np.concatenate([end, hit, slid]), np.concatenate([ends, hits, slid_end])
+        f = np.array(e_fn(p), dtype=float)
+        # e_fn gives the upper branch on the plane; the lower side flips E_1 there
+        flip = (side[at] < 0.0) & (p[:, 0] == 0.0)
+        f[flip, 0] = -f[flip, 0]
+        f_end, f_hit, f_slid = np.split(f, [len(end), len(end) + len(hit)])
 
-    for k in range(max_reflections + 1):
-        e0 = field(x)
-        theta = _first_exit(domain, x, v, e0, remaining, side)
-        if theta is None:
-            if k == 0:
-                return None
-            x_end = _path(x, v, e0, remaining)
-            v_half = v + 0.5 * remaining * e0
-            v_end = v_half + 0.5 * remaining * field(x_end)
-            return x_end, v_end, events
-        s = theta * remaining
-        x_hit = domain.project_boundary(_path(x, v, e0, s))
-        e_hit = field(x_hit)
-        # complete the partial KDK sub-step [t, t + s] ending on the wall
-        v_minus = v + 0.5 * s * (e0 + e_hit)
-        frame = domain.boundary_frame(x_hit)
-        vn = float(np.dot(v_minus, frame.normal))
-        if abs(vn) <= GRAZE_RTOL * float(np.linalg.norm(v_minus)):
-            # grazing set, a particle at rest on the wall included: no jump;
-            # finish the step.  A path the field pushes through the wall
-            # slides along it: its end is clamped back onto the wall and
-            # loses its outward normal velocity
-            rest = remaining - s
-            x_end = _path(x_hit, v_minus, e_hit, rest)
-            through = side * domain.signed_distance(x_end) < 0.0
-            if through:
-                x_end = domain.project_boundary(x_end)
-            v_end = v_minus + 0.5 * rest * (e_hit + field(x_end))
-            if through:
-                n = side * domain.inward_normal(x_end)
-                v_end = v_end - min(float(np.dot(v_end, n)), 0.0) * n
-            return x_end, v_end, events
+        if len(end):
+            # the rows with no further exit finish their KDK sub-step
+            r = remaining[end, None]
+            x[end], v[end] = ends, (v[end] + 0.5 * r * e[end]) + 0.5 * r * f_end
+
+        if slide is not None:
+            # grazing rows finish sliding; a path pushed through the wall is
+            # clamped back onto it and loses its outward normal velocity
+            g, g_end, g_vm, g_e, rest, through = slide
+            g_v = g_vm + 0.5 * rest[:, None] * (g_e + f_slid)
+            if through.any():
+                nrm = side[g[through], None] * domain.inward_normal(g_end[through])
+                vn = _dot(g_v[through], nrm)
+                g_v[through] -= np.where(0.0 < vn, 0.0, vn)[:, None] * nrm
+            x[g], v[g], slide = g_end, g_v, None
+
+        rows, theta = rows[:0], theta[:0]
+        if not len(hit):
+            continue
+        # complete the partial KDK sub-steps [t, t + s] ending on the wall
+        vm = v[hit] + (0.5 * s)[:, None] * (e[hit] + f_hit)
+        normal = domain.inward_normal(hits)
+        graze = np.abs(_dot(vm, normal)) <= GRAZE_RTOL * np.sqrt(_dot(vm, vm))
+        if graze.any():
+            # the grazing set, a particle at rest on the wall included: no
+            # jump; the rest of the step is one sub-step along the wall
+            g, rest = hit[graze], remaining[hit[graze]] - s[graze]
+            g_end = _path(hits[graze], vm[graze], f_hit[graze], rest[:, None])
+            through = side[g] * domain.signed_distance(g_end) < 0.0
+            if through.any():
+                g_end[through] = domain.project_boundary(g_end[through])
+            slide = g, g_end, vm[graze], f_hit[graze], rest, through
+            hit, s, hits, f_hit, vm, normal = (
+                a[~graze] for a in (hit, s, hits, f_hit, vm, normal))
         if fold:
-            v = v_minus
-            side = -side
+            # through the plane: the next sub-step starts on it (x_1 = 0) with
+            # the field branch of the new side
+            v_plus = vm
+            side[hit] = -side[hit]
+            f_hit[:, 0] = -f_hit[:, 0]
         else:
-            v = reflect_velocity(frame, v_minus)
-            events.append(ReflectionEvent(t + s, particle, x_hit, v_minus, v))
-        x = x_hit
-        t += s
-        remaining -= s
-        if remaining <= tol / max(float(np.linalg.norm(v)), 1e-300):
-            return x, v, events
-    raise ReflectionOverflow(
-        f"particle {particle} exceeded {max_reflections} reflections in one step")
+            v_plus = reflect_velocity(normal, vm)
+            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk)
+                       for k, tk, xk, vk, wk in zip(hit, t[hit] + s, hits, vm, v_plus)]
+        x[hit], v[hit], e[hit] = hits, v_plus, f_hit
+        t[hit] += s
+        remaining[hit] -= s
+        bounces[hit] += 1
+        stop = remaining[hit] <= tol / np.maximum(np.sqrt(_dot(v_plus, v_plus)), 1e-300)
+        over = ~stop & (bounces[hit] > max_reflections)
+        overflow.extend(particles[hit[over]])
+        rows = hit[~stop & ~over]
+        if len(rows):
+            xr, vr, er, hr, sr = x[rows], v[rows], e[rows], remaining[rows], side[rows]
+            theta = _first_exit(domain, _distance_poly(domain, xr, vr, er, hr, sr),
+                                xr, vr, er, hr, sr)
+    if overflow:
+        raise ReflectionOverflow(
+            f"particle {int(min(overflow))} exceeded {max_reflections} reflections in one step")
+    events.sort(key=lambda ev: ev.particle)
+    return crossed, x, v, events
 
 
 def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
@@ -288,11 +374,15 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
     ``max_reflections`` bounces.  Grazing hits (|v . n| <= GRAZE_RTOL |v|)
     pass through with no jump.
     """
-    out = _advance_with_events(x_enter, v, np.zeros_like, dt_remaining, t_enter, domain,
-                               max_reflections, particle)
-    if out is None:
+    x, v = np.array([x_enter], dtype=float), np.array([v], dtype=float)
+    e = np.zeros_like(x)
+    c = _distance_poly(domain, x, v, e, float(dt_remaining), 1.0)
+    crossed, x, v, events = _advance_with_events(x, v, e, c, np.zeros_like, dt_remaining,
+                                                 t_enter, domain, max_reflections,
+                                                 np.array([particle]))
+    if not crossed[0]:
         raise NoCrossing("drift segment does not exit the domain")
-    return out
+    return x[0], v[0], events
 
 
 def _mark_blowups(e: Ensemble, x, v):
@@ -335,17 +425,17 @@ def _step(e: Ensemble, field_fn, cfg: StepperConfig, t0, field_factory, lead, po
         # plus its negative coefficients; the end point may round outside
         c = _distance_poly(wall, e.x, e.v, e0, cfg.dt, side)
         outside = side * wall.signed_distance(x_new) < 0.0
-        near = alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside)
-        for i in np.flatnonzero(near):
-            out = _advance_with_events(e.x[i], e.v[i], field_fn, cfg.dt, t0, wall,
-                                       cfg.max_reflections_per_step, int(i), fold)
-            if out is not None:
-                x_new[i], v_new[i], evts = out
-                crossing[i] = True
-                events.extend(evts)
-            elif outside[i]:
-                # the path stays in the closed domain but its end rounds outside
-                x_new[i] = wall.project_boundary(x_new[i])
+        near = np.flatnonzero(
+            alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside))
+        if len(near):
+            crossed, x_out, v_out, events = _advance_with_events(
+                e.x[near], e.v[near], e0[near], c[near], field_fn, cfg.dt, t0, wall,
+                cfg.max_reflections_per_step, near, fold)
+            crossing[near] = crossed
+            x_new[near[crossed]], v_new[near[crossed]] = x_out[crossed], v_out[crossed]
+            # a path that stays in the closed domain but whose end rounds outside
+            stay = near[~crossed & outside[near]]
+            x_new[stay] = wall.project_boundary(x_new[stay])
 
     # trailing half-kick of the particles that did not cross
     x_new[~alive] = e.x[~alive]
@@ -372,7 +462,10 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     and ``tail`` is that field's sweep at the new positions, with the
     per-row potential when ``potential`` is set.  Particles whose path
     leaves the domain take their whole step, trailing kick included, in the
-    event sub-stepper against the frozen field, in ascending index order.
+    event sub-stepper against the frozen field: all of them together, in
+    rounds of one bounce each and one field call per round, bitwise as if
+    each stepped alone.  ReflectionOverflow names the lowest such particle
+    past cfg.max_reflections_per_step bounces.
     """
     return _step(e, field_fn, cfg, t0, field_factory, lead, potential, e.domain)
 
@@ -501,8 +594,8 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
                                  field_factory=None if cfg.frozen_field else field_factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events.extend(evts)
-        if store_trajectories:
-            event_fields.extend(field_fn(ev.x[None, :])[0] for ev in evts)
+        if store_trajectories and evts:
+            event_fields.extend(field_fn(np.array([ev.x for ev in evts])))
         t = t0 + (k + 1) * cfg.dt
         times.append(t)
         died = start.alive & ~e.alive

@@ -157,11 +157,18 @@ def reflect_velocity(frame, v):
     formula leaks ~10 ulps through |n|^2 - 1).
     """
     n = frame.normal if isinstance(frame, BoundaryFrame) else np.asarray(frame, dtype=float)
-    nl = n.astype(np.longdouble)
-    vl = np.asarray(v, dtype=float).astype(np.longdouble)
+    v = np.asarray(v, dtype=float)
+    if n.shape != v.shape:
+        n, v = np.broadcast_arrays(n, v)
+    nl, vl = n.astype(np.longdouble), v.astype(np.longdouble)
     vn = np.einsum("...i,...i->...", vl, nl)[..., None]
     nn = np.einsum("...i,...i->...", nl, nl)[..., None]
-    return np.asarray(vl - (2.0 * vn / nn) * nl, dtype=np.float64)
+    # v - (2 vn / nn) n, in place
+    vn *= 2.0
+    vn /= nn
+    nl *= vn
+    vl -= nl
+    return vl.astype(np.float64)
 
 
 class FlatteningMap:

@@ -143,6 +143,17 @@ class TestHandleReflection:
         with pytest.raises(ReflectionOverflow):
             handle_reflection(x0, v0, 0.0, 10.0, BALL, max_reflections=2)
 
+    def test_overflow_names_the_lowest_index(self):
+        # particles 1 and 3 run the same near-tangential chord and both
+        # overflow; the error names particle 1, whatever order they advance in
+        chord = ([0.9, 0.0, 0.0], [0.3, 1.2, 0.0])
+        e = Ensemble(x=np.array([[0.0, 0.0, 0.0], chord[0], [0.1, 0.0, 0.0], chord[0]]),
+                     v=np.array([[0.1, 0.0, 0.0], chord[1], [0.0, 0.1, 0.0],
+                                 [0.6, 2.4, 0.0]]),
+                     w=np.ones(4), domain=BALL)
+        with pytest.raises(ReflectionOverflow, match="particle 1 exceeded"):
+            step(e, zero_field, StepperConfig(dt=10.0, max_reflections_per_step=2))
+
     def test_grazing_passes_through(self):
         # v . n = 0 exactly on the plane: no event, stays on the plane
         e = particle([0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -343,6 +354,77 @@ class TestEventProperties:
         assert events == []
         assert domain.signed_distance(out.x[0]) >= 0.0
         Ensemble(x=out.x, v=out.v, w=out.w, domain=domain)
+
+
+def affine_field(a, b):
+    """E(x) = A x + b, summed elementwise so each row's bits depend on that row alone."""
+    def field(x):
+        out = np.tile(b, (len(x), 1))
+        for j in range(x.shape[1]):
+            out += x[:, j:j + 1] * a[:, j]
+        return out
+    return field
+
+
+def draw_cloud(rng, wall, dim, k):
+    """k starts near the wall (or the fold plane) with fast velocities."""
+    x = rng.uniform(-0.5, 0.5, size=(k, dim))
+    if wall == "halfspace":
+        x[:, 0] = rng.uniform(1e-3, 0.5, size=k)
+    elif wall == "ball":
+        r = rng.uniform(0.5, 0.99, size=(k, 1))
+        x = r * x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x, 3.0 * rng.standard_normal((k, dim))
+
+
+class TestBatchInvariance:
+    """Particles step independently: k at once equal k steps of one, bitwise."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("wall", ["halfspace", "ball", "fold"])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), dt=st.floats(0.05, 1.0))
+    def test_k_particles_step_as_k_single_steps(self, wall, dim, seed, k, dt):
+        rng = np.random.default_rng(seed)
+        x, v = draw_cloud(rng, wall, dim, k)
+        field = affine_field(5.0 * rng.standard_normal((dim, dim)),
+                             10.0 * rng.standard_normal(dim))
+        cfg = StepperConfig(dt=dt, frozen_field=True)
+        if wall == "fold":
+            field.plane_split = True
+            domain, frame, stepper = HalfSpace(dim), Frame.PROBLEM_B, step_fold_halfspace
+        else:
+            domain = HalfSpace(dim) if wall == "halfspace" else Ball(dim, 1.0)
+            frame, stepper = Frame.PROBLEM_A, step
+
+        def run(rows):
+            e = Ensemble(x=x[rows], v=v[rows], w=np.ones(len(rows)), domain=domain,
+                         frame=frame)
+            out, events, _ = stepper(e, field, cfg, t0=0.5)
+            return out, [((rows[ev.particle], ev.t), ev)
+                         for ev in sorted(events, key=lambda ev: (ev.particle, ev.t))]
+
+        singles = []
+        for i in range(k):
+            try:
+                singles.append(run([i]))
+            except ReflectionOverflow:
+                # the lowest overflowing particle is named
+                event("overflow")
+                with pytest.raises(ReflectionOverflow, match=f"particle {i} exceeded"):
+                    run(list(range(k)))
+                return
+        out, events = run(list(range(k)))
+        if wall == "fold":
+            event(f"{int(np.sum((out.x[:, 0] < 0.0) != (x[:, 0] < 0.0)))} plane crossings")
+        else:
+            event(f"{len(events)} events")
+        assert np.array_equal(out.x, np.concatenate([o.x for o, _ in singles]))
+        assert np.array_equal(out.v, np.concatenate([o.v for o, _ in singles]))
+        expected = [item for _, evs in singles for item in evs]
+        assert [key for key, _ in events] == [key for key, _ in expected]
+        for (_, ev), (_, ref) in zip(events, expected):
+            for a in ("x", "v_minus", "v_plus"):
+                assert np.array_equal(getattr(ev, a), getattr(ref, a))
 
 
 class TestIntegrate:

@@ -1,4 +1,4 @@
-"""Golden artifacts: the sha256 of every data file three short runs write.
+"""Golden artifacts: the sha256 of every data file four short runs write.
 
 The hashes pin the exact bytes of ``snapshots.csv``, ``events.csv``,
 ``ledger.csv`` and ``diagnostics.json``, so a refactor or speed-up that
@@ -83,10 +83,16 @@ backend = event
 cadence_snapshot = 10
 """
 
+# the same run in d = 4: 89 bounces, up to 5 particles leaving in one step
+BALL_IMAGE_D4_RUN = (BALL_IMAGE_RUN.replace("dim = 3", "dim = 4")
+                     .replace("x_min = -0.5, -0.5, -0.5", "x_min = -0.5, -0.5, -0.5, -0.5")
+                     .replace("x_max = 0.5, 0.5, 0.5", "x_max = 0.5, 0.5, 0.5, 0.5"))
+
 CONFIGS = {
     "bounce3d": bounce3d_config_text(t_end=0.2),
     "fold": FOLD_RUN,
     "ball_image": BALL_IMAGE_RUN,
+    "ball_image_d4": BALL_IMAGE_D4_RUN,
 }
 
 ARTIFACTS = ("snapshots.csv", "events.csv", "ledger.csv", "diagnostics.json")
@@ -107,6 +113,16 @@ GOLDEN = {
             "50a6948057359f4a4fbf6d7de6ea667dcf2cf9f58d9f66353a53007bdab03fca",
         "diagnostics.json":
             "2c9264b3a71649bb74fc07a629bf82b9964186b2be1d74bbec92df9dd7725042",
+    },
+    "ball_image_d4": {
+        "snapshots.csv":
+            "b6f05482152f95811ee1dcb4d9595085ac97d2a9f5c028a7ec5eadf0e38c5e76",
+        "events.csv":
+            "24348643637924bdc2ae184c148b3c1e82c5e331f85bafca0f8a5ade97df74e7",
+        "ledger.csv":
+            "1fff78ce832bcfd6ba3ffc732c9ad388d3b692499cb8f8e2040cbf68da0d3bab",
+        "diagnostics.json":
+            "b7d10fa54f297a9e2062008caff6dfbef6f12d85df4070f6102b90121307b426",
     },
     "bounce3d": {
         "snapshots.csv":
