@@ -3,7 +3,7 @@
 The half-space problem can be stepped event-by-event (locate each wall hit,
 flip the normal velocity) or in the whole space after even symmetrization
 (mirror every particle, let trajectories sail through the plane, read
-observables through the fold x1 -> |x1|).  The two backends should agree
+observables through the fold x1 -> |x1|).  The two routes should agree
 exactly; this script measures how exactly.
 
 Run:  python demos/backend_equivalence.py
@@ -18,7 +18,7 @@ from specularvp.fields import (
     field_halfspace_A,
     make_field_factory,
 )
-from specularvp.flow import Backend, StepperConfig, fold_halfspace, integrate
+from specularvp.flow import StepperConfig, fold_halfspace, integrate
 from specularvp.geometry import HalfSpace
 
 
@@ -44,11 +44,11 @@ def main():
     rec_a = integrate(base, image_field_factory, StepperConfig(dt=dt), t_end)
     print(f"  reflections handled: {len(rec_a.events)}")
 
-    print(f"fold backend: 2N={2 * n} mirrored particles, hard-sign whole-space field")
+    print(f"fold: 2N={2 * n} mirrored particles (ProblemB frame), hard-sign whole-space field")
     rec_b = integrate(
         symmetrize(base),
         make_field_factory(domain, GreenKind.WHOLE_SPACE, params, hard_sign=True),
-        StepperConfig(dt=dt, backend=Backend.FOLD_HALFSPACE),
+        StepperConfig(dt=dt),
         t_end,
     )
 
@@ -58,8 +58,8 @@ def main():
         dev = max(dev, float(np.max(np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]))))
     print(f"\nmax folded phase-space deviation over the run: {dev:.3e}")
     print(f"allowance (10 dt^2 per unit time)            : {10 * dt**2 * t_end:.3e}")
-    print("the two backends are the same flow, down to rounding" if dev < 1e-12
-          else "backends diverged beyond rounding -- investigate")
+    print("the two routes are the same flow, down to rounding" if dev < 1e-12
+          else "routes diverged beyond rounding -- investigate")
 
 
 if __name__ == "__main__":

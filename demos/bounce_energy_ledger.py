@@ -19,18 +19,16 @@ from specularvp.flow import StepperConfig, integrate
 
 def main():
     e0, params = bounce3d_ensemble()
-    kind = GreenKind.HALF_SPACE_IMAGE
-    factory = make_field_factory(e0.domain, kind, params)
+    factory = make_field_factory(e0.domain, GreenKind.HALF_SPACE_IMAGE, params)
 
     print(f"integrating {len(e0)} particles over t = 2.0 at dt = 1e-3 ...")
-    rec = integrate(e0, factory, StepperConfig(dt=1e-3), 2.0,
-                    meta={"params": params, "kind": kind})
+    rec = integrate(e0, factory, StepperConfig(dt=1e-3), 2.0)
     print(f"reflections: {len(rec.events)}")
     for ev in rec.events:
         print(f"  particle {ev.particle:2d} bounced at t = {ev.t:.4f}, "
               f"v1: {ev.v_minus[0]:+.3f} -> {ev.v_plus[0]:+.3f}")
 
-    ledger = energy_audit(rec, params, kind)
+    ledger = energy_audit(rec)
     raw_drift = np.abs(ledger.total - ledger.total[0]).max()
     print(f"\ninitial energy      : {ledger.total[0]:.6f}")
     print(f"raw |E(t) - E(0)|   : {raw_drift:.3e}   (K exchange, not an error)")

@@ -3,14 +3,13 @@
 Half-space and ball domains with grounded (zero-Dirichlet) boundary, exact
 image-charge Green functions, the regularized approximation scheme
 (mollified kernel, smoothed sign, boundary and short-range cutoffs), a
-specular event-driven leapfrog plus the whole-space fold backend, a Picard
+specular event-driven leapfrog that also steps the whole-space fold, a Picard
 fixed-point loop monitored in Wasserstein-1, and a diagnostics suite for
 every quantitative identity the scheme is supposed to satisfy.
 """
 
 from .geometry import (
     Ball,
-    BoundaryFrame,
     ChartViolation,
     Domain,
     FlatteningMap,
@@ -30,7 +29,6 @@ from .fields import (
     field_halfspace_A,
     field_model,
     field_problem_b,
-    field_regularized,
     green,
     green_cut,
     make_field_factory,
@@ -44,13 +42,11 @@ from .ensemble import (
     InitialCondition,
     UnsupportedDensity,
     kinetic_energy,
-    potential_energy,
     restrict,
     sample_initial,
     symmetrize,
 )
 from .flow import (
-    Backend,
     NoCrossing,
     NonFiniteState,
     ReflectionEvent,
@@ -62,7 +58,6 @@ from .flow import (
     handle_reflection,
     integrate,
     step,
-    step_fold_halfspace,
 )
 
 __version__ = "0.1.0"

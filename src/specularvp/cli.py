@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
 import sys
@@ -49,7 +50,6 @@ from .diagnostics import (
 from .ensemble import Ensemble, Frame, InitialCondition, sample_initial, symmetrize
 from .fields import GreenKind, RegularizationParams, make_field_factory
 from .flow import (
-    Backend,
     NonFiniteState,
     ReflectionOverflow,
     StepperConfig,
@@ -60,6 +60,7 @@ from .geometry import Ball, HalfSpace
 from .selfconsistent import picard_iterate
 
 __all__ = [
+    "Backend",
     "ParseError",
     "ValidationError",
     "RunConfig",
@@ -80,6 +81,15 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """A parsed value violates a module invariant."""
+
+
+class Backend(enum.Enum):
+    """``[stepper] backend``: ``event`` steps the sampled ensemble in the
+    configured field; ``fold`` steps its symmetrization in the hard-sign
+    field.  The stepper itself follows the ensemble's frame."""
+
+    EVENT_DRIVEN = "event_driven"
+    FOLD_HALFSPACE = "fold_halfspace"
 
 
 _SCHEMA = {
@@ -331,11 +341,10 @@ def _build_field_factory(cfg: RunConfig):
                               hard_sign=cfg.backend is Backend.FOLD_HALFSPACE)
 
 
-def _ledger_kind(cfg: RunConfig):
-    if (cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED
-            and cfg.backend is Backend.EVENT_DRIVEN):
-        return None  # the mollified A-route has no matching cut-Green ledger
-    return cfg.field_kind
+def _has_ledger(cfg: RunConfig):
+    # the mollified A-route has no matching cut-Green ledger
+    return not (cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED
+                and cfg.backend is Backend.EVENT_DRIVEN)
 
 
 def _fmt(x) -> str:
@@ -405,18 +414,14 @@ def run(cfg: RunConfig, out_dir, seed=None,
         stepper = StepperConfig(
             dt=cfg.dt,
             max_reflections_per_step=cfg.max_reflections,
-            backend=cfg.backend,
             frozen_field=cfg.frozen_field,
         )
-        kind = _ledger_kind(cfg)
-        hard_sign = cfg.backend is Backend.FOLD_HALFSPACE
         # the ledger and the log-log moment stream from the stepper's own sweeps
-        ledger_obs = LedgerObserver(cfg.params, kind, hard_sign) if kind is not None else None
+        ledger_obs = LedgerObserver() if _has_ledger(cfg) else None
         rec = integrate(
             e0, factory, stepper, cfg.t_end,
             snapshot_every=cad_snap,
             store_trajectories=cfg.store_trajectories,
-            meta={"params": cfg.params, "kind": kind, "hard_sign": hard_sign},
             observer=ledger_obs,
         )
         dim = e0.dim
@@ -531,8 +536,7 @@ def _cmd_picard(args):
     if args.n_max is not None:
         pc["n_max"] = args.n_max
     e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
-    stepper = StepperConfig(dt=cfg.dt, backend=cfg.backend,
-                            max_reflections_per_step=cfg.max_reflections)
+    stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
     state = picard_iterate(e0, cfg.params, stepper, pc["t0"], n_max=pc["n_max"],
                            tol=pc["tol"], kind=cfg.field_kind, domain=cfg.domain,
                            compute_w1=pc["w1"] or args.w1)
@@ -571,16 +575,10 @@ def _cmd_compare_backends(args):
     fold = dataclasses.replace(cfg, backend=Backend.FOLD_HALFSPACE)
     base = _build_ensemble(event, seed)
     n = len(base)
-    rec_a = integrate(base, _build_field_factory(event),
-                      StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections),
+    stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
+    rec_a = integrate(base, _build_field_factory(event), stepper, cfg.t_end)
+    rec_b = integrate(_build_ensemble(fold, seed), _build_field_factory(fold), stepper,
                       cfg.t_end)
-    rec_b = integrate(
-        _build_ensemble(fold, seed),
-        _build_field_factory(fold),
-        StepperConfig(dt=cfg.dt, backend=Backend.FOLD_HALFSPACE,
-                      max_reflections_per_step=cfg.max_reflections),
-        cfg.t_end,
-    )
     dev = 0.0
     for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
         xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])

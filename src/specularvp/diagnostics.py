@@ -15,6 +15,12 @@ Conventions worth pinning down once:
   event; without it the ledger loses an order of accuracy at bounces.
 * The whole-space (Problem B) route replaces (1 - rbar^zeta) S by
   (sgn - sbar)(x_1) times the mollified-kernel sum against the odd density.
+* Every diagnostic reads the field from the run itself: ``energy_audit``,
+  ``blowup_monitor`` and ``incompressibility_probe`` rebuild each stored
+  snapshot's field with the run's own factory (``RunRecord.field_factory``),
+  ``LedgerObserver`` and ``k_tau`` take a snapshot's ``SnapshotField``.  So
+  a ledger cannot be audited with another field, sign or kind than the
+  run's.
 * ``energy_audit`` and ``blowup_monitor`` recompute everything from stored
   snapshots; ``LedgerObserver`` accumulates the same ledger and moment
   while ``integrate`` runs, from the stepper's own pair sweeps.  Both
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, kinetic_energy, potential_energy
-from .fields import c_d, field_model, field_regularized, grad_green, green, make_field_factory
+from .ensemble import Ensemble, kinetic_energy
+from .fields import c_d, grad_green, green
 from .flow import RunRecord, Trajectory
 
 __all__ = [
@@ -80,38 +86,31 @@ class SupportViolation(ValueError):
 # energy ledger
 # -----------------------------------------------------------------------------
 
-def _uncut_gradient_sum(e: Ensemble, kind, domain, params, at=None):
-    """S_i: the field model's gradient sum before the boundary cutoff or sign.
-
-    sum_j w_j grad_x G^delta(x_i, x_j) on the domain route; on the Problem B
-    route [grad H_eps * rho_odd](x_i) = -c_d sum_j sgn(x_j1) w_j K_eps(x_i - x_j).
-    """
-    return field_model(domain, kind, e.frame, params).pre_cutoff_sum(
-        e, e.x if at is None else at)
-
-
 def _k_power(e: Ensemble, gap, s_sum) -> float:
     """K = 2 sum_i w_i gap(x_i) v_i . S_i over the live particles."""
     w = e.w * e.alive
     return 2.0 * float(np.sum(w * gap * np.sum(e.v * s_sum, axis=1)))
 
 
-def k_tau(e: Ensemble, params, kind, hard_sign=False) -> float:
-    """Instantaneous energy-error power K of the regularized system.
+def k_tau(field) -> float:
+    """Instantaneous energy-error power K of a snapshot's ``SnapshotField``.
 
-    Domain route:   K = 2 sum_i w_i (1 - rbar^zeta(x_i)) v_i . S_i,
-    vanishing as soon as every particle sits beyond 2 zeta of the boundary
-    (and identically for the plain whole-space kind).
+    Domain route:   K = 2 sum_i w_i (1 - rbar^zeta(x_i)) v_i . S_i with S_i
+    = sum_j w_j grad_x G^delta(x_i, x_j), vanishing as soon as every
+    particle sits beyond 2 zeta of the boundary (and identically for the
+    plain whole-space kind).
 
     Problem B route: K = 2 sum_i w_i (sgn - sbar)(x_i1) v_i . T_i with T_i
-    the mollified-kernel sum against the odd density, vanishing when no
-    particle sits within the smoothed-sign strip.  A hard-sign run has no
-    sign mismatch at all: its K is identically zero.
+    = [grad H_eps * rho_odd](x_i) the mollified-kernel sum against the odd
+    density, vanishing when no particle sits within the smoothed-sign
+    strip.  A hard-sign field has no sign mismatch at all: its K is
+    identically zero.
     """
-    gap = field_model(e.domain, kind, e.frame, params, hard_sign).cutoff_gap(e.x)
+    e = field.ens
+    gap = field.model.cutoff_gap(e.x)
     if not np.any(gap):
         return 0.0
-    return _k_power(e, gap, _uncut_gradient_sum(e, kind, e.domain, params))
+    return _k_power(e, gap, field.pre_cutoff_sum(e.x))
 
 
 @dataclass
@@ -139,14 +138,15 @@ class EnergyLedger:
                               for f in dataclasses.fields(self)))
 
 
-def _add_event_corrections(corr, times, events, model, kind, params, snapshot_at):
+def _add_event_corrections(corr, times, events, field_at):
     """Add each bounce's trapezoid correction J h (1/2 - theta) to corr[k + 1].
 
     K jumps by J = 2 w_i (charge - factor)(x*) (v_plus - v_minus) . S_i(x*)
     at a reflection; k is the step holding the event (the first k with
-    t* <= times[k + 1]) and the sources are those of ``snapshot_at(k)``, the
-    snapshot entering it (an O(dt) approximation of an O(dt) term).  Events
-    of a step that ends after times[-1] are skipped and returned.
+    t* <= times[k + 1]) and the sources are those of ``field_at(k)``, the
+    field of the snapshot entering it (an O(dt) approximation of an O(dt)
+    term).  Events of a step that ends after times[-1] are skipped and
+    returned.
     """
     later = []
     for ev in events:
@@ -156,13 +156,13 @@ def _add_event_corrections(corr, times, events, model, kind, params, snapshot_at
             continue
         if k < 0:
             continue
-        gap = float(model.cutoff_gap(ev.x)[0])
+        field = field_at(k)
+        gap = float(field.model.cutoff_gap(ev.x)[0])
         if gap == 0.0:
             continue
-        e_snap = snapshot_at(k)
-        s_at = _uncut_gradient_sum(e_snap, kind, e_snap.domain, params, at=ev.x)[0]
+        s_at = field.pre_cutoff_sum(ev.x)[0]
         jump = (
-            2.0 * e_snap.w[ev.particle] * gap
+            2.0 * field.ens.w[ev.particle] * gap
             * float(np.dot(ev.v_plus - ev.v_minus, s_at))
         )
         h = times[k + 1] - times[k]
@@ -181,67 +181,54 @@ def _ledger(times, ke, pe, kt, corr=None) -> EnergyLedger:
     return EnergyLedger(times, ke, pe, total, kt, k_int, drift)
 
 
-def energy_audit(run: RunRecord, params=None, kind=None, event_correction=True) -> EnergyLedger:
-    """Recompute the energy ledger from a run's snapshots.
+def energy_audit(run: RunRecord, event_correction=True) -> EnergyLedger:
+    """Recompute the energy ledger from a run's snapshots, each in its own
+    field (the run's ``field_factory``), all event corrections at once.
 
-    Requires one snapshot per step (GridMismatch otherwise); params/kind
-    default to the values the run was made with.
+    Requires one snapshot per step (GridMismatch otherwise).
     """
     if run.snapshot_every != 1:
         raise GridMismatch("energy audit needs one snapshot per step")
-    params = params if params is not None else run.meta.get("params")
-    kind = kind if kind is not None else run.meta.get("kind")
-    if params is None or kind is None:
-        raise ValueError("params and kind must be given or recorded in run.meta")
-    first = run.snapshots[0][1]
-
-    hard_sign = bool(run.meta.get("hard_sign", False))
+    fields = [run.field_factory(s) for _, s in run.snapshots]
     times = np.array([t for t, _ in run.snapshots])
-    ke = np.array([kinetic_energy(s) for _, s in run.snapshots])
-    pe = np.array([potential_energy(s, kind, params) for _, s in run.snapshots])
-    kt = np.array([k_tau(s, params, kind, hard_sign=hard_sign) for _, s in run.snapshots])
+    ke = np.array([kinetic_energy(f.ens) for f in fields])
+    pe = np.array([f.model.potential(f.ens) for f in fields])
+    kt = np.array([k_tau(f) for f in fields])
     corr = None
     if event_correction and run.events:
         corr = np.zeros(len(times))
-        model = field_model(first.domain, kind, first.frame, params, hard_sign)
-        _add_event_corrections(corr, times, run.events, model, kind, params,
-                               lambda k: run.snapshots[k][1])
+        _add_event_corrections(corr, times, run.events, fields.__getitem__)
     return _ledger(times, ke, pe, kt, corr)
 
 
 class LedgerObserver:
     """The energy ledger and the log-log moment, accumulated during a run.
 
-    Pass it as ``integrate(..., observer=LedgerObserver(params, kind,
-    hard_sign))`` with a field factory of the same kind, params and sign:
-    each snapshot's kinetic and potential energy, K and moment then come
-    from the sweep the stepper made anyway, and the run keeps O(steps)
-    scalars and the last three snapshots instead of one snapshot per step.
-    ``ledger()`` and ``total_variation`` equal ``energy_audit`` and
-    ``blowup_monitor`` on a run that stored every snapshot.
+    Pass it as ``integrate(..., observer=LedgerObserver())``: each
+    snapshot's kinetic and potential energy, K and moment then come from
+    the field the run stepped with and the sweep the stepper made anyway,
+    and the run keeps O(steps) scalars and the fields of the last three
+    snapshots instead of one snapshot per step.  ``ledger()`` and
+    ``total_variation`` equal ``energy_audit`` and ``blowup_monitor`` on a
+    run that stored every snapshot.
 
-    The step's start snapshot goes unused: a bounce at exactly t_k counts
-    in the step before (see ``_add_event_corrections``), so the observer
-    keeps the last three snapshots itself.
+    A bounce at exactly t_k counts in the step before (see
+    ``_add_event_corrections``), so the observer keeps the last three
+    fields itself.
     """
 
-    def __init__(self, params, kind, hard_sign=False):
-        self.params, self.kind, self.hard_sign = params, kind, hard_sign
+    def __init__(self):
         self.times, self.kinetic, self.potential, self.k_tau = [], [], [], []
         self.moment = []
         self._corr = []         # event corrections per sample
         self._bounced = False   # the run had events
         self._pending = []      # events whose step ends after the last sample
-        self._recent = {}       # sample index -> snapshot, the last three
-        self._model = None
+        self._recent = {}       # sample index -> field, the last three
 
-    def __call__(self, t, snap, sweep, events, start):
+    def __call__(self, t, field, sweep, events):
         if sweep.phi is None:
             raise ValueError("the ledger needs sweeps with the per-row potential")
-        if self._model is None:
-            self._model = field_model(snap.domain, self.kind, snap.frame, self.params,
-                                      self.hard_sign)
-        model = self._model
+        snap, model = field.ens, field.model
         n = len(self.times)
         self.times.append(t)
         self.kinetic.append(kinetic_energy(snap))
@@ -250,13 +237,13 @@ class LedgerObserver:
         self.k_tau.append(_k_power(snap, gap, sweep.pre_cutoff) if np.any(gap) else 0.0)
         self.moment.append(_loglog_moment(snap, _phase_norm(snap)))
         self._corr.append(0.0)
-        self._recent = {k: s for k, s in self._recent.items() if k > n - 3}
-        self._recent[n] = snap
+        self._recent = {k: f for k, f in self._recent.items() if k > n - 3}
+        self._recent[n] = field
         self._bounced = self._bounced or bool(events)
         if self._pending or events:
             self._pending = _add_event_corrections(
-                self._corr, np.array(self.times), self._pending + events, model,
-                self.kind, self.params, self._recent.__getitem__)
+                self._corr, np.array(self.times), self._pending + events,
+                self._recent.__getitem__)
 
     def ledger(self) -> EnergyLedger:
         corr = np.array(self._corr) if self._bounced else None
@@ -581,31 +568,22 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
 # incompressibility probe
 # -----------------------------------------------------------------------------
 
-def _run_field_schedule(run: RunRecord, params, kind):
-    """Per-step frozen field closures reconstructed from the snapshots."""
-    if run.snapshot_every != 1:
-        raise GridMismatch("incompressibility probe needs one snapshot per step")
-    domain = run.snapshots[0][1].domain
-    factory = make_field_factory(domain, kind, params)
-
-    def field_at(step_index):
-        return factory(run.snapshots[min(step_index, len(run.snapshots) - 1)][1])
-
-    return field_at, domain
-
-
 def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0,
-                            dt=1e-3, params=None, kind=None) -> float:
+                            dt=1e-3) -> float:
     """|det J - 1| of the finite-difference flow-map Jacobian at one point.
 
     A stencil of 4d+1 passive tracers (center and +-h along every phase
-    coordinate) rides the run's recorded per-step frozen fields; any tracer
-    reaching the boundary raises StencilReflected (the map is not smooth
-    across events, so the stencil must stay reflection-free).
+    coordinate) rides the run's per-step frozen fields, rebuilt from its
+    snapshots with its own factory; any tracer reaching the boundary raises
+    StencilReflected (the map is not smooth across events, so the stencil
+    must stay reflection-free).
     """
-    params = params if params is not None else run.meta.get("params")
-    kind = kind if kind is not None else run.meta.get("kind")
-    field_at, domain = _run_field_schedule(run, params, kind)
+    if run.snapshot_every != 1:
+        raise GridMismatch("incompressibility probe needs one snapshot per step")
+    domain = run.snapshots[0][1].domain
+
+    def field_at(step_index):
+        return run.field_factory(run.snapshots[min(step_index, len(run.snapshots) - 1)][1])
 
     z0 = np.asarray(seed_point, dtype=float)
     d = z0.size // 2
@@ -662,24 +640,21 @@ def _total_variation(moment) -> float:
     return float(np.sum(np.abs(np.diff(moment))))
 
 
-def blowup_monitor(run: RunRecord, params=None, kind=None) -> BlowupReport:
+def blowup_monitor(run: RunRecord) -> BlowupReport:
     """Per-sample sum_i w_i loglog(2 + |Z_i|) and its drive-term bound.
 
     The moment's total variation staying finite under refinement is the
     discrete face of trajectories not blowing up in finite time; the bound
     series integrates |b(Z)| / ((1 + |Z|) log(2 + |Z|)), with the field the
-    run felt (the hard sign when ``run.meta["hard_sign"]``).
+    run felt (its ``field_factory``).
     """
-    params = params if params is not None else run.meta.get("params")
-    kind = kind if kind is not None else run.meta.get("kind")
-    hard_sign = bool(run.meta.get("hard_sign", False))
     times = np.array([t for t, _ in run.snapshots])
     moment = np.empty(len(times))
     bound = np.empty(len(times))
     for k, (_, e) in enumerate(run.snapshots):
         znorm = _phase_norm(e)
         moment[k] = _loglog_moment(e, znorm)
-        e_val = field_regularized(e.domain, kind, e, params, e.x, hard_sign=hard_sign)
+        e_val = run.field_factory(e)(e.x)
         bnorm = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(e_val**2, axis=1))
         w = e.w * e.alive
         bound[k] = float(np.sum(w * bnorm / ((1.0 + znorm) * np.log(2.0 + znorm))))

@@ -19,7 +19,6 @@ __all__ = [
     "symmetrize",
     "restrict",
     "kinetic_energy",
-    "potential_energy",
     "sample_initial",
 ]
 
@@ -190,13 +189,6 @@ def kinetic_energy(e: Ensemble) -> float:
     stepper's ``NonFiniteState`` check reports such a state."""
     with np.errstate(over="ignore"):
         return float(np.sum(e.w * e.alive * np.sum(e.v**2, axis=1)))
-
-
-def potential_energy(e: Ensemble, kind, params) -> float:
-    """Double-sum interaction energy; see fields.interaction_energy."""
-    from . import fields
-
-    return fields.interaction_energy(e, kind, e.domain, params)
 
 
 @dataclass(frozen=True)

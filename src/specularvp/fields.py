@@ -65,7 +65,6 @@ __all__ = [
     "field_model",
     "field_halfspace_A",
     "field_problem_b",
-    "field_regularized",
     "interaction_energy",
     "make_field_factory",
 ]
@@ -556,11 +555,6 @@ class FieldModel:
         """The field of one snapshot, its source cloud built once."""
         return SnapshotField(self, ens)
 
-    def pre_cutoff_sum(self, ens, x):
-        """S(x): the gradient sum before the target factor (sum_j w_j grad_x G^delta
-        on the domain route, the mollified-kernel sum on the others)."""
-        return self.bind(ens).pre_cutoff_sum(x)
-
     def field(self, ens, x):
         """E(x) = -factor(x) S(x) at positions x, shape (n, d)."""
         return self.bind(ens)(x)
@@ -612,6 +606,8 @@ class SnapshotField:
         return self.model._cloud(self.ens)
 
     def pre_cutoff_sum(self, x):
+        """S(x): the gradient sum before the target factor (sum_j w_j grad_x G^delta
+        on the domain route, the mollified-kernel sum on the others)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.model._sums(self.cloud, x)[0]
 
@@ -632,17 +628,6 @@ class SnapshotField:
 field_model = functools.lru_cache(maxsize=64)(FieldModel)
 
 
-def field_regularized(domain, kind, ens, params: RegularizationParams, x, hard_sign=False):
-    """Regularized self-consistent field of ``ens`` at positions x.
-
-    The route follows from the kind and the ensemble's frame (see
-    ``FieldModel``): a ProblemB-framed ensemble takes the smooth-sign (or,
-    with ``hard_sign``, the hard-sign) mollified route; everything else the
-    domain route, or the mollified image for HALF_SPACE_MOLLIFIED.
-    """
-    return field_model(domain, kind, ens.frame, params, hard_sign).field(ens, x)
-
-
 def field_halfspace_A(ens, params: RegularizationParams, x):
     """Half-space field of Problem A: softened kernel against the odd-reflected density.
 
@@ -659,8 +644,8 @@ def field_problem_b(ens, params: RegularizationParams, x, hard_sign=False):
 
     E(x) = pref(x_1) * c_d sum_j sgn(x_j1) w_j K_eps(x - x_j), with pref the
     smoothed sign (the regularized problem) or the hard sign (the limit
-    problem; used by the fold backend, where it makes the folded flow agree
-    with the event-driven half-space flow exactly).
+    problem; stepping a symmetrized ensemble in it makes the folded flow
+    agree with the event-driven half-space flow exactly).
     """
     model = field_model(ens.domain, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, params, hard_sign)
     return model.field(ens, x)
@@ -670,7 +655,8 @@ def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=Fal
     """Factory: snapshot ensemble -> its ``SnapshotField`` (callable on positions).
 
     Hard-sign fields carry ``plane_split = True``: the field is
-    discontinuous across {x_1 = 0}, and the fold stepper splits kicks there.
+    discontinuous across {x_1 = 0}, and the stepper splits the kicks of a
+    ProblemB ensemble there.
     """
 
     def factory(ens):

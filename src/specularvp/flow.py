@@ -13,32 +13,30 @@ field and distance polynomials the step computed to find them.  Particles
 are summed and located independently, so the result is bitwise the same as
 stepping them one at a time.
 
-Two backends:
+The ensemble's frame decides the wall:
 
-* EVENT_DRIVEN: particles live in the closed domain; every boundary
-  crossing is located and reflected.
-* FOLD_HALFSPACE: an even-symmetric whole-space ensemble is advanced with
-  no reflections; half-space observables are read through the fold
+* ProblemA: particles live in the closed domain; every boundary crossing
+  is located and reflected.
+* ProblemB: an even-symmetric whole-space ensemble is advanced with no
+  reflections; half-space observables are read through the fold
   x_1 -> |x_1|, v_1 -> sgn(x_1) v_1, which reproduces the reflected flow.
   For the hard-sign field the same sub-stepper splits the step at plane
-  crossings, passing through instead of reflecting, so the two backends
+  crossings, passing through instead of reflecting, so the two routes
   agree bitwise in folded coordinates.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import GRAZE_RTOL, Domain, HalfSpace, reflect_velocity
-from .ensemble import Ensemble, Frame, FrameMismatch
+from .ensemble import Ensemble, Frame
 from .fields import Sweep
 
 __all__ = [
-    "Backend",
     "StepperConfig",
     "ReflectionEvent",
     "Trajectory",
@@ -47,7 +45,6 @@ __all__ = [
     "NonFiniteState",
     "NoCrossing",
     "step",
-    "step_fold_halfspace",
     "handle_reflection",
     "integrate",
     "fold_halfspace",
@@ -77,11 +74,6 @@ class NoCrossing(RuntimeError):
     """handle_reflection called on a segment that never exits the domain."""
 
 
-class Backend(enum.Enum):
-    EVENT_DRIVEN = "event_driven"
-    FOLD_HALFSPACE = "fold_halfspace"
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Stepper knobs.
@@ -95,7 +87,6 @@ class StepperConfig:
 
     dt: float
     max_reflections_per_step: int = 8
-    backend: Backend = Backend.EVENT_DRIVEN
     frozen_field: bool = False
 
     def __post_init__(self):
@@ -260,7 +251,12 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     field branch of its new side (the hard-sign field has E(0-) =
     (E(0+))'), so the folded step equals the reflected one.  Grazing hits
     (|v . n| <= GRAZE_RTOL |v|, v = 0 included) finish the step with no
-    jump, sliding along the wall if the field pushes them into it.
+    jump, sliding along the wall if the field pushes them into it; so do
+    hits whose KDK velocity v_minus already points inward (v . n >
+    GRAZE_RTOL |v|, n the inward normal, side * n on the fold plane), which
+    the path can reach when the field at the hit differs from the one at
+    the sub-step's start: a reflection would send them out, and the next
+    sub-step would undo it at the same time.
 
     The rows advance together in rounds.  Round 0 locates the first exits
     from ``c`` and calls no field.  Every later round makes one ``e_fn``
@@ -324,10 +320,11 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         # complete the partial KDK sub-steps [t, t + s] ending on the wall
         vm = v[hit] + (0.5 * s)[:, None] * (e[hit] + f_hit)
         normal = domain.inward_normal(hits)
-        graze = np.abs(_dot(vm, normal)) <= GRAZE_RTOL * np.sqrt(_dot(vm, vm))
+        graze = side[hit] * _dot(vm, normal) >= -GRAZE_RTOL * np.sqrt(_dot(vm, vm))
         if graze.any():
-            # the grazing set, a particle at rest on the wall included: no
-            # jump; the rest of the step is one sub-step along the wall
+            # the grazing set, a particle at rest on the wall and one already
+            # moving inward included: no jump; the rest of the step is one
+            # sub-step along the wall
             g, rest = hit[graze], remaining[hit[graze]] - s[graze]
             g_end = _path(hits[graze], vm[graze], f_hit[graze], rest[:, None])
             through = side[g] * domain.signed_distance(g_end) < 0.0
@@ -404,10 +401,37 @@ def _own_sweep(field_fn, x, potential):
     return Sweep(field_fn(x)) if sweep is None else sweep(potential)
 
 
-def _step(e: Ensemble, field_fn, cfg: StepperConfig, t0, field_factory, lead, potential,
-          wall: Domain | None, fold=False):
-    """The body of ``step`` (the wall ``e.domain``) and
-    ``step_fold_halfspace`` (the plane {x_1 = 0}, or None)."""
+def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
+         lead=None, potential=False):
+    """One kick-drift-kick step; returns (new snapshot, reflection events, tail).
+
+    ``field_fn`` is the field frozen from the input snapshot; ``lead`` is its
+    value at e.x when the caller has it (it is computed otherwise).  With
+    cfg.frozen_field both half-kicks use ``field_fn`` and ``tail`` is None;
+    otherwise the trailing kick of reflection-free particles re-freezes the
+    field from the drifted positions (``field_factory`` must then be given),
+    and ``tail`` is that field's sweep at the new positions, with the
+    per-row potential when ``potential`` is set.
+
+    The frame picks the wall.  A ProblemA ensemble reflects off its domain
+    (none in the whole space).  A ProblemB ensemble is a whole-space,
+    even-symmetric one with no reflections (read it through
+    ``fold_halfspace``): a field carrying ``plane_split = True`` (hard sign)
+    gets its kicks split where paths cross the plane {x_1 = 0}, and the
+    event list is empty; a smooth field takes the plain KDK step.
+
+    Particles whose path leaves the domain (or crosses the plane) take
+    their whole step, trailing kick included, in the event sub-stepper
+    against the frozen field: all of them together, in rounds of one bounce
+    each and one field call per round, bitwise as if each stepped alone.
+    ReflectionOverflow names the lowest such particle past
+    cfg.max_reflections_per_step bounces.
+    """
+    fold = e.frame is Frame.PROBLEM_B
+    if fold:
+        wall = HalfSpace(e.dim) if getattr(field_fn, "plane_split", False) else None
+    else:
+        wall = e.domain
     alive = e.alive
     e0 = field_fn(e.x) if lead is None else lead
     v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
@@ -450,42 +474,6 @@ def _step(e: Ensemble, field_fn, cfg: StepperConfig, t0, field_factory, lead, po
     return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), events, tail
 
 
-def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
-         lead=None, potential=False):
-    """One kick-drift-kick step; returns (new snapshot, reflection events, tail).
-
-    ``field_fn`` is the field frozen from the input snapshot; ``lead`` is its
-    value at e.x when the caller has it (it is computed otherwise).  With
-    cfg.frozen_field both half-kicks use ``field_fn`` and ``tail`` is None;
-    otherwise the trailing kick of reflection-free particles re-freezes the
-    field from the drifted positions (``field_factory`` must then be given),
-    and ``tail`` is that field's sweep at the new positions, with the
-    per-row potential when ``potential`` is set.  Particles whose path
-    leaves the domain take their whole step, trailing kick included, in the
-    event sub-stepper against the frozen field: all of them together, in
-    rounds of one bounce each and one field call per round, bitwise as if
-    each stepped alone.  ReflectionOverflow names the lowest such particle
-    past cfg.max_reflections_per_step bounces.
-    """
-    return _step(e, field_fn, cfg, t0, field_factory, lead, potential, e.domain)
-
-
-def step_fold_halfspace(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
-                        lead=None, potential=False):
-    """Whole-space step of an even-symmetric ensemble (no reflections).
-
-    The ensemble must be in the ProblemB frame; the half-space trajectory is
-    recovered through ``fold_halfspace``.  Field closures carrying
-    ``plane_split = True`` (hard-sign fields) get their kicks split at plane
-    crossings; smooth fields take the plain KDK step.  Arguments and result
-    as for ``step`` (the event list is always empty).
-    """
-    if e.frame is not Frame.PROBLEM_B:
-        raise FrameMismatch("fold backend expects a ProblemB ensemble")
-    plane = HalfSpace(e.dim) if getattr(field_fn, "plane_split", False) else None
-    return _step(e, field_fn, cfg, t0, field_factory, lead, potential, plane, fold=True)
-
-
 def fold_halfspace(x, v):
     """Fold whole-space phase points onto the half-space: (|x_1|, sgn(x_1) v_1).
 
@@ -507,6 +495,8 @@ class RunRecord:
     steps, always including the initial and final states.  Trajectory
     arrays (sampled every step), per-sample field values and the field at
     each event exist when the run was asked to store them.
+    ``field_factory`` is the factory the run stepped with; the diagnostics
+    rebuild each snapshot's field from it.
     """
 
     times: np.ndarray
@@ -521,7 +511,7 @@ class RunRecord:
     traj_times: np.ndarray | None = None
     event_fields: list = field(default_factory=list)
     deaths: dict = field(default_factory=dict)  # particle -> t_plus (blow-up)
-    meta: dict = field(default_factory=dict)
+    field_factory: object = None
 
     def trajectory(self, i: int) -> Trajectory:
         if self.traj_x is None:
@@ -541,8 +531,7 @@ class RunRecord:
 
 
 def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, store_trajectories=False, t0=0.0, meta=None,
-              observer=None):
+              snapshot_every=1, store_trajectories=False, t0=0.0, observer=None):
     """Fixed-dt run over [t0, t0 + t_end].
 
     Each step freezes the field from the snapshot entering the step (the
@@ -556,17 +545,19 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     snapshot's field is swept afresh.  Factories must therefore depend on
     a snapshot's positions, weights and alive mask only.
 
-    ``observer(t, snapshot, sweep, events, start)`` is called on the initial
-    snapshot and after every step, with the snapshot's own ``Sweep`` (its
-    per-row potential included), the step's events and the snapshot the
-    step started from (None and no events for the initial call).
+    The ensemble's frame picks the wall (see ``step``).
+
+    ``observer(t, field, sweep, events)`` is called on the initial snapshot
+    and after every step, with the snapshot's own field (the factory's
+    ``SnapshotField``, which carries the ``model`` and the snapshot as
+    ``ens``), its ``Sweep`` (the per-row potential included) and the step's
+    events (none for the initial call).
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     n_steps = int(round(t_end / cfg.dt)) if t_end > 0 else 0
     if n_steps and abs(n_steps * cfg.dt - t_end) > 1e-9 * max(t_end, cfg.dt):
         raise ValueError("t_end must be an integer number of steps")
-    stepper = step_fold_halfspace if cfg.backend is Backend.FOLD_HALFSPACE else step
     potential = observer is not None
 
     e = e0
@@ -574,7 +565,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     field_fn = field_factory(e)
     sweep = _own_sweep(field_fn, e.x, potential)  # of the current snapshot e
     if observer is not None:
-        observer(t, e, sweep, [], None)
+        observer(t, field_fn, sweep, [])
     snapshots = [(t, e)]
     events: list[ReflectionEvent] = []
     event_fields: list[np.ndarray] = []
@@ -590,8 +581,8 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     deaths: dict[int, float] = {}
     for k in range(n_steps):
         start, lead, sweep = e, sweep.field, None
-        e, evts, sweep = stepper(e, field_fn, cfg, t0=t, lead=lead, potential=potential,
-                                 field_factory=None if cfg.frozen_field else field_factory)
+        e, evts, sweep = step(e, field_fn, cfg, t0=t, lead=lead, potential=potential,
+                              field_factory=None if cfg.frozen_field else field_factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events.extend(evts)
         if store_trajectories and evts:
@@ -605,7 +596,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
         if sweep is None or died.any():
             sweep = _own_sweep(field_fn, e.x, potential)
         if observer is not None:
-            observer(t, e, sweep, evts, start)
+            observer(t, field_fn, sweep, evts)
         if store_trajectories:
             tj_x[k + 1], tj_v[k + 1], tj_e[k + 1] = e.x, e.v, sweep.field
         if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
@@ -624,5 +615,5 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
         traj_times=np.asarray(times) if store_trajectories else None,
         event_fields=event_fields,
         deaths=deaths,
-        meta=dict(meta or {}),
+        field_factory=field_factory,
     )

@@ -20,7 +20,6 @@ __all__ = [
     "Domain",
     "HalfSpace",
     "Ball",
-    "BoundaryFrame",
     "FlatteningMap",
     "ChartViolation",
     "reflect_velocity",
@@ -34,15 +33,6 @@ GRAZE_RTOL = 1e-12
 
 class ChartViolation(ValueError):
     """Point lies outside the chart of a flattening map."""
-
-
-@dataclass(frozen=True)
-class BoundaryFrame:
-    """Local boundary data at a point: inward unit normal and signed distance."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    dist: float
 
 
 class Domain:
@@ -59,14 +49,6 @@ class Domain:
 
     def project_boundary(self, x):
         raise NotImplementedError
-
-    def boundary_frame(self, x) -> BoundaryFrame:
-        x = np.asarray(x, dtype=float)
-        return BoundaryFrame(
-            point=x,
-            normal=self.inward_normal(x),
-            dist=float(self.signed_distance(x)),
-        )
 
     def flattening_map(self) -> "FlatteningMap":
         raise NotImplementedError
@@ -146,17 +128,17 @@ class Ball(Domain):
         return FlatteningMap(self)
 
 
-def reflect_velocity(frame, v):
+def reflect_velocity(n, v):
     """Specular reflection R_x v = v - 2 (v . n(x)) n(x).
 
-    ``frame`` is a BoundaryFrame or a bare inward unit normal.  Broadcasts
-    over leading axes.  Internally reflects across the hyperplane normal to
-    n without assuming |n| = 1 (divides by n . n) with extended-precision
-    reductions and a single final rounding, so the computed map is an
-    involution and an isometry to within a couple of ulps (the plain double
-    formula leaks ~10 ulps through |n|^2 - 1).
+    ``n`` is the inward unit normal.  Broadcasts over leading axes.
+    Internally reflects across the hyperplane normal to n without assuming
+    |n| = 1 (divides by n . n) with extended-precision reductions and a
+    single final rounding, so the computed map is an involution and an
+    isometry to within a couple of ulps (the plain double formula leaks ~10
+    ulps through |n|^2 - 1).
     """
-    n = frame.normal if isinstance(frame, BoundaryFrame) else np.asarray(frame, dtype=float)
+    n = np.asarray(n, dtype=float)
     v = np.asarray(v, dtype=float)
     if n.shape != v.shape:
         n, v = np.broadcast_arrays(n, v)

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .ensemble import Ensemble, Frame
+from .ensemble import Ensemble
 from .fields import GreenKind, make_field_factory
-from .flow import StepperConfig, step, step_fold_halfspace
+from .flow import StepperConfig, step
 
 __all__ = [
     "W1Report",
@@ -210,7 +210,6 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
     times = np.arange(m + 1) * cfg.dt
     n_part = len(h0)
     mass = h0.total_mass
-    stepper = step_fold_halfspace if h0.frame is Frame.PROBLEM_B else step
     factory = make_field_factory(domain, kind, params)
 
     hist_x = np.broadcast_to(h0.x, (m + 1, n_part, h0.dim)).copy()
@@ -226,7 +225,7 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
         for k in range(m):
             # the field generated by the recorded history at grid index k
             field_fn = factory(h0.with_state(x=hist_x[k]))
-            e, _, _ = stepper(e, field_fn, cfg, t0=times[k])
+            e, _, _ = step(e, field_fn, cfg, t0=times[k])
             new_x[k + 1], new_v[k + 1] = e.x, e.v
 
         disp = np.sqrt(

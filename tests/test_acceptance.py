@@ -32,7 +32,7 @@ from specularvp.fields import (
     green,
     make_field_factory,
 )
-from specularvp.flow import Backend, StepperConfig, fold_halfspace, integrate
+from specularvp.flow import StepperConfig, fold_halfspace, integrate
 from specularvp.geometry import Ball, HalfSpace, reflect_velocity
 from specularvp.selfconsistent import picard_iterate, w1_exact
 
@@ -54,11 +54,8 @@ def bounce3d_runs():
     t0 = time.time()
     for dt in (1e-3, 5e-4):
         cfg = StepperConfig(dt=dt)
-        runs[dt] = integrate(e0, factory, cfg, 2.0,
-                             meta={"params": params, "kind": kind})
+        runs[dt] = integrate(e0, factory, cfg, 2.0)
     runs["elapsed"] = time.time() - t0
-    runs["params"] = params
-    runs["kind"] = kind
     return runs
 
 
@@ -134,11 +131,10 @@ def test_criterion_02_grounded_boundary_and_green_bounds():
 
 def test_criterion_03_energy_identity(bounce3d_runs):
     t0 = time.time()
-    params, kind = bounce3d_runs["params"], bounce3d_runs["kind"]
     drifts = {}
     e0_total = None
     for dt in (1e-3, 5e-4):
-        ledger = energy_audit(bounce3d_runs[dt], params, kind)
+        ledger = energy_audit(bounce3d_runs[dt])
         drifts[dt] = ledger.max_abs_drift
         e0_total = ledger.total[0]
     assert drifts[1e-3] <= 1e-5 * abs(e0_total), "drift exceeds 1e-5 E(0)"
@@ -153,8 +149,7 @@ def test_criterion_03_energy_identity(bounce3d_runs):
 
 def test_criterion_04_energy_bound(bounce3d_runs):
     t0 = time.time()
-    ledger = energy_audit(bounce3d_runs[1e-3], bounce3d_runs["params"],
-                          bounce3d_runs["kind"])
+    ledger = energy_audit(bounce3d_runs[1e-3])
     check = energy_bound_check(ledger, tol=1e-4)
     assert check.passed, "energy bound violated"
     elapsed = time.time() - t0
@@ -181,7 +176,7 @@ def test_criterion_05_symmetrization_equivalence():
     rec_b = integrate(
         symmetrize(base),
         make_field_factory(HS, GreenKind.WHOLE_SPACE, params, hard_sign=True),
-        StepperConfig(dt=dt, backend=Backend.FOLD_HALFSPACE), 1.0)
+        StepperConfig(dt=dt), 1.0)
     dev = 0.0
     for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
         xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
@@ -247,15 +242,14 @@ def test_criterion_08_incompressibility():
                  v=np.array([[0.1, 0.2, 0.0], [-0.1, -0.2, 0.0]]),
                  w=np.array([0.5, 0.5]), domain=HS)
     rec = integrate(e, make_field_factory(HS, kind, params),
-                    StepperConfig(dt=1e-3), 1.0, meta={"params": params, "kind": kind})
+                    StepperConfig(dt=1e-3), 1.0)
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(20):
         seed_pt = np.concatenate([
             [1.0 + 1.5 * rng.random()], rng.normal(size=2) * 0.3,
             rng.normal(size=3) * 0.2])
-        err = incompressibility_probe(rec, seed_pt, h=1e-5, t_end=1.0, dt=1e-3,
-                                      params=params, kind=kind)
+        err = incompressibility_probe(rec, seed_pt, h=1e-5, t_end=1.0, dt=1e-3)
         worst = max(worst, err)
         assert err <= 1e-4, f"|det - 1| = {err:.2e}"
     elapsed = time.time() - t0
@@ -302,7 +296,7 @@ def test_criterion_10_weakform_residual():
         e = Ensemble(x=np.array([[0.6, 0.0, 0.0]]), v=np.array([[-1.0, 0.6, 0.0]]),
                      w=np.array([2.0]), domain=HS)
         rec = integrate(e, factory, StepperConfig(dt=dt), 1.2,
-                        store_trajectories=True, meta={"params": params, "kind": kind})
+                        store_trajectories=True)
         assert len(rec.events) == 1, "fixture must produce a one-bounce trajectory"
         traj = rec.trajectory(0)
         residuals[dt] = max(abs(weakform_residual(traj, phi, HS)) for phi in lib)

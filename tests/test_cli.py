@@ -7,6 +7,7 @@ import pytest
 
 import specularvp.fields as fields
 from specularvp.cli import (
+    Backend,
     ParseError,
     ValidationError,
     bounce3d_config_text,
@@ -14,7 +15,6 @@ from specularvp.cli import (
     parse_config,
     run,
 )
-from specularvp.flow import Backend
 from specularvp.geometry import Ball, HalfSpace
 
 MINIMAL = """

@@ -32,10 +32,9 @@ from specularvp.fields import (
     c_d,
     cutoff_rbar,
     cutoff_rbar_prime,
-    field_regularized,
     make_field_factory,
 )
-from specularvp.flow import Backend, StepperConfig, integrate
+from specularvp.flow import StepperConfig, integrate
 from specularvp.geometry import Ball, HalfSpace
 
 HS = HalfSpace(3)
@@ -50,17 +49,22 @@ def make(x, v, w, domain=HS, frame=Frame.PROBLEM_A):
                     domain=domain, frame=frame)
 
 
+def field_of(e, kind=KIND, params=PARAMS, hard_sign=False):
+    """The snapshot field of e in its own domain."""
+    return make_field_factory(e.domain, kind, params, hard_sign)(e)
+
+
 class TestKTau:
     def test_vanishes_beyond_the_shell(self):
         rng = np.random.default_rng(0)
         e = make(np.c_[0.5 + rng.random(8), rng.normal(size=(8, 2))],
                  rng.normal(size=(8, 3)), np.full(8, 0.1))
-        assert k_tau(e, PARAMS, KIND) == 0.0
+        assert k_tau(field_of(e)) == 0.0
 
     def test_vanishes_for_velocity_orthogonal_to_field(self):
         # single particle in the shell moving tangentially: v . S = 0
         e = make([[0.15, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [1.0])
-        assert k_tau(e, PARAMS, KIND) == pytest.approx(0.0, abs=1e-18)
+        assert k_tau(field_of(e)) == pytest.approx(0.0, abs=1e-18)
 
     def test_single_particle_hand_value(self):
         # K = 2 w (1 - rbar^zeta) v . S with S the self-image gradient sum
@@ -72,24 +76,24 @@ class TestKTau:
                    + cutoff_rbar(s / PARAMS.delta) * (-1.0) * c_d(3) / s**2)
         s1 = -w * g_prime
         expected = 2 * w * (1 - cutoff_rbar(x1 / PARAMS.zeta)) * v1 * s1
-        assert k_tau(e, PARAMS, KIND) == pytest.approx(expected, rel=1e-12)
+        assert k_tau(field_of(e)) == pytest.approx(expected, rel=1e-12)
 
     def test_problem_b_route_vanishes_outside_sign_strip(self):
         rng = np.random.default_rng(1)
         base = make(np.c_[0.5 + rng.random(4), rng.normal(size=(4, 2))],
                     rng.normal(size=(4, 3)), np.full(4, 0.2))
         sym = symmetrize(base)
-        assert k_tau(sym, PARAMS, GreenKind.WHOLE_SPACE) == 0.0
+        assert k_tau(field_of(sym, GreenKind.WHOLE_SPACE)) == 0.0
 
     def test_whole_space_kind_is_zero(self):
         e = make([[0.02, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [1.0], domain=None)
-        assert k_tau(e, PARAMS, GreenKind.WHOLE_SPACE) == 0.0
+        assert k_tau(field_of(e, GreenKind.WHOLE_SPACE)) == 0.0
 
 
 def run_fixture(e0, dt, t_end, kind=KIND, params=PARAMS, **kw):
     fac = make_field_factory(e0.domain, kind, params)
     cfg = StepperConfig(dt=dt)
-    return integrate(e0, fac, cfg, t_end, meta={"params": params, "kind": kind}, **kw)
+    return integrate(e0, fac, cfg, t_end, **kw)
 
 
 class TestEnergyAudit:
@@ -138,9 +142,7 @@ class TestEnergyAudit:
                     rng.normal(size=(6, 3)) * 0.6, np.full(6, 0.05))
         sym = symmetrize(base)
         fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS)
-        rec = integrate(sym, fac,
-                        StepperConfig(dt=1e-3, backend=Backend.FOLD_HALFSPACE), 1.0,
-                        meta={"params": PARAMS, "kind": GreenKind.WHOLE_SPACE})
+        rec = integrate(sym, fac, StepperConfig(dt=1e-3), 1.0)
         ledger = energy_audit(rec)
         without_k = np.abs(ledger.total - ledger.total[0]).max()
         assert ledger.max_abs_drift <= 1e-6 * abs(ledger.total[0])
@@ -154,10 +156,7 @@ class TestEnergyAudit:
                     rng.normal(size=(6, 3)) * 0.6, np.full(6, 0.05))
         sym = symmetrize(base)
         fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True)
-        rec = integrate(sym, fac,
-                        StepperConfig(dt=1e-3, backend=Backend.FOLD_HALFSPACE), 1.0,
-                        meta={"params": PARAMS, "kind": GreenKind.WHOLE_SPACE,
-                              "hard_sign": True})
+        rec = integrate(sym, fac, StepperConfig(dt=1e-3), 1.0)
         ledger = energy_audit(rec)
         assert np.all(ledger.k_tau == 0.0)
         assert ledger.max_abs_drift <= 1e-6 * abs(ledger.total[0])
@@ -178,8 +177,7 @@ class TestEnergyBound:
                  np.zeros((8, 3)), np.full(8, 20.0))
         params = RegularizationParams(0.05, 0.05, 0.1, 0.02)
         fac = make_field_factory(HS, KIND, params)
-        rec = integrate(e, fac, StepperConfig(dt=0.5), 10.0,
-                        meta={"params": params, "kind": KIND})
+        rec = integrate(e, fac, StepperConfig(dt=0.5), 10.0)
         check = energy_bound_check(energy_audit(rec), tol=1e-4)
         assert not check.passed
         assert check.min_margin < 0
@@ -436,17 +434,13 @@ class TestBlowupMonitor:
         base = make(np.c_[0.005 + 0.08 * rng.random(16), rng.normal(size=(16, 2)) * 0.05],
                     rng.normal(size=(16, 3)) * 0.3, np.full(16, 1.0 / 16))
         fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True)
-        rec = integrate(symmetrize(base), fac,
-                        StepperConfig(dt=1e-3, backend=Backend.FOLD_HALFSPACE), 0.01,
-                        meta={"params": PARAMS, "kind": GreenKind.WHOLE_SPACE,
-                              "hard_sign": True})
+        rec = integrate(symmetrize(base), fac, StepperConfig(dt=1e-3), 0.01)
 
         def bound(hard_sign):
             out = []
             for _, e in rec.snapshots:
                 z = np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
-                ev = field_regularized(HS, GreenKind.WHOLE_SPACE, e, PARAMS, e.x,
-                                       hard_sign=hard_sign)
+                ev = field_of(e, GreenKind.WHOLE_SPACE, hard_sign=hard_sign)(e.x)
                 b = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(ev**2, axis=1))
                 out.append(np.sum(e.w * b / ((1.0 + z) * np.log(2.0 + z))))
             return np.array(out)
@@ -467,9 +461,7 @@ class TestMirrorSymmetryOfDiagnostics:
                     rng.normal(size=(6, 3)) * 0.5, np.full(6, 0.1))
         sym = symmetrize(base)
         fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True)
-        cfg = StepperConfig(dt=1e-2, backend=Backend.FOLD_HALFSPACE)
-        rec = integrate(sym, fac, cfg, 0.2,
-                        meta={"params": PARAMS, "kind": GreenKind.WHOLE_SPACE})
+        rec = integrate(sym, fac, StepperConfig(dt=1e-2), 0.2)
 
         def mirrored(run):
             snaps = []

@@ -9,12 +9,10 @@ from specularvp.ensemble import (
     InitialCondition,
     UnsupportedDensity,
     kinetic_energy,
-    potential_energy,
     restrict,
     sample_initial,
     symmetrize,
 )
-from specularvp.fields import GreenKind, RegularizationParams
 from specularvp.geometry import HalfSpace
 
 HS = HalfSpace(3)
@@ -113,13 +111,6 @@ class TestEnergies:
         sym = symmetrize(base)
         assert kinetic_energy(sym) == pytest.approx(
             2 * kinetic_energy(restrict(sym)), rel=1e-13)
-
-    def test_potential_energy_delegates_to_fields(self):
-        params = RegularizationParams(0.05, 0.05, 0.1, 0.1)
-        e = make([[0.4, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [0.7])
-        from specularvp.fields import interaction_energy
-        assert potential_energy(e, GreenKind.HALF_SPACE_IMAGE, params) == (
-            interaction_energy(e, GreenKind.HALF_SPACE_IMAGE, HS, params))
 
 
 class TestOddDensityView:

@@ -234,7 +234,7 @@ def test_model_matches_pair_reference(route, d, data):
     ws = list(e.w * e.alive)
     s_ref, scale, pot_ref, pot_scale = reference(route, e.x.tolist(), ws, targets.tolist())
 
-    s = model.pre_cutoff_sum(e, targets)
+    s = model.bind(e).pre_cutoff_sum(targets)
     assert np.all(np.isfinite(s))
     err = np.abs(s - s_ref).max(axis=1)
     assert np.all(err <= RTOL * scale), (err, scale)
@@ -265,7 +265,7 @@ def test_sweep_is_bitwise_the_separate_passes(route, d, data, tile):
         sweep = model.bind(e).sweep(potential=True)
         assert model.bind(e).sweep().phi is None
     assert np.array_equal(sweep.field, model.field(e, e.x))
-    assert np.array_equal(sweep.pre_cutoff, model.pre_cutoff_sum(e, e.x))
+    assert np.array_equal(sweep.pre_cutoff, model.bind(e).pre_cutoff_sum(e.x))
     assert model.energy(e, sweep.phi) == model.potential(e)
 
 

@@ -16,8 +16,8 @@ from specularvp.fields import (
     cutoff_rbar,
     cutoff_rbar_prime,
     field_halfspace_A,
+    field_model,
     field_problem_b,
-    field_regularized,
     grad_green_cut,
     green,
     green_cut,
@@ -30,6 +30,11 @@ from specularvp.geometry import Ball, HalfSpace
 
 HS = HalfSpace(3)
 PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.1, delta=0.1)
+
+
+def regularized(domain, kind, e, x):
+    """The regularized field of e at x, on the route its frame and the kind pick."""
+    return field_model(domain, kind, e.frame, PARAMS).field(e, x)
 
 
 def ensemble(x, v=None, w=None, domain=HS, frame=Frame.PROBLEM_A):
@@ -179,7 +184,7 @@ class TestGreenCut:
         assert np.allclose(a, b, rtol=1e-14)
 
     def test_gradient_consistency_with_finite_differences(self):
-        # field_regularized = -grad of the discrete cut potential, away from shells
+        # the regularized field = -grad of the discrete cut potential, away from shells
         rng = np.random.default_rng(3)
         src = np.c_[0.5 + rng.random(4), rng.standard_normal((4, 2)) * 0.3]
         w = np.array([0.3, 0.2, 0.25, 0.25])
@@ -196,8 +201,7 @@ class TestGreenCut:
             dx = np.zeros(3)
             dx[j] = h
             grad[j] = (pot(x0 + dx) - pot(x0 - dx)) / (2 * h)
-        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS,
-                                  x0[None, :])[0]
+        field = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, x0[None, :])[0]
         assert np.allclose(field, -grad, atol=1e-6)
 
 
@@ -236,13 +240,12 @@ class TestFields:
     def test_regularized_vanishes_in_boundary_collar(self):
         e = ensemble([[1.0, 0.0, 0.0]])
         x = np.array([[0.05, 0.3, 0.2]])  # dist < zeta
-        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, x)
+        field = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, x)
         assert np.all(field == 0.0)
 
     def test_regularized_empty_ensemble(self):
         e = Ensemble(x=np.zeros((0, 3)), v=np.zeros((0, 3)), w=np.zeros(0), domain=HS)
-        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS,
-                                  np.array([[1.0, 0.0, 0.0]]))
+        field = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, np.array([[1.0, 0.0, 0.0]]))
         assert np.all(field == 0.0)
 
     def test_regularized_image_only_inside_delta(self):
@@ -250,8 +253,7 @@ class TestFields:
         xj = np.array([0.7, 0.0, 0.0])
         e = ensemble([xj], w=[2.0])
         x = xj + np.array([0.0, 0.04, 0.0])
-        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS,
-                                  x[None, :])[0]
+        field = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, x[None, :])[0]
         zm = xj.copy()
         zm[0] = -zm[0]
         expected = -2.0 * grad_green_cut(
@@ -266,7 +268,7 @@ class TestFields:
     def test_batch_single_particle_self_image_closed_form(self):
         x1 = 0.9
         e = ensemble([[x1, 0.0, 0.0]], w=[0.5])
-        field = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)[0]
+        field = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, e.x)[0]
         # image at (-x1, 0 ,0), strength -w, separation 2 x1 beyond the cutoffs
         expected = -0.5 * c_d(3) / (2 * x1) ** 2
         assert field[0] == pytest.approx(expected, rel=1e-12)
@@ -276,7 +278,7 @@ class TestFields:
         a = np.array([5.0, 0.0, 0.0])
         b = np.array([5.0, 0.7, 0.0])
         e = ensemble([a, b], w=[1.0, 1.0])
-        field = field_regularized(None, GreenKind.WHOLE_SPACE, e, PARAMS, e.x)
+        field = regularized(None, GreenKind.WHOLE_SPACE, e, e.x)
         diff = a - b
         # the whole-space route is the cut Green gradient; beyond 2 delta it
         # coincides with the bare Coulomb kernel
@@ -289,12 +291,12 @@ class TestFields:
         rng = np.random.default_rng(5)
         e = ensemble(np.c_[0.2 + rng.random(33), rng.standard_normal((33, 2))],
                      w=rng.random(33))
-        ref = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
-        again = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
+        ref = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, e.x)
+        again = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, e.x)
         assert np.array_equal(ref, again)
         for tile in (1, 7, 32):
             monkeypatch.setattr(fields_module, "_CHUNK_TARGETS", tile)
-            out = field_regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, PARAMS, e.x)
+            out = regularized(HS, GreenKind.HALF_SPACE_IMAGE, e, e.x)
             assert np.array_equal(ref, out)
 
     def test_problem_b_field_symmetry(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, event, given
+from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -12,7 +12,6 @@ from specularvp.fields import (
     make_field_factory,
 )
 from specularvp.flow import (
-    Backend,
     NoCrossing,
     NonFiniteState,
     ReflectionOverflow,
@@ -21,7 +20,6 @@ from specularvp.flow import (
     handle_reflection,
     integrate,
     step,
-    step_fold_halfspace,
 )
 from specularvp.geometry import Ball, HalfSpace
 
@@ -234,7 +232,7 @@ class TestMissedExcursion:
 
         cfg = StepperConfig(dt=1.0)
         evt, events, _ = step(base, half, cfg)
-        fold, _, _ = step_fold_halfspace(symmetrize(base), whole, cfg)
+        fold, _, _ = step(symmetrize(base), whole, cfg)
         assert len(events) == 1
         assert fold.x[0, 0] < 0.0 < fold.x[1, 0]
         for i in (0, 1):
@@ -391,15 +389,15 @@ class TestBatchInvariance:
         cfg = StepperConfig(dt=dt, frozen_field=True)
         if wall == "fold":
             field.plane_split = True
-            domain, frame, stepper = HalfSpace(dim), Frame.PROBLEM_B, step_fold_halfspace
+            domain, frame = HalfSpace(dim), Frame.PROBLEM_B
         else:
             domain = HalfSpace(dim) if wall == "halfspace" else Ball(dim, 1.0)
-            frame, stepper = Frame.PROBLEM_A, step
+            frame = Frame.PROBLEM_A
 
         def run(rows):
             e = Ensemble(x=x[rows], v=v[rows], w=np.ones(len(rows)), domain=domain,
                          frame=frame)
-            out, events, _ = stepper(e, field, cfg, t0=0.5)
+            out, events, _ = step(e, field, cfg, t0=0.5)
             return out, [((rows[ev.particle], ev.t), ev)
                          for ev in sorted(events, key=lambda ev: (ev.particle, ev.t))]
 
@@ -425,6 +423,35 @@ class TestBatchInvariance:
         for (_, ev), (_, ref) in zip(events, expected):
             for a in ("x", "v_minus", "v_plus"):
                 assert np.array_equal(getattr(ev, a), getattr(ref, a))
+
+
+class TestEventDirection:
+    """A recorded bounce arrives from inside: v_minus points out of the domain."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("wall", ["halfspace", "ball"])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), dt=st.floats(0.05, 1.0))
+    @example(seed=0, k=2, dt=1.0)
+    def test_no_inward_event_and_no_cancelling_pair(self, wall, dim, seed, k, dt):
+        # with seed 0, k = 2, dt = 1 in the d = 3 half-space, particle 1 hits
+        # the wall with a KDK velocity that already points inward; reflecting
+        # it sent it out, and a second event at the same time undid the first
+        rng = np.random.default_rng(seed)
+        x, v = draw_cloud(rng, wall, dim, k)
+        field = affine_field(5.0 * rng.standard_normal((dim, dim)),
+                             10.0 * rng.standard_normal(dim))
+        domain = HalfSpace(dim) if wall == "halfspace" else Ball(dim, 1.0)
+        e = Ensemble(x=x, v=v, w=np.ones(k), domain=domain)
+        try:
+            _, events, _ = step(e, field, StepperConfig(dt=dt, frozen_field=True), t0=0.5)
+        except ReflectionOverflow:
+            event("overflow")
+            return
+        event(f"{len(events)} events")
+        for ev in events:
+            assert np.dot(ev.v_minus, domain.inward_normal(ev.x)) < 0.0
+        keys = [(ev.particle, ev.t) for ev in events]
+        assert len(set(keys)) == len(keys)
 
 
 class TestIntegrate:
@@ -470,7 +497,7 @@ class TestIntegrate:
                         v=rng.normal(size=(6, 3)), w=np.full(6, 0.1), domain=HS)
         sym = symmetrize(base)
         fac = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True)
-        rec = integrate(sym, fac, StepperConfig(dt=1e-3, backend=Backend.FOLD_HALFSPACE), 0.5)
+        rec = integrate(sym, fac, StepperConfig(dt=1e-3), 0.5)
         n = len(base)
         f = rec.final
         xm = f.x[n:].copy()
@@ -561,7 +588,7 @@ class TestFoldBackend:
         # |1 - t| versus the bounced coordinate, exactly
         base = particle([1.0, 0.0, 0.0], [-1.0, 0.3, 0.0])
         sym = symmetrize(base)
-        cfg = StepperConfig(dt=0.25, backend=Backend.FOLD_HALFSPACE)
+        cfg = StepperConfig(dt=0.25)
         rec_fold = integrate(sym, lambda ens: zero_field, cfg, 2.0)
         rec_evt = integrate(base, lambda ens: zero_field, StepperConfig(dt=0.25), 2.0)
         for (_, sf), (_, se) in zip(rec_fold.snapshots, rec_evt.snapshots):
@@ -573,13 +600,8 @@ class TestFoldBackend:
         e = Ensemble(x=np.array([[0.0, 0.5, 0.0], [0.0, 0.5, 0.0]]),
                      v=np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
                      w=np.ones(2), domain=HS, frame=Frame.PROBLEM_B)
-        out, _, _ = step_fold_halfspace(e, zero_field, StepperConfig(dt=1.0))
+        out, _, _ = step(e, zero_field, StepperConfig(dt=1.0))
         assert np.all(out.x[:, 0] == 0.0)
-
-    def test_frame_mismatch(self):
-        e = particle([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(Exception):
-            step_fold_halfspace(e, zero_field, StepperConfig(dt=0.1))
 
     def test_backend_equivalence_within_bound(self):
         rng = np.random.default_rng(4)
@@ -597,7 +619,7 @@ class TestFoldBackend:
         rec_b = integrate(
             symmetrize(base),
             make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True),
-            StepperConfig(dt=dt, backend=Backend.FOLD_HALFSPACE), 1.0)
+            StepperConfig(dt=dt), 1.0)
         dev = 0.0
         for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
             xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
@@ -624,7 +646,7 @@ class TestFoldBackend:
         rec_b = integrate(
             symmetrize(base),
             make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=True),
-            StepperConfig(dt=dt, backend=Backend.FOLD_HALFSPACE), 0.2)
+            StepperConfig(dt=dt), 0.2)
         assert len(rec_a.events) >= 1
         dev = 0.0
         for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):

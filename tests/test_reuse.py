@@ -10,6 +10,7 @@ recomputed from stored snapshots, bit for bit.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,45 +19,52 @@ from specularvp.cli import bounce3d_ensemble
 from specularvp.diagnostics import LedgerObserver, blowup_monitor, energy_audit
 from specularvp.ensemble import Ensemble, symmetrize
 from specularvp.fields import FieldModel, GreenKind, RegularizationParams, make_field_factory
-from specularvp.flow import (
-    Backend,
-    ReflectionEvent,
-    StepperConfig,
-    integrate,
-    step,
-    step_fold_halfspace,
-)
+from specularvp.flow import ReflectionEvent, StepperConfig, fold_halfspace, integrate, step
 from specularvp.geometry import Ball, HalfSpace
 
 HS = HalfSpace(3)
 BALL = Ball(3, 1.0)
+HS4 = HalfSpace(4)
 PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.1, delta=0.1)
 
 
 def bounce(frozen=False):
     e0, params = bounce3d_ensemble()
-    kind = GreenKind.HALF_SPACE_IMAGE
-    return (e0, make_field_factory(HS, kind, params), kind, params, False,
+    return (e0, make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params),
             StepperConfig(dt=1e-2, frozen_field=frozen), 0.8)
 
 
-def ball_image():
+def halfspace_d4():
+    # a light cloud in d = 4 with one member launched through the cutoff shell
+    rng = np.random.default_rng(9)
+    x = np.c_[0.3 + rng.random(10), rng.normal(size=(10, 3)) * 0.5]
+    v = rng.normal(size=(10, 4)) * 0.5
+    x[0], v[0] = [0.3, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]
+    e0 = Ensemble(x=x, v=v, w=np.full(10, 0.5 / 10), domain=HS4)
+    return (e0, make_field_factory(HS4, GreenKind.HALF_SPACE_IMAGE, PARAMS),
+            StepperConfig(dt=1e-2), 0.8)
+
+
+def ball_image(dim=3):
     rng = np.random.default_rng(4)
-    x = rng.uniform(-0.4, 0.4, size=(12, 3))
-    e0 = Ensemble(x=x, v=rng.normal(size=(12, 3)) * 5.0, w=np.full(12, 0.5 / 12), domain=BALL)
-    kind = GreenKind.BALL_IMAGE
-    return (e0, make_field_factory(BALL, kind, PARAMS), kind, PARAMS, False,
+    ball = Ball(dim, 1.0)
+    x = rng.uniform(-0.4, 0.4, size=(12, dim))
+    e0 = Ensemble(x=x, v=rng.normal(size=(12, dim)) * 5.0, w=np.full(12, 0.5 / 12),
+                  domain=ball)
+    return (e0, make_field_factory(ball, GreenKind.BALL_IMAGE, PARAMS),
             StepperConfig(dt=1e-2), 0.3)
 
 
-def fold(hard_sign):
+def fold_base():
     # a thin layer at the plane: plane crossings, and the smoothed-sign strip
     rng = np.random.default_rng(5)
-    base = Ensemble(x=np.c_[0.005 + 0.08 * rng.random(8), rng.normal(size=(8, 2)) * 0.2],
+    return Ensemble(x=np.c_[0.005 + 0.08 * rng.random(8), rng.normal(size=(8, 2)) * 0.2],
                     v=rng.normal(size=(8, 3)), w=np.full(8, 1.0 / 16), domain=HS)
-    kind = GreenKind.WHOLE_SPACE
-    return (symmetrize(base), make_field_factory(HS, kind, PARAMS, hard_sign=hard_sign), kind,
-            PARAMS, hard_sign, StepperConfig(dt=1e-2, backend=Backend.FOLD_HALFSPACE), 0.3)
+
+
+def fold(hard_sign):
+    factory = make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS, hard_sign=hard_sign)
+    return symmetrize(fold_base()), factory, StepperConfig(dt=1e-2), 0.3
 
 
 def heavy_escapee():
@@ -69,14 +77,14 @@ def heavy_escapee():
     w = np.full(6, 0.1)
     w[0] = 1e20
     e0 = Ensemble(x=x, v=v, w=w, domain=HS)
-    kind = GreenKind.WHOLE_SPACE
-    return (e0, make_field_factory(HS, kind, PARAMS), kind, PARAMS, False,
-            StepperConfig(dt=0.25), 3.0)
+    return e0, make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS), StepperConfig(dt=0.25), 3.0
 
 
 CASES = {
     "halfspace_event": lambda: bounce(),
+    "halfspace_d4_event": halfspace_d4,
     "ball_image_event": ball_image,
+    "ball_image_d4_event": lambda: ball_image(4),
     "fold_hard_sign": lambda: fold(True),
     "fold_smooth_sign": lambda: fold(False),
     "frozen_field": lambda: bounce(frozen=True),
@@ -86,13 +94,12 @@ CASES = {
 
 def reference_run(e, factory, cfg, t_end):
     """integrate without reuse: every step's leading field is evaluated afresh."""
-    stepper = step_fold_halfspace if cfg.backend is Backend.FOLD_HALFSPACE else step
     snaps, events, event_fields, traj_e = [e], [], [], []
     for k in range(int(round(t_end / cfg.dt))):
         field_fn = factory(e)
         traj_e.append(field_fn(e.x))
-        e, evts, _ = stepper(e, field_fn, cfg, t0=k * cfg.dt,
-                             field_factory=None if cfg.frozen_field else factory)
+        e, evts, _ = step(e, field_fn, cfg, t0=k * cfg.dt,
+                          field_factory=None if cfg.frozen_field else factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events += evts
         event_fields += [field_fn(ev.x[None, :])[0] for ev in evts]
@@ -121,7 +128,7 @@ def assert_same_run(rec, ref):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reuse_matches_a_run_without_reuse(case):
-    e0, factory, kind, params, hard_sign, cfg, t_end = CASES[case]()
+    e0, factory, cfg, t_end = CASES[case]()
     rec = integrate(e0, factory, cfg, t_end, store_trajectories=True)
     assert_same_run(rec, reference_run(e0, factory, cfg, t_end))
     if case.endswith("_event"):
@@ -130,8 +137,35 @@ def test_reuse_matches_a_run_without_reuse(case):
         assert np.any(rec.traj_x[:, :, 0] * rec.traj_x[0, :, 0] < 0), "no plane crossing"
 
 
+# sha256 over the snapshots' x and v bytes of the fold(True) run as the
+# dedicated fold stepper wrote it, before the frame alone picked the wall
+FOLD_RUN_SHA256 = "b2f1dd8fd71ad5d73295ece5c2ad28da335f5720b031bcd78cbcfc97815ee7e4"
+
+
+def test_the_frame_picks_the_wall():
+    # a ProblemB ensemble under a plain config steps the fold: no wall
+    # events, the fold run's bytes, and, folded, the event-driven run of its
+    # half-space cloud in the mollified image field to rounding
+    e0, factory, cfg, t_end = fold(True)
+    rec = integrate(e0, factory, cfg, t_end)
+    assert rec.events == []
+    digest = hashlib.sha256()
+    for _, snap in rec.snapshots:
+        digest.update(snap.x.tobytes())
+        digest.update(snap.v.tobytes())
+    assert digest.hexdigest() == FOLD_RUN_SHA256
+    base = fold_base()
+    ref = integrate(base, make_field_factory(HS, GreenKind.HALF_SPACE_MOLLIFIED, PARAMS),
+                    cfg, t_end)
+    assert ref.events, "the half-space run must bounce"
+    n = len(base)
+    for (_, sb), (_, sa) in zip(rec.snapshots, ref.snapshots):
+        xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
+        assert np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]).max() <= 1e-14
+
+
 def test_a_death_drops_the_carried_sweep():
-    e0, factory, *_, cfg, t_end = heavy_escapee()
+    e0, factory, cfg, t_end = heavy_escapee()
     rec = integrate(e0, factory, cfg, t_end)
     assert rec.deaths == {0: 1.5}
     # the dead particle's sources changed the field: a sweep carried across
@@ -145,7 +179,7 @@ def test_a_death_drops_the_carried_sweep():
 def test_a_plain_field_function_is_reused_and_dropped_too():
     # a field that counts the live particles: carrying it across the death
     # would kick every particle with the old count
-    e0, *_, cfg, t_end = heavy_escapee()
+    e0, _, cfg, t_end = heavy_escapee()
 
     def counting_factory(ens):
         return lambda x: np.full_like(x, -1e-3 * np.sum(ens.alive))
@@ -158,7 +192,7 @@ def test_a_plain_field_function_is_reused_and_dropped_too():
 def test_one_full_sweep_per_step(monkeypatch):
     # the initial sweep, then one tail sweep per step; event sub-steps make
     # single-target calls only
-    e0, factory, *_, cfg, t_end = bounce()
+    e0, factory, cfg, t_end = bounce()
     passes = []
     sums = FieldModel._sums
 
@@ -175,10 +209,9 @@ def test_one_full_sweep_per_step(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_streamed_ledger_equals_the_audits(case):
-    e0, factory, kind, params, hard_sign, cfg, t_end = CASES[case]()
-    obs = LedgerObserver(params, kind, hard_sign)
-    rec = integrate(e0, factory, cfg, t_end, observer=obs,
-                    meta={"params": params, "kind": kind, "hard_sign": hard_sign})
+    e0, factory, cfg, t_end = CASES[case]()
+    obs = LedgerObserver()
+    rec = integrate(e0, factory, cfg, t_end, observer=obs)
     audit = energy_audit(rec)
     ledger = obs.ledger()
     for f in dataclasses.fields(audit):
@@ -186,17 +219,17 @@ def test_streamed_ledger_equals_the_audits(case):
     report = blowup_monitor(rec)
     assert np.array_equal(obs.moment, report.loglog_moment)
     assert obs.total_variation == report.total_variation
-    if case in ("halfspace_event", "ball_image_event", "fold_smooth_sign"):
+    if case.endswith("_event") or case == "fold_smooth_sign":
         assert np.any(ledger.k_tau != 0.0), "the case must exercise K"
 
 
 def test_streamed_event_corrections_follow_the_step_index_rule():
     # events at a step's start time, just past its end, and past the run's
     # end take the same step index, source snapshot and order in both paths
-    e0, factory, kind, params, _, cfg, _ = bounce()
-    rec = integrate(e0, factory, cfg, 0.3, meta={"params": params, "kind": kind})
+    e0, factory, cfg, _ = bounce()
+    rec = integrate(e0, factory, cfg, 0.3)
     times = rec.times
-    snaps = [s for _, s in rec.snapshots]
+    fields = [factory(s) for _, s in rec.snapshots]
 
     def bounce_at(t):
         return ReflectionEvent(t, 1, np.array([0.0, 0.1, 0.0]),
@@ -206,13 +239,11 @@ def test_streamed_event_corrections_follow_the_step_index_rule():
         5: [bounce_at(times[5] + 0.3 * cfg.dt)],
         10: [bounce_at(times[10])],                             # counted in step 9
         11: [bounce_at(np.nextafter(times[12], np.inf))],       # counted in step 12
-        len(snaps) - 2: [bounce_at(np.nextafter(times[-1], np.inf))],  # dropped
+        len(fields) - 2: [bounce_at(np.nextafter(times[-1], np.inf))],  # dropped
     }
-    obs = LedgerObserver(params, kind)
-    obs(times[0], snaps[0], factory(snaps[0]).sweep(potential=True), [], None)
-    for m in range(1, len(snaps)):
-        obs(times[m], snaps[m], factory(snaps[m]).sweep(potential=True),
-            by_step.get(m - 1, []), snaps[m - 1])
+    obs = LedgerObserver()
+    for m, field in enumerate(fields):
+        obs(times[m], field, field.sweep(potential=True), by_step.get(m - 1, []))
     events = [ev for k in sorted(by_step) for ev in by_step[k]]
     audit = energy_audit(dataclasses.replace(rec, events=events))
     assert np.array_equal(obs.ledger().k_integral, audit.k_integral)
