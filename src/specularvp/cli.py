@@ -44,6 +44,7 @@ from .diagnostics import (
     LedgerObserver,
     audit_green,
     energy_bound_check,
+    float_rows,
     read_ledger_csv,
     write_ledger_csv,
 )
@@ -347,10 +348,6 @@ def _has_ledger(cfg: RunConfig):
                 and cfg.backend is Backend.EVENT_DRIVEN)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_snapshots_csv(path, run, dim):
     header = (
         ["t", "id"]
@@ -360,12 +357,9 @@ def _write_snapshots_csv(path, run, dim):
     )
     lines = [",".join(header)]
     for t, snap in run.snapshots:
-        for pid in range(len(snap)):
-            row = [_fmt(t), str(pid)]
-            row += [_fmt(c) for c in snap.x[pid]]
-            row += [_fmt(c) for c in snap.v[pid]]
-            row.append(_fmt(snap.w[pid]))
-            lines.append(",".join(row))
+        lead = f"{float(t)!r},"
+        lines += [f"{lead}{pid},{row}"
+                  for pid, row in enumerate(float_rows(snap.x, snap.v, snap.w))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -377,12 +371,9 @@ def _write_events_csv(path, run, dim):
         + [f"vp{i}" for i in range(dim)]
     )
     lines = [",".join(header)]
-    for ev in run.events:
-        row = [_fmt(ev.t), str(ev.particle)]
-        row += [_fmt(c) for c in ev.x]
-        row += [_fmt(c) for c in ev.v_minus]
-        row += [_fmt(c) for c in ev.v_plus]
-        lines.append(",".join(row))
+    evs = run.events
+    rows = float_rows([e.x for e in evs], [e.v_minus for e in evs], [e.v_plus for e in evs])
+    lines += [f"{float(e.t)!r},{e.particle},{row}" for e, row in zip(evs, rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -500,9 +491,7 @@ def bounce3d_config_text(dt=1e-3, t_end=2.0):
         "",
         "[particles]",
     ]
-    for i in range(len(e0)):
-        row = np.concatenate([e0.x[i], e0.v[i], [e0.w[i]]])
-        lines.append(f"{i} = " + ",".join(repr(float(c)) for c in row))
+    lines += [f"{i} = {row}" for i, row in enumerate(float_rows(e0.x, e0.v, e0.w))]
     lines += [
         "",
         "[stepper]",

@@ -60,6 +60,7 @@ __all__ = [
     "incompressibility_probe",
     "blowup_monitor",
     "audit_green",
+    "float_rows",
     "write_ledger_csv",
     "write_phi_csv",
     "write_residual_jsonl",
@@ -753,17 +754,18 @@ def audit_green(domain, kind, n_pairs=10_000, seed=0, n_boundary=100,
 # writers (diff-friendly, deterministic)
 # -----------------------------------------------------------------------------
 
-def _fmt(x):
-    return repr(float(x))
+def float_rows(*columns):
+    """The rows of the columns (1-D, or 2-D for several) side by side, as
+    comma-joined ``repr(float)``: the shortest text that reads back to the
+    same double.  One ``tolist`` makes every value a Python float at once."""
+    return [",".join(map(repr, row))
+            for row in np.column_stack(columns).astype(float).tolist()]
 
 
 def write_ledger_csv(ledger: EnergyLedger, path):
     lines = ["t,kinetic,potential,total,K_integral,drift"]
-    for k in range(len(ledger.times)):
-        lines.append(",".join(_fmt(c[k]) for c in (
-            ledger.times, ledger.kinetic, ledger.potential,
-            ledger.total, ledger.k_integral, ledger.drift,
-        )))
+    lines += float_rows(ledger.times, ledger.kinetic, ledger.potential,
+                        ledger.total, ledger.k_integral, ledger.drift)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -786,9 +788,7 @@ def read_ledger_csv(path) -> EnergyLedger:
 def write_phi_csv(probe: SeparationProbe, path):
     series = phi_series(probe)
     slopes = np.concatenate([[0.0], np.diff(series) / np.diff(probe.times)])
-    lines = ["t,phi,slope"]
-    for t, p, s in zip(probe.times, series, slopes):
-        lines.append(f"{_fmt(t)},{_fmt(p)},{_fmt(s)}")
+    lines = ["t,phi,slope"] + float_rows(probe.times, series, slopes)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -22,8 +22,16 @@ runs over the sources in ascending index order and adds one pair term at a
 time, so results do not depend on the tiling.  The loop is a small C kernel
 (``pairs.c``), built by gcc on first use and cached in this package's
 ``__pycache__`` under a name keyed by the sha256 of the source and flags.
-Without a compiler, or if the build fails, ``_rows_numpy`` does the same
-float operations in the same order and gives the same bits.
+It takes the rows in blocks of 32, one vector lane per row, and the rows
+after the last full block one at a time; each lane does its row's float
+operations in its row's order.  The flags keep every bit: ``-O3`` and
+``-fno-math-errno`` vectorise the lanes (vector sqrt and division round
+correctly), ``-ffp-contract=off`` forbids fused multiply-adds, and without
+``-ffast-math`` nothing is reassociated.  No ``-march``: the AVX-512 and
+AVX2 clones of ``pair_rows`` are picked by the CPU at load time, so one
+cached build serves every CPU.  Without a compiler, or if the build fails,
+``_rows_numpy`` does the same float operations in the same order and gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -346,7 +354,7 @@ def grad_green_cut(kind, domain, delta, x, z):
 _CHUNK_TARGETS = 256
 
 _KERNEL_SOURCE = Path(__file__).with_name("pairs.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @functools.cache

@@ -11,7 +11,8 @@ profile and the half-powers of the Plummer kernel differ in parity.
 Tolerance: 1e-12 relative to the sum of the absolute pair contributions
 (the scale of a sum whose terms may cancel).
 
-The compiled kernel (pairs.c) and the numpy path must agree bit for bit.
+The compiled kernel (pairs.c) and the numpy path must agree bit for bit
+(-0.0 apart from 0.0), also with target counts around its lane block.
 """
 
 import functools
@@ -226,6 +227,36 @@ def clouds(draw, route, d):
     return e, targets
 
 
+# the rows pairs.c takes together, one per vector lane; the rows after the
+# last full block go one at a time
+BLOCK = 32
+
+
+@st.composite
+def block_targets(draw, route, d, e, m):
+    """m targets that cycle through a drawn pattern of up to 8: free and wall
+    points, copies of the sources, and sources pulled in by 2^-40 of their
+    size (a Kelvin separation of a wall point that rounds below 0).  So the
+    lanes of one block take different branches of the row loop, and the
+    short pattern leaves the shrinker few values to work on."""
+    domain = route_domain(route, d)
+    kinds = st.sampled_from(["free", "wall", "copy", "near"])
+    point = st.tuples(st.lists(grid, min_size=d, max_size=d), kinds)
+    pattern = []
+    for raw in draw(st.lists(point, min_size=1, max_size=8)):
+        if raw[1] in ("copy", "near"):
+            source = e.x[draw(st.integers(0, len(e.x) - 1))]
+            pattern.append(source * (1.0 if raw[1] == "copy" else 1.0 - 2.0**-40))
+        else:
+            pattern.append(place(domain, raw, []))
+    return np.array([pattern[i % len(pattern)] for i in range(m)])
+
+
+def bitwise_equal(a, b):
+    # to the bit: -0.0 and 0.0 differ, as they do in the CSVs
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("route, d", CASES)
 @given(data=st.data())
 def test_model_matches_pair_reference(route, d, data):
@@ -264,8 +295,8 @@ def test_sweep_is_bitwise_the_separate_passes(route, d, data, tile):
     with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
         sweep = model.bind(e).sweep(potential=True)
         assert model.bind(e).sweep().phi is None
-    assert np.array_equal(sweep.field, model.field(e, e.x))
-    assert np.array_equal(sweep.pre_cutoff, model.bind(e).pre_cutoff_sum(e.x))
+    assert bitwise_equal(sweep.field, model.field(e, e.x))
+    assert bitwise_equal(sweep.pre_cutoff, model.bind(e).pre_cutoff_sum(e.x))
     assert model.energy(e, sweep.phi) == model.potential(e)
 
 
@@ -285,7 +316,7 @@ def test_kernel_and_numpy_path_are_bitwise_equal(route, d, data, tile):
             reference = [model._sums(cloud, targets, *mode) for mode in modes]
     for got, want in zip(compiled, reference):
         for a, b in zip(got, want):
-            assert (a is None and b is None) or np.array_equal(a, b)
+            assert (a is None and b is None) or bitwise_equal(a, b)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: numpy is the only path")
@@ -306,8 +337,27 @@ def test_kernel_and_numpy_path_agree_on_a_large_cloud(route, d, tile):
         compiled = model._sums(cloud, e.x, True, True)
         with mock.patch.object(fields, "_load_kernel", lambda: None):
             reference = model._sums(cloud, e.x, True, True)
-    assert np.array_equal(compiled[0], reference[0])
-    assert np.array_equal(compiled[1], reference[1])
+    assert bitwise_equal(compiled[0], reference[0])
+    assert bitwise_equal(compiled[1], reference[1])
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: numpy is the only path")
+@pytest.mark.parametrize("route, d", CASES)
+@given(data=st.data(), m=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+def test_lane_blocks_are_bitwise_the_numpy_rows(route, d, data, m):
+    # target counts on both sides of the block width; one block mixes free
+    # points, wall points, copies of sources (sep = 0: the delta clamp) and
+    # dead sources, so its lanes take different branches
+    e, _ = data.draw(clouds(route, d))
+    targets = data.draw(block_targets(route, d, e, m))
+    model = route_model(route, d)
+    cloud = model.bind(e).cloud
+    for mode in [(True, False), (False, True), (True, True)]:
+        compiled = model._sums(cloud, targets, *mode)
+        with mock.patch.object(fields, "_load_kernel", lambda: None):
+            reference = model._sums(cloud, targets, *mode)
+        for a, b in zip(compiled, reference):
+            assert (a is None and b is None) or bitwise_equal(a, b)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
