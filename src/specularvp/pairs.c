@@ -123,10 +123,7 @@ rows(int d, int cut, double param, double amp, double gain,
     }
 }
 
-/* rows() for the L targets t[0..L), the lanes of one block: per source, a
-   few loops over the lanes, each free of branches (a clamp is a select), so
-   that each is a handful of vector instructions; every lane does its row's
-   float operations in its row's order */
+/* rows() for the L targets t[0..L), the lanes of one block */
 static inline __attribute__((always_inline)) void
 lanes(int d, int cut, double param, double amp, double gain,
       double radius2, const double *a2,
