@@ -127,10 +127,10 @@ class RunConfig:
     backend: Backend
     max_reflections: int
     frozen_field: bool
+    picard: dict
     cadence_snapshot: int = 1
     cadence_ledger: int = 1
     store_trajectories: bool = False
-    picard: dict | None = None
     source_text: str = ""
 
 
@@ -291,14 +291,12 @@ def parse_config(path) -> RunConfig:
     if t_end < 0:
         raise ValidationError("t_end must be >= 0")
 
-    picard = None
-    if "picard" in sections:
-        picard = {
-            "t0": _get(sections, "picard", "t0", float, default=0.05),
-            "n_max": _get(sections, "picard", "n_max", int, default=6),
-            "tol": _get(sections, "picard", "tol", float, default=0.0),
-            "w1": _get(sections, "picard", "w1", _boolean, default=False),
-        }
+    picard = {
+        "t0": _get(sections, "picard", "t0", float, default=0.05),
+        "n_max": _get(sections, "picard", "n_max", int, default=6),
+        "tol": _get(sections, "picard", "tol", float, default=0.0),
+        "w1": _get(sections, "picard", "w1", _boolean, default=False),
+    }
 
     return RunConfig(
         domain=domain,
@@ -381,8 +379,7 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run(cfg: RunConfig, out_dir, seed=None,
-        cadence_snapshot=None, cadence_ledger=None) -> int:
+def run(cfg: RunConfig, out_dir, seed=None) -> int:
     """Execute a configured run and emit artifacts; returns the exit status.
 
     The manifest is written however the run ends (complete: false and the
@@ -390,8 +387,6 @@ def run(cfg: RunConfig, out_dir, seed=None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
-    cad_snap = cadence_snapshot or cfg.cadence_snapshot
-    cad_ledger = cadence_ledger or cfg.cadence_ledger
     manifest = {
         "version": __version__,
         "seed": int(seed),
@@ -411,7 +406,7 @@ def run(cfg: RunConfig, out_dir, seed=None,
         ledger_obs = LedgerObserver() if _has_ledger(cfg) else None
         rec = integrate(
             e0, factory, stepper, cfg.t_end,
-            snapshot_every=cad_snap,
+            snapshot_every=cfg.cadence_snapshot,
             store_trajectories=cfg.store_trajectories,
             observer=ledger_obs,
         )
@@ -421,8 +416,8 @@ def run(cfg: RunConfig, out_dir, seed=None,
         diag = {"events": len(rec.events), "particles": len(e0), "t_end": cfg.t_end}
         if ledger_obs is not None:
             ledger = ledger_obs.ledger()
-            if cad_ledger > 1:
-                ledger = ledger.every(cad_ledger)
+            if cfg.cadence_ledger > 1:
+                ledger = ledger.every(cfg.cadence_ledger)
             write_ledger_csv(ledger, out / "ledger.csv")
             check = energy_bound_check(ledger)
             diag.update({
@@ -512,21 +507,17 @@ def bounce3d_config_text(dt=1e-3, t_end=2.0):
 
 def _cmd_simulate(args):
     cfg = parse_config(args.config)
-    return run(cfg, args.out, seed=args.seed,
-               cadence_snapshot=args.cadence_snapshot,
-               cadence_ledger=args.cadence_ledger)
+    return run(cfg, args.out, seed=args.seed)
 
 
 def _cmd_picard(args):
     cfg = parse_config(args.config)
-    pc = cfg.picard or {"t0": 0.05, "n_max": 6, "tol": 0.0, "w1": False}
-    if args.t0 is not None:
-        pc["t0"] = args.t0
-    if args.n_max is not None:
-        pc["n_max"] = args.n_max
+    pc = cfg.picard
+    t0 = pc["t0"] if args.t0 is None else args.t0
+    n_max = pc["n_max"] if args.n_max is None else args.n_max
     e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
     stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
-    state = picard_iterate(e0, cfg.params, stepper, pc["t0"], n_max=pc["n_max"],
+    state = picard_iterate(e0, cfg.params, stepper, t0, n_max=n_max,
                            tol=pc["tol"], kind=cfg.field_kind, domain=cfg.domain,
                            compute_w1=pc["w1"] or args.w1)
     out = Path(args.out)
@@ -608,8 +599,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run a configured simulation")
     _add_common(p)
-    p.add_argument("--cadence-snapshot", type=int, default=None)
-    p.add_argument("--cadence-ledger", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("picard", help="run the Picard contraction loop")

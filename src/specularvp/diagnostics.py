@@ -394,10 +394,8 @@ class SeparableBump:
     the initial-corner exclusion holds automatically.
 
     All evaluators broadcast: t of shape S with x, v of shape (S, d) give
-    shape-S values and (S, d) gradients (``supports_batch``).
+    shape-S values and (S, d) gradients.
     """
-
-    supports_batch = True
 
     def __init__(self, t_center, t_radius, x_center, x_radius,
                  v_center, v_radius, graze_cut=0.0, amplitude=1.0):
@@ -512,7 +510,9 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
     at event times with one-sided velocity values, so the residual shrinks
     at second order under dt refinement.  The event sum is the Lagrangian
     face of the boundary-trace pairing of phi(x, v) with phi(x, R_x v).
-    Raises SupportViolation if phi is nonzero at a grazing boundary sample.
+    phi's evaluators must broadcast as SeparableBump's do: all samples are
+    evaluated in one call.  Raises SupportViolation if phi is nonzero at a
+    grazing boundary sample.
     """
     nodes = [(float(t), traj.x[k], traj.v[k], traj.e_field[k])
              for k, t in enumerate(traj.times)]
@@ -523,35 +523,22 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
     nodes.sort(key=lambda nd: nd[0])
 
     tt = np.array([nd[0] for nd in nodes])
-    if getattr(phi, "supports_batch", False):
-        xx = np.array([nd[1] for nd in nodes])
-        vv = np.array([nd[2] for nd in nodes])
-        ee = np.array([nd[3] for nd in nodes])
-        vals = phi.value(tt, xx, vv)
-        if domain is not None:
-            live = np.flatnonzero(vals != 0.0)
-            near = live[domain.signed_distance(xx[live]) <= 1e-9 * domain.scale]
-            for k in near:
-                if not _support_ok(phi, domain, tt[k], xx[k], vv[k], float(vals[k])):
-                    raise SupportViolation(
-                        "test function violates the grazing-set exclusion")
-        g = (
-            phi.grad_t(tt, xx, vv)
-            + np.sum(vv * phi.grad_x(tt, xx, vv), axis=-1)
-            + np.sum(ee * phi.grad_v(tt, xx, vv), axis=-1)
-        )
-    else:
-        g = np.empty(len(nodes))
-        for k, (t, x, v, e_val) in enumerate(nodes):
-            val = phi.value(t, x, v)
-            if not _support_ok(phi, domain, t, x, v, val):
+    xx = np.array([nd[1] for nd in nodes])
+    vv = np.array([nd[2] for nd in nodes])
+    ee = np.array([nd[3] for nd in nodes])
+    vals = phi.value(tt, xx, vv)
+    if domain is not None:
+        live = np.flatnonzero(vals != 0.0)
+        near = live[domain.signed_distance(xx[live]) <= 1e-9 * domain.scale]
+        for k in near:
+            if not _support_ok(phi, domain, tt[k], xx[k], vv[k], float(vals[k])):
                 raise SupportViolation(
                     "test function violates the grazing-set exclusion")
-            g[k] = (
-                phi.grad_t(t, x, v)
-                + float(np.dot(v, phi.grad_x(t, x, v)))
-                + float(np.dot(e_val, phi.grad_v(t, x, v)))
-            )
+    g = (
+        phi.grad_t(tt, xx, vv)
+        + np.sum(vv * phi.grad_x(tt, xx, vv), axis=-1)
+        + np.sum(ee * phi.grad_v(tt, xx, vv), axis=-1)
+    )
     integral = float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(tt)))
 
     jumps = sum(

@@ -23,8 +23,8 @@ time, so results do not depend on the tiling.  The loop is a small C kernel
 (``pairs.c``), built by gcc on first use and cached in this package's
 ``__pycache__`` under a name keyed by the sha256 of the source and flags.
 It takes the rows in blocks of 32, one vector lane per row, and the rows
-after the last full block one at a time; each lane does its row's float
-operations in its row's order.  The flags keep every bit: ``-O3`` and
+after the last full block as one shorter block; each lane does its row's
+float operations in its row's order.  The flags keep every bit: ``-O3`` and
 ``-fno-math-errno`` vectorise the lanes (vector sqrt and division round
 correctly), ``-ffp-contract=off`` forbids fused multiply-adds, and without
 ``-ffast-math`` nothing is reassociated.  No ``-march``: the AVX-512 and

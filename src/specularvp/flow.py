@@ -406,12 +406,12 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     """One kick-drift-kick step; returns (new snapshot, reflection events, tail).
 
     ``field_fn`` is the field frozen from the input snapshot; ``lead`` is its
-    value at e.x when the caller has it (it is computed otherwise).  With
-    cfg.frozen_field both half-kicks use ``field_fn`` and ``tail`` is None;
-    otherwise the trailing kick of reflection-free particles re-freezes the
-    field from the drifted positions (``field_factory`` must then be given),
-    and ``tail`` is that field's sweep at the new positions, with the
-    per-row potential when ``potential`` is set.
+    value at e.x when the caller has it (it is computed otherwise).  Without
+    a ``field_factory`` (the frozen-field step) both half-kicks use
+    ``field_fn`` and ``tail`` is None; with one, the trailing kick of
+    reflection-free particles re-freezes the field from the drifted
+    positions, and ``tail`` is that field's sweep at the new positions, with
+    the per-row potential when ``potential`` is set.
 
     The frame picks the wall.  A ProblemA ensemble reflects off its domain
     (none in the whole space).  A ProblemB ensemble is a whole-space,
@@ -463,7 +463,7 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
 
     # trailing half-kick of the particles that did not cross
     x_new[~alive] = e.x[~alive]
-    if cfg.frozen_field or field_factory is None:
+    if field_factory is None:
         tail, kick = None, field_fn(x_new)
     else:
         tail = _own_sweep(field_factory(e.with_state(x=x_new, v=v_new)), x_new, potential)

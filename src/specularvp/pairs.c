@@ -18,15 +18,16 @@
  *     g = amp b^((2-d)/2), g'/sep = gain b^(-d/2).
  * Powers are products of 1/sep or 1/sqrt(b), taken left to right.
  *
- * Lane blocks: the rows go L = 32 at a time.  The sources run in the outer
+ * Lane blocks: the rows go L = 32 at a time, one lane per row, and the
+ * rows after the last full block (all of them, in a call with fewer than L
+ * rows) go together as one shorter block.  The sources run in the outer
  * loop, in ascending order, and the block's targets in the inner loops,
  * stored lane-major (x_k of lane l at xl[k*L + l]).  Per source, each step
- * of the row loop is one loop over the lanes: the route's branches (Kelvin
- * or point, cut or Plummer, gradient, potential) sit outside those loops and
- * the clamps inside are selects, so the compiler puts the lanes in vector
- * registers.  Each lane does its row's float operations in its row's order.
- * The rows after the last full block (all of them, in a call with fewer
- * than L rows) take the one-row loop.  So the blocking changes no bit.
+ * of a row's pair term is one loop over the lanes: the route's branches
+ * (Kelvin or point, cut or Plummer, gradient, potential) sit outside those
+ * loops and the clamps inside are selects, so the compiler puts the lanes
+ * in vector registers.  Each lane does its row's float operations in its
+ * row's order, so the block size changes no bit.
  *
  * Build with -O3 -fno-math-errno -ffp-contract=off and without -ffast-math:
  * no fused multiply-add and no reassociation; vector sqrt and division are
@@ -45,95 +46,18 @@
 #define CLONES
 #endif
 
-static inline __attribute__((always_inline)) void
-rows(int d, int cut, double param, double amp, double gain,
-     double radius2, const double *a2,
-     long m, const double *t, long n, const double *y, const double *q,
-     double *s, double *phi)
-{
-    double acc[d], vec[d];
-
-    for (long i = 0; i < m; i++) {
-        const double *x = t + i * d;
-        double xx = 0.0, pot = phi ? phi[i] : 0.0;
-
-        if (a2)
-            for (int k = 0; k < d; k++)
-                xx += x[k] * x[k];
-        for (int k = 0; k < d; k++)
-            acc[k] = s ? s[i * d + k] : 0.0;
-
-        for (long j = 0; j < n; j++) {
-            const double *z = y + j * d;
-            double sep2 = 0.0, sep = 0.0, u = 0.0, r = 0.0, inv, p;
-
-            if (a2) {
-                double xz = 0.0;
-                for (int k = 0; k < d; k++) {
-                    xz += x[k] * z[k];
-                    vec[k] = x[k] * a2[j] - z[k];
-                }
-                sep2 = xx * a2[j] + radius2 - 2.0 * xz;
-                if (sep2 < 0.0)
-                    sep2 = 0.0;
-            } else {
-                for (int k = 0; k < d; k++) {
-                    vec[k] = x[k] - z[k];
-                    sep2 += vec[k] * vec[k];
-                }
-            }
-
-            if (cut) {
-                sep = sqrt(sep2);
-                if (sep < param)
-                    sep = param;
-                u = sep / param - 1.0;
-                if (u > 1.0)
-                    u = 1.0;
-                r = u * u * u * (u * (6.0 * u - 15.0) + 10.0);
-                inv = 1.0 / sep;
-            } else {
-                inv = 1.0 / sqrt(sep2 + param);
-            }
-            p = inv;
-            for (int k = 3; k < d; k++)
-                p *= inv;                                   /* inv^(d-2) */
-
-            if (phi)
-                pot += (cut ? r * amp : amp) * p * q[j];
-            if (s) {
-                double coef = p * inv * inv;                /* inv^d */
-                if (cut) {
-                    double rp = 30.0 * u * u * ((u - 1.0) * (u - 1.0));
-                    coef = gain * (rp * sep / param + (2.0 - d) * r) * coef;
-                } else {
-                    coef = gain * coef;
-                }
-                coef = coef * q[j];
-                for (int k = 0; k < d; k++)
-                    acc[k] += vec[k] * coef;
-            }
-        }
-
-        for (int k = 0; k < d; k++)
-            if (s)
-                s[i * d + k] = acc[k];
-        if (phi)
-            phi[i] = pot;
-    }
-}
-
-/* rows() for the L targets t[0..L), the lanes of one block */
+/* the rows of the nl <= L targets t[0..nl), one lane each; a full block
+   passes the constant L, so its lane loops have a fixed trip count */
 static inline __attribute__((always_inline)) void
 lanes(int d, int cut, double param, double amp, double gain,
       double radius2, const double *a2,
-      const double *t, long n, const double *y, const double *q,
+      int nl, const double *t, long n, const double *y, const double *q,
       double *s, double *phi)
 {
     double xl[d * L], acc[d * L], xx[L], pot[L];
     double sep2[L], sep[L], u[L], r[L], inv[L], p[L], coef[L];
 
-    for (int l = 0; l < L; l++) {
+    for (int l = 0; l < nl; l++) {
         xx[l] = 0.0;
         pot[l] = phi ? phi[l] : 0.0;
         for (int k = 0; k < d; k++) {
@@ -147,25 +71,25 @@ lanes(int d, int cut, double param, double amp, double gain,
         const double *z = y + j * d;
         const double qj = q[j];
 
-        for (int l = 0; l < L; l++)
+        for (int l = 0; l < nl; l++)
             sep2[l] = 0.0;                  /* x.y_j first, for a2 */
         for (int k = 0; k < d; k++) {
             const double *x = xl + k * L;
             if (a2)
-                for (int l = 0; l < L; l++)
+                for (int l = 0; l < nl; l++)
                     sep2[l] += x[l] * z[k];
             else
-                for (int l = 0; l < L; l++)
+                for (int l = 0; l < nl; l++)
                     sep2[l] += (x[l] - z[k]) * (x[l] - z[k]);
         }
         if (a2)
-            for (int l = 0; l < L; l++) {
+            for (int l = 0; l < nl; l++) {
                 double v = xx[l] * a2[j] + radius2 - 2.0 * sep2[l];
                 sep2[l] = v < 0.0 ? 0.0 : v;
             }
 
         if (cut)
-            for (int l = 0; l < L; l++) {
+            for (int l = 0; l < nl; l++) {
                 double e = sqrt(sep2[l]), w;
                 sep[l] = e < param ? param : e;
                 w = sep[l] / param - 1.0;
@@ -174,42 +98,42 @@ lanes(int d, int cut, double param, double amp, double gain,
                 inv[l] = p[l] = 1.0 / sep[l];
             }
         else
-            for (int l = 0; l < L; l++)
+            for (int l = 0; l < nl; l++)
                 inv[l] = p[l] = 1.0 / sqrt(sep2[l] + param);
         for (int k = 3; k < d; k++)
-            for (int l = 0; l < L; l++)
+            for (int l = 0; l < nl; l++)
                 p[l] *= inv[l];
 
         if (phi && cut)
-            for (int l = 0; l < L; l++)
+            for (int l = 0; l < nl; l++)
                 pot[l] += r[l] * amp * p[l] * qj;
         else if (phi)
-            for (int l = 0; l < L; l++)
+            for (int l = 0; l < nl; l++)
                 pot[l] += amp * p[l] * qj;
         if (!s)
             continue;
         if (cut)
-            for (int l = 0; l < L; l++) {
+            for (int l = 0; l < nl; l++) {
                 double rp = 30.0 * u[l] * u[l] * ((u[l] - 1.0) * (u[l] - 1.0));
                 coef[l] = gain * (rp * sep[l] / param + (2.0 - d) * r[l])
                           * (p[l] * inv[l] * inv[l]) * qj;
             }
         else
-            for (int l = 0; l < L; l++)
+            for (int l = 0; l < nl; l++)
                 coef[l] = gain * (p[l] * inv[l] * inv[l]) * qj;
         for (int k = 0; k < d; k++) {
             const double *x = xl + k * L;
             double *a = acc + k * L;
             if (a2)
-                for (int l = 0; l < L; l++)
+                for (int l = 0; l < nl; l++)
                     a[l] += (x[l] * a2[j] - z[k]) * coef[l];
             else
-                for (int l = 0; l < L; l++)
+                for (int l = 0; l < nl; l++)
                     a[l] += (x[l] - z[k]) * coef[l];
         }
     }
 
-    for (int l = 0; l < L; l++) {
+    for (int l = 0; l < nl; l++) {
         for (int k = 0; k < d; k++)
             if (s)
                 s[l * d + k] = acc[k * L + l];
@@ -227,10 +151,11 @@ blocks(int d, int cut, double param, double amp, double gain,
     long i = 0;
 
     for (; i + L <= m; i += L)
-        lanes(d, cut, param, amp, gain, radius2, a2, t + i * d, n, y, q,
+        lanes(d, cut, param, amp, gain, radius2, a2, L, t + i * d, n, y, q,
               s ? s + i * d : 0, phi ? phi + i : 0);
-    rows(d, cut, param, amp, gain, radius2, a2, m - i, t + i * d, n, y, q,
-         s ? s + i * d : 0, phi ? phi + i : 0);
+    if (i < m)
+        lanes(d, cut, param, amp, gain, radius2, a2, (int)(m - i), t + i * d,
+              n, y, q, s ? s + i * d : 0, phi ? phi + i : 0);
 }
 
 CLONES void

@@ -307,29 +307,27 @@ class TestWeakform:
     def test_wall_even_function_has_no_jump(self):
         # phi even in v_1: phi(x, R_x v) = phi(x, v), so event jumps vanish
         class EvenInV1(SeparableBump):
-            supports_batch = False
-
             def value(self, t, x, v):
                 vv = v.copy()
-                vv[0] = abs(vv[0])
+                vv[..., 0] = abs(vv[..., 0])
                 return super().value(t, x, vv)
 
             def grad_t(self, t, x, v):
                 vv = v.copy()
-                vv[0] = abs(vv[0])
+                vv[..., 0] = abs(vv[..., 0])
                 return super().grad_t(t, x, vv)
 
             def grad_x(self, t, x, v):
                 vv = v.copy()
-                vv[0] = abs(vv[0])
+                vv[..., 0] = abs(vv[..., 0])
                 return super().grad_x(t, x, vv)
 
             def grad_v(self, t, x, v):
                 vv = v.copy()
-                sign = 1.0 if vv[0] >= 0 else -1.0
-                vv[0] = abs(vv[0])
+                sign = np.where(vv[..., 0] >= 0, 1.0, -1.0)
+                vv[..., 0] = abs(vv[..., 0])
                 out = super().grad_v(t, x, vv)
-                out[0] *= sign
+                out[..., 0] *= sign
                 return out
 
         phi = EvenInV1(0.5, 0.45, np.array([0.4, 0.2, 0.0]), 1.5,
