@@ -12,7 +12,7 @@ Run:  python demos/picard_contraction.py
 import numpy as np
 
 from specularvp.ensemble import Ensemble
-from specularvp.fields import GreenKind, RegularizationParams
+from specularvp.fields import GreenKind, RegularizationParams, make_field_factory
 from specularvp.flow import StepperConfig
 from specularvp.geometry import HalfSpace
 from specularvp.selfconsistent import picard_iterate
@@ -31,8 +31,8 @@ def main():
 
     for horizon in (0.05, 0.025):
         state = picard_iterate(
-            e0, params, StepperConfig(dt=2.5e-3), horizon,
-            n_max=6, kind=GreenKind.HALF_SPACE_IMAGE, compute_w1=True,
+            e0, make_field_factory(e0.domain, GreenKind.HALF_SPACE_IMAGE, params),
+            StepperConfig(dt=2.5e-3), horizon, n_max=6, compute_w1=True,
         )
         print(f"\nT_0 = {horizon}")
         print("  n   Z_n          ratio      W1(mu^n, mu^n-1)")

@@ -14,8 +14,12 @@ Config grammar (strict): ``[section]`` headers and ``key = value`` lines;
     [particles]       0 = x..., v..., w   (rows of an explicit list)
     [stepper]         dt, t_end, backend = event | fold,
                       max_reflections, frozen_field
-    [output]          cadence_snapshot, cadence_ledger, store_trajectories
+    [output]          cadence_snapshot, cadence_ledger
     [picard]          t0, n_max, tol, w1
+
+``parse_config`` builds the run's objects once, and every command uses
+them.  Their checks refuse, with exit 2 and one ``error:`` line, a config
+whose run would crash, hang or step other physics (README.md lists them).
 
 A run emits snapshots.csv (t, id, x[0..d), v[0..d), w), events.csv
 (t, id, x, v_minus, v_plus), ledger.csv (t, kinetic, potential, total,
@@ -29,8 +33,7 @@ carries the error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import enum
+import contextlib
 import hashlib
 import json
 import sys
@@ -49,7 +52,13 @@ from .diagnostics import (
     write_ledger_csv,
 )
 from .ensemble import Ensemble, Frame, InitialCondition, sample_initial, symmetrize
-from .fields import GreenKind, RegularizationParams, make_field_factory
+from .fields import (
+    FieldModel,
+    GreenKind,
+    RegularizationParams,
+    field_model,
+    make_field_factory,
+)
 from .flow import (
     NonFiniteState,
     ReflectionOverflow,
@@ -61,7 +70,6 @@ from .geometry import Ball, HalfSpace
 from .selfconsistent import picard_iterate
 
 __all__ = [
-    "Backend",
     "ParseError",
     "ValidationError",
     "RunConfig",
@@ -84,15 +92,6 @@ class ValidationError(ValueError):
     """A parsed value violates a module invariant."""
 
 
-class Backend(enum.Enum):
-    """``[stepper] backend``: ``event`` steps the sampled ensemble in the
-    configured field; ``fold`` steps its symmetrization in the hard-sign
-    field.  The stepper itself follows the ensemble's frame."""
-
-    EVENT_DRIVEN = "event_driven"
-    FOLD_HALFSPACE = "fold_halfspace"
-
-
 _SCHEMA = {
     "domain": {"kind", "dim", "radius"},
     "field": {"kind"},
@@ -103,7 +102,7 @@ _SCHEMA = {
     },
     "particles": None,  # numbered rows
     "stepper": {"dt", "t_end", "backend", "max_reflections", "frozen_field"},
-    "output": {"cadence_snapshot", "cadence_ledger", "store_trajectories"},
+    "output": {"cadence_snapshot", "cadence_ledger"},
     "picard": {"t0", "n_max", "tol", "w1"},
 }
 
@@ -117,21 +116,35 @@ _FIELD_KINDS = {
 
 @dataclass
 class RunConfig:
+    """A checked run: the objects ``parse_config`` built from one config.
+    ``fold`` is ``backend = fold``; ``field`` is the ``FieldModel`` that
+    ``simulate`` steps in."""
+
     domain: object
-    field_kind: object
+    field_kind: str
     params: RegularizationParams
     initial: InitialCondition
     seed: int
-    dt: float
     t_end: float
-    backend: Backend
-    max_reflections: int
-    frozen_field: bool
+    stepper: StepperConfig
+    fold: bool
+    field: FieldModel
     picard: dict
     cadence_snapshot: int = 1
     cadence_ledger: int = 1
-    store_trajectories: bool = False
     source_text: str = ""
+
+
+@contextlib.contextmanager
+def _refusing():
+    """A check's ValueError becomes a ValidationError: the config is
+    refused, and the command exits 2 with one line."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _read_sections(text):
@@ -201,21 +214,23 @@ def _boolean(text):
 
 
 def parse_config(path) -> RunConfig:
-    """Strict parse of a sectioned key=value run configuration."""
+    """Strict parse of a sectioned key=value run configuration into the
+    run's objects; a value their checks refuse is a ValidationError."""
     text = Path(path).read_text()
     sections = _read_sections(text)
+    with _refusing():
+        return _run_config(sections, text)
 
+
+def _run_config(sections, text):
     dkind = _get(sections, "domain", "kind", str, required=True)
     dim = _get(sections, "domain", "dim", int, default=3)
-    try:
-        if dkind == "halfspace":
-            domain = HalfSpace(dim)
-        elif dkind == "ball":
-            domain = Ball(dim, _get(sections, "domain", "radius", float, default=1.0))
-        else:
-            raise ValidationError(f"unknown domain kind {dkind!r}")
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    if dkind == "halfspace":
+        domain = HalfSpace(dim)
+    elif dkind == "ball":
+        domain = Ball(dim, _get(sections, "domain", "radius", float, default=1.0))
+    else:
+        raise ValidationError(f"unknown domain kind {dkind!r}")
 
     fkind_name = _get(sections, "field", "kind", str, default=(
         "halfspace_image" if dkind == "halfspace" else "ball_image"))
@@ -223,49 +238,36 @@ def parse_config(path) -> RunConfig:
         raise ValidationError(f"unknown field kind {fkind_name!r}")
     field_kind = _FIELD_KINDS[fkind_name]
 
-    try:
-        params = RegularizationParams(
-            eps_mollify=_get(sections, "regularization", "eps_mollify", float, required=True),
-            r_sign=_get(sections, "regularization", "r_sign", float, required=True),
-            zeta=_get(sections, "regularization", "zeta", float, required=True),
-            delta=_get(sections, "regularization", "delta", float, required=True),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    params = RegularizationParams(*(
+        _get(sections, "regularization", key, float, required=True)
+        for key in ("eps_mollify", "r_sign", "zeta", "delta")))
 
-    itype = _get(sections, "initial", "type", str, required=True)
-    n = _get(sections, "initial", "n", int, default=0)
-    mass = _get(sections, "initial", "mass", float, default=1.0)
-    seed = _get(sections, "initial", "seed", int, default=0)
+    def initial(key, conv=_vector, **kw):
+        return _get(sections, "initial", key, conv, **kw)
+
+    itype = initial("type", str, required=True)
+    n = initial("n", int, default=0)
+    mass = initial("mass", float, default=1.0)
+
+    def box(name):
+        return initial(f"{name}_min", required=True), initial(f"{name}_max", required=True)
+
     if itype == "uniform_box":
-        ic = InitialCondition(
-            kind="uniform_box", n=n, mass=mass,
-            x_bounds=(_get(sections, "initial", "x_min", _vector, required=True),
-                      _get(sections, "initial", "x_max", _vector, required=True)),
-            v_bounds=(_get(sections, "initial", "v_min", _vector, required=True),
-                      _get(sections, "initial", "v_max", _vector, required=True)),
-        )
+        ic = InitialCondition(kind="uniform_box", n=n, mass=mass, x_bounds=box("x"),
+                              v_bounds=box("v"))
     elif itype == "maxwellian":
-        ic = InitialCondition(
-            kind="maxwellian", n=n, mass=mass,
-            x_bounds=(_get(sections, "initial", "x_min", _vector, required=True),
-                      _get(sections, "initial", "x_max", _vector, required=True)),
-            temperature=_get(sections, "initial", "temperature", float, default=1.0),
-            v_center=_get(sections, "initial", "v_center", _vector, default=None),
-        )
+        ic = InitialCondition(kind="maxwellian", n=n, mass=mass, x_bounds=box("x"),
+                              temperature=initial("temperature", float, default=1.0),
+                              v_center=initial("v_center", default=None))
     elif itype == "delta":
-        ic = InitialCondition(
-            kind="delta", n=n, mass=mass,
-            x0=_get(sections, "initial", "x0", _vector, required=True),
-            v0=_get(sections, "initial", "v0", _vector, required=True),
-        )
+        ic = InitialCondition(kind="delta", n=n, mass=mass,
+                              x0=initial("x0", required=True), v0=initial("v0", required=True))
     elif itype == "explicit":
         rows = sections.get("particles", {})
         if not rows:
             raise ValidationError("explicit initial condition needs a [particles] section")
-        order = sorted(rows, key=int)
         table = []
-        for key in order:
+        for key in sorted(rows, key=int):
             value, ln, col = rows[key]
             vec = _vector(value)
             if vec.size != 2 * dim + 1:
@@ -275,45 +277,48 @@ def parse_config(path) -> RunConfig:
         table = np.array(table)
         ic = InitialCondition(
             kind="explicit", n=len(table), mass=float(np.sum(table[:, -1])),
-            x=table[:, :dim], v=table[:, dim:2 * dim],
+            x=table[:, :dim], v=table[:, dim:2 * dim], w=table[:, -1],
         )
-        ic = (ic, table[:, -1])  # carry explicit weights
     else:
         raise ValidationError(f"unknown initial type {itype!r}")
+    ic.validate_for_domain(domain)
 
-    backend_name = _get(sections, "stepper", "backend", str, default="event")
-    if backend_name not in ("event", "fold"):
-        raise ValidationError(f"unknown backend {backend_name!r}")
-    dt = _get(sections, "stepper", "dt", float, required=True)
+    backend = _get(sections, "stepper", "backend", str, default="event")
+    if backend not in ("event", "fold"):
+        raise ValidationError(f"unknown backend {backend!r}")
+    fold = backend == "fold"
+    if fold and not isinstance(domain, HalfSpace):
+        raise ValidationError("backend = fold needs a half-space domain")
+    stepper = StepperConfig(
+        dt=_get(sections, "stepper", "dt", float, required=True),
+        max_reflections_per_step=_get(sections, "stepper", "max_reflections", int, default=8),
+        frozen_field=_get(sections, "stepper", "frozen_field", _boolean, default=False),
+    )
     t_end = _get(sections, "stepper", "t_end", float, required=True)
-    if dt <= 0:
-        raise ValidationError("dt must be > 0")
-    if t_end < 0:
-        raise ValidationError("t_end must be >= 0")
+    stepper.steps(t_end, "t_end")
 
-    picard = {
-        "t0": _get(sections, "picard", "t0", float, default=0.05),
-        "n_max": _get(sections, "picard", "n_max", int, default=6),
-        "tol": _get(sections, "picard", "tol", float, default=0.0),
-        "w1": _get(sections, "picard", "w1", _boolean, default=False),
-    }
+    cadence_snapshot, cadence_ledger = (_get(sections, "output", key, int, default=1)
+                                        for key in ("cadence_snapshot", "cadence_ledger"))
+    if min(cadence_snapshot, cadence_ledger) < 1:
+        raise ValidationError("cadences must be >= 1")
 
     return RunConfig(
         domain=domain,
         field_kind=field_kind,
         params=params,
         initial=ic,
-        seed=seed,
-        dt=dt,
+        seed=initial("seed", int, default=0),
         t_end=t_end,
-        backend=Backend.FOLD_HALFSPACE if backend_name == "fold" else Backend.EVENT_DRIVEN,
-        max_reflections=_get(sections, "stepper", "max_reflections", int, default=8),
-        frozen_field=_get(sections, "stepper", "frozen_field", _boolean, default=False),
-        cadence_snapshot=_get(sections, "output", "cadence_snapshot", int, default=1),
-        cadence_ledger=_get(sections, "output", "cadence_ledger", int, default=1),
-        store_trajectories=_get(sections, "output", "store_trajectories", _boolean,
-                                default=False),
-        picard=picard,
+        stepper=stepper,
+        fold=fold,
+        # the hard sign reads no kind, so any kind goes with backend = fold
+        field=field_model(domain, field_kind, Frame.PROBLEM_B if fold else Frame.PROBLEM_A,
+                          params, fold),
+        picard={key: _get(sections, "picard", key, conv, default=default)
+                for key, conv, default in (("t0", float, 0.05), ("n_max", int, 6),
+                                           ("tol", float, 0.0), ("w1", _boolean, False))},
+        cadence_snapshot=cadence_snapshot,
+        cadence_ledger=cadence_ledger,
         source_text=text,
     )
 
@@ -323,27 +328,9 @@ def parse_config(path) -> RunConfig:
 # -----------------------------------------------------------------------------
 
 def _build_ensemble(cfg: RunConfig, seed):
-    if isinstance(cfg.initial, tuple):
-        ic, weights = cfg.initial
-        e = sample_initial(ic, domain=cfg.domain, seed=seed)
-        e = Ensemble(x=e.x, v=e.v, w=weights, domain=cfg.domain, frame=Frame.PROBLEM_A)
-    else:
-        e = sample_initial(cfg.initial, domain=cfg.domain, seed=seed)
-    if cfg.backend is Backend.FOLD_HALFSPACE:
-        e = symmetrize(e)
-    return e
-
-
-def _build_field_factory(cfg: RunConfig):
-    # the fold backend steps the symmetrized (ProblemB) ensemble in the hard-sign field
-    return make_field_factory(cfg.domain, cfg.field_kind, cfg.params,
-                              hard_sign=cfg.backend is Backend.FOLD_HALFSPACE)
-
-
-def _has_ledger(cfg: RunConfig):
-    # the mollified A-route has no matching cut-Green ledger
-    return not (cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED
-                and cfg.backend is Backend.EVENT_DRIVEN)
+    """The run's initial ensemble: sampled, and symmetrized for ``fold``."""
+    e = sample_initial(cfg.initial, domain=cfg.domain, seed=seed)
+    return symmetrize(e) if cfg.fold else e
 
 
 def _write_snapshots_csv(path, run, dim):
@@ -396,20 +383,12 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
     }
     try:
         e0 = _build_ensemble(cfg, seed)
-        factory = _build_field_factory(cfg)
-        stepper = StepperConfig(
-            dt=cfg.dt,
-            max_reflections_per_step=cfg.max_reflections,
-            frozen_field=cfg.frozen_field,
-        )
         # the ledger and the log-log moment stream from the stepper's own sweeps
-        ledger_obs = LedgerObserver() if _has_ledger(cfg) else None
-        rec = integrate(
-            e0, factory, stepper, cfg.t_end,
-            snapshot_every=cfg.cadence_snapshot,
-            store_trajectories=cfg.store_trajectories,
-            observer=ledger_obs,
-        )
+        # (the mollified A-route has no matching cut-Green ledger)
+        mollified = cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED and not cfg.fold
+        ledger_obs = None if mollified else LedgerObserver()
+        rec = integrate(e0, cfg.field.bind, cfg.stepper, cfg.t_end,
+                        snapshot_every=cfg.cadence_snapshot, observer=ledger_obs)
         dim = e0.dim
         _write_snapshots_csv(out / "snapshots.csv", rec, dim)
         _write_events_csv(out / "events.csv", rec, dim)
@@ -511,15 +490,18 @@ def _cmd_simulate(args):
 
 
 def _cmd_picard(args):
+    """The Picard loop.  With ``backend = fold`` it iterates the symmetrized
+    ensemble in the smooth-sign field (the regularized Problem B), while
+    ``simulate`` steps it in the hard sign."""
     cfg = parse_config(args.config)
     pc = cfg.picard
-    t0 = pc["t0"] if args.t0 is None else args.t0
-    n_max = pc["n_max"] if args.n_max is None else args.n_max
+    with _refusing():
+        if cfg.stepper.steps(pc["t0"], "[picard] t0") < 1:
+            raise ValueError("[picard] t0 must be > 0")
     e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
-    stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
-    state = picard_iterate(e0, cfg.params, stepper, t0, n_max=n_max,
-                           tol=pc["tol"], kind=cfg.field_kind, domain=cfg.domain,
-                           compute_w1=pc["w1"] or args.w1)
+    state = picard_iterate(e0, make_field_factory(cfg.domain, cfg.field_kind, cfg.params),
+                           cfg.stepper, pc["t0"], n_max=pc["n_max"], tol=pc["tol"],
+                           compute_w1=pc["w1"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["n,Z_n,ratio,w1_exact"]
@@ -546,24 +528,21 @@ def _cmd_compare_backends(args):
     cfg = parse_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     if not isinstance(cfg.domain, HalfSpace):
-        print("compare-backends needs a half-space configuration", file=sys.stderr)
-        return 2
+        raise ValidationError("compare-backends needs a half-space configuration")
     # Problem A in the mollified image field, event-driven, against its
     # symmetrization in the hard-sign field, folded
-    event = dataclasses.replace(cfg, backend=Backend.EVENT_DRIVEN,
-                                field_kind=GreenKind.HALF_SPACE_MOLLIFIED)
-    fold = dataclasses.replace(cfg, backend=Backend.FOLD_HALFSPACE)
-    base = _build_ensemble(event, seed)
+    base = sample_initial(cfg.initial, domain=cfg.domain, seed=seed)
     n = len(base)
-    stepper = StepperConfig(dt=cfg.dt, max_reflections_per_step=cfg.max_reflections)
-    rec_a = integrate(base, _build_field_factory(event), stepper, cfg.t_end)
-    rec_b = integrate(_build_ensemble(fold, seed), _build_field_factory(fold), stepper,
-                      cfg.t_end)
+    rec_a = integrate(base, make_field_factory(cfg.domain, GreenKind.HALF_SPACE_MOLLIFIED,
+                                               cfg.params), cfg.stepper, cfg.t_end)
+    rec_b = integrate(symmetrize(base), make_field_factory(cfg.domain, cfg.field_kind,
+                                                           cfg.params, hard_sign=True),
+                      cfg.stepper, cfg.t_end)
     dev = 0.0
     for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
         xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
         dev = max(dev, float(np.max(np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]))))
-    allowed = 10.0 * cfg.dt**2 * max(cfg.t_end, 1.0)
+    allowed = 10.0 * cfg.stepper.dt**2 * max(cfg.t_end, 1.0)
     print(f"max folded deviation: {dev!r} (allowed {allowed!r})")
     return 0 if dev <= allowed else 1
 
@@ -603,9 +582,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("picard", help="run the Picard contraction loop")
     _add_common(p)
-    p.add_argument("--t0", type=float, default=None, help="contraction horizon T_0")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--w1", action="store_true", help="also compute exact W_1 per iterate")
     p.set_defaults(func=_cmd_picard)
 
     p = sub.add_parser("diagnose", help="check an emitted ledger")

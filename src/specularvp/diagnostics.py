@@ -263,11 +263,11 @@ class BoundCheck:
     margins: np.ndarray
 
 
-def energy_bound_check(ledger: EnergyLedger, tol=1e-4, tol_abs=0.0) -> BoundCheck:
-    """total(t) <= total(0) (1 + tol) + |int K|(t) + tol_abs, for all t."""
+def energy_bound_check(ledger: EnergyLedger, tol=1e-4) -> BoundCheck:
+    """total(t) <= total(0) (1 + tol) + |int K|(t), for all t."""
     if len(ledger.times) == 0:
         raise ValueError("empty ledger")
-    bound = ledger.total[0] * (1.0 + tol) + np.abs(ledger.k_integral) + tol_abs
+    bound = ledger.total[0] * (1.0 + tol) + np.abs(ledger.k_integral)
     margins = bound - ledger.total
     return BoundCheck(bool(np.all(margins >= 0.0)), float(np.min(margins)), margins)
 
@@ -347,7 +347,7 @@ class PhiGrowthReport:
     slopes: np.ndarray
 
 
-def phi_growth_check(probe: SeparationProbe, window=None) -> PhiGrowthReport:
+def phi_growth_check(probe: SeparationProbe) -> PhiGrowthReport:
     """Max finite-difference dPhi/dt against the theoretical bound shape.
 
     The constant in front of the bound is fitted, never asserted; callers
@@ -357,9 +357,6 @@ def phi_growth_check(probe: SeparationProbe, window=None) -> PhiGrowthReport:
     if len(times) < 2 or np.max(np.diff(times)) > 0.1 + 1e-12:
         raise ValueError("phi series must be sampled with at least 10 points per unit time")
     series = phi_series(probe)
-    if window is not None:
-        mask = (times >= window[0]) & (times <= window[1])
-        times, series = times[mask], series[mask]
     slopes = np.diff(series) / np.diff(times)
     max_slope = float(np.max(slopes)) if len(slopes) else 0.0
     shape = (

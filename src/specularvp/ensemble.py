@@ -202,7 +202,9 @@ class InitialCondition:
                     domain), velocities isotropic normal with variance
                     ``temperature`` per component around ``v_center``
       delta       : n copies of the single point (``x0``, ``v0``)
-      explicit    : particle arrays given directly (weights mass/n)
+      explicit    : particle arrays given directly
+
+    Each particle weighs mass/n unless ``w`` gives the weights.
     """
 
     kind: str
@@ -216,6 +218,33 @@ class InitialCondition:
     v0: np.ndarray | None = None
     x: np.ndarray | None = None
     v: np.ndarray | None = None
+    w: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("n", "mass", "temperature"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.w is not None and np.any(self.w < 0):
+            raise ValueError("weights must be >= 0")
+
+    def validate_for_domain(self, domain: Domain | None):
+        """Refuse a recipe with no particles in the domain: vectors of another
+        dimension, a given position outside the closed domain, or a sampling
+        box that misses its interior (rejection sampling would never end)."""
+        if domain is None:
+            return
+        vectors = [*(self.x_bounds or ()), *(self.v_bounds or ()), self.v_center, self.x0, self.v0]
+        if any(np.shape(a) != (domain.dim,) for a in vectors if a is not None):
+            raise ValueError(f"initial-condition vectors need {domain.dim} entries")
+        given = self.x0 if self.x is None else self.x
+        if given is not None and np.any(domain.signed_distance(given) < -1e-9 * domain.scale):
+            raise ValueError("an initial position lies outside the domain")
+        if self.x_bounds is not None:
+            lo, hi = np.minimum(*self.x_bounds), np.maximum(*self.x_bounds)
+            # the box point deepest in the domain: largest x_1, or nearest the center
+            deepest = hi if isinstance(domain, HalfSpace) else np.clip(0.0, lo, hi)
+            if not domain.signed_distance(deepest) > 0:
+                raise ValueError("the sampling box x_min..x_max misses the domain")
 
 
 def _sample_box(rng, lo, hi, n):
@@ -237,12 +266,13 @@ def _sample_positions(rng, ic, domain, n):
     return out
 
 
-def sample_initial(ic: InitialCondition, domain=None, seed=0, frame=Frame.PROBLEM_A) -> Ensemble:
-    """Draw N equal-weight particles from the initial-condition recipe.
+def sample_initial(ic: InitialCondition, domain=None, seed=0) -> Ensemble:
+    """Draw the recipe's N particles as a ProblemA ensemble.
 
     Deterministic for a fixed seed.  Particles landing exactly on the
     boundary are nudged inward along the normal by 1e-12 * scale.
     """
+    ic.validate_for_domain(domain)
     rng = np.random.default_rng(seed)
     n = ic.n
     if ic.kind == "uniform_box":
@@ -271,5 +301,5 @@ def sample_initial(ic: InitialCondition, domain=None, seed=0, frame=Frame.PROBLE
             x = np.array(x)
             nudge = BOUNDARY_NUDGE * domain.scale
             x[on_boundary] += nudge * domain.inward_normal(x[on_boundary])
-    w = np.full(n, ic.mass / n if n else 0.0)
-    return Ensemble(x=x, v=v, w=w, domain=domain, frame=frame)
+    w = np.full(n, ic.mass / n if n else 0.0) if ic.w is None else ic.w
+    return Ensemble(x=x, v=v, w=w, domain=domain)

@@ -486,6 +486,7 @@ class FieldModel:
 
     ``charge`` is the unregularized factor (1, or sgn(x_1) for Problem B);
     ``cutoff_gap`` = charge - factor is what the energy-error power K weighs.
+    The routes that read ``kind`` refuse an image kind of another domain.
     """
 
     def __init__(self, domain, kind, frame, params: RegularizationParams, hard_sign=False):
@@ -496,6 +497,7 @@ class FieldModel:
         self.factor = self.charge = lambda x: np.ones(len(x))
         # the profile for pairs.c: Plummer with eps^2, or the cut Green one with delta
         self.cut, self.param = False, params.eps_mollify * params.eps_mollify
+        ball = isinstance(domain, Ball)
         if hard_sign or frame is Frame.PROBLEM_B:
             self.odd = True
             self.charge = lambda x: np.sign(x[:, 0])  # the plane carries no charge
@@ -503,6 +505,8 @@ class FieldModel:
                 self.factor = lambda x: np.where(x[:, 0] < 0.0, -1.0, 1.0)
             else:
                 self.factor = lambda x: smooth_sign(params.r_sign, x[:, 0])
+        elif kind != GreenKind.WHOLE_SPACE and (kind == GreenKind.BALL_IMAGE) != ball:
+            raise ValueError(f"the {kind} field does not belong to {domain!r}")
         elif kind == GreenKind.HALF_SPACE_MOLLIFIED:
             self.mirror = True
         else:

@@ -95,6 +95,15 @@ class StepperConfig:
         if self.max_reflections_per_step < 1:
             raise ValueError("max_reflections_per_step must be >= 1")
 
+    def steps(self, span, name):
+        """The number of steps in the span of time called ``name``; a span
+        that is not a whole number >= 0 of steps is a ValueError."""
+        n = round(span / self.dt) if math.isfinite(span) else -1
+        if n < 0 or abs(n * self.dt - span) > 1e-9 * max(span, self.dt):
+            raise ValueError(f"{name} = {span!r} is not a whole number of steps "
+                             f"of dt = {self.dt!r}")
+        return n
+
 
 @dataclass(frozen=True)
 class ReflectionEvent:
@@ -363,7 +372,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
 
 
 def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
-                      max_reflections=8, particle=0):
+                      max_reflections=8):
     """Field-free drift from x_enter over dt_remaining with specular bounces.
 
     Returns (x_exit, v_exit, events).  Raises NoCrossing if the segment
@@ -376,7 +385,7 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
     c = _distance_poly(domain, x, v, e, float(dt_remaining), 1.0)
     crossed, x, v, events = _advance_with_events(x, v, e, c, np.zeros_like, dt_remaining,
                                                  t_enter, domain, max_reflections,
-                                                 np.array([particle]))
+                                                 np.array([0]))
     if not crossed[0]:
         raise NoCrossing("drift segment does not exit the domain")
     return x[0], v[0], events
@@ -553,11 +562,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     ``ens``), its ``Sweep`` (the per-row potential included) and the step's
     events (none for the initial call).
     """
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
-    n_steps = int(round(t_end / cfg.dt)) if t_end > 0 else 0
-    if n_steps and abs(n_steps * cfg.dt - t_end) > 1e-9 * max(t_end, cfg.dt):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = cfg.steps(t_end, "t_end")
     potential = observer is not None
 
     e = e0

@@ -142,32 +142,26 @@ lanes(int d, int cut, double param, double amp, double gain,
     }
 }
 
-static inline __attribute__((always_inline)) void
-blocks(int d, int cut, double param, double amp, double gain,
-       double radius2, const double *a2,
-       long m, const double *t, long n, const double *y, const double *q,
-       double *s, double *phi)
-{
-    long i = 0;
-
-    for (; i + L <= m; i += L)
-        lanes(d, cut, param, amp, gain, radius2, a2, L, t + i * d, n, y, q,
-              s ? s + i * d : 0, phi ? phi + i : 0);
-    if (i < m)
-        lanes(d, cut, param, amp, gain, radius2, a2, (int)(m - i), t + i * d,
-              n, y, q, s ? s + i * d : 0, phi ? phi + i : 0);
-}
-
 CLONES void
 pair_rows(int d, int cut, double param, double amp, double gain,
           double radius2, const double *a2,
           long m, const double *t, long n, const double *y, const double *q,
           double *s, double *phi)
 {
-    /* the same loops with d fixed at compile time in d = 3, the dimension of
-       the demos and benchmark workloads; the float operations do not change */
-    if (d == 3)
-        blocks(3, cut, param, amp, gain, radius2, a2, m, t, n, y, q, s, phi);
-    else
-        blocks(d, cut, param, amp, gain, radius2, a2, m, t, n, y, q, s, phi);
+    long i = 0;
+
+    /* full blocks run the same loops with d fixed at compile time in d = 3,
+       the dimension of the demos and benchmark workloads; the rows after the
+       last full block take the general-d loops, so the variable-width lanes
+       are compiled once.  The float operations do not change. */
+    for (; i + L <= m; i += L)
+        if (d == 3)
+            lanes(3, cut, param, amp, gain, radius2, a2, L, t + i * d, n, y, q,
+                  s ? s + i * d : 0, phi ? phi + i : 0);
+        else
+            lanes(d, cut, param, amp, gain, radius2, a2, L, t + i * d, n, y, q,
+                  s ? s + i * d : 0, phi ? phi + i : 0);
+    if (i < m)
+        lanes(d, cut, param, amp, gain, radius2, a2, (int)(m - i), t + i * d,
+              n, y, q, s ? s + i * d : 0, phi ? phi + i : 0);
 }

@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .ensemble import Ensemble
-from .fields import GreenKind, make_field_factory
 from .flow import StepperConfig, step
 
 __all__ = [
@@ -174,8 +173,8 @@ class PicardState:
 
     z_values[k] is the contraction metric Z_{k+1} (mass-weighted mean
     phase-space displacement between iterates k+1 and k, sup over the time
-    grid); ratios[k] = Z_{k+2}/Z_{k+1}.  Histories keep the last two
-    iterates' trajectories on the shared grid.
+    grid); ratios[k] = Z_{k+2}/Z_{k+1}.  The history is the last iterate's
+    trajectories on the shared grid.
     """
 
     n: int
@@ -185,32 +184,25 @@ class PicardState:
     w1_values: list = field(default_factory=list)
     history_x: np.ndarray | None = None
     history_v: np.ndarray | None = None
-    prev_history_x: np.ndarray | None = None
-    prev_history_v: np.ndarray | None = None
     converged: bool = False
 
 
-def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
-                   n_max=6, tol=0.0, kind=GreenKind.HALF_SPACE_IMAGE, domain=None,
-                   compute_w1=False) -> PicardState:
+def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
+                   n_max=6, tol=0.0, compute_w1=False) -> PicardState:
     """Run the Picard scheme of the regularized system on [0, T_0].
 
-    Iterate n+1 advances h0 under the field generated by iterate n's
-    recorded trajectory history (iterate 0 is the constant-in-time h0).
-    A ProblemB-framed h0 takes the smooth-sign whole-space field whatever
-    ``kind`` says.  Stops when Z_n <= tol or after n_max iterates; emits a
-    NonContractionWarning if the ratio exceeds 1 three times in a row.
+    Iterate n+1 advances h0 under the field that ``field_factory`` (as for
+    ``integrate``) makes from iterate n's recorded trajectory history
+    (iterate 0 is the constant-in-time h0).  Stops when Z_n <= tol or after
+    n_max iterates; emits a NonContractionWarning if the ratio exceeds 1
+    three times in a row.
     """
-    if not t0_horizon > 0:
+    m = cfg.steps(t0_horizon, "T_0")
+    if m < 1:
         raise ValueError("T_0 must be positive")
-    domain = h0.domain if domain is None else domain
-    m = int(round(t0_horizon / cfg.dt))
-    if m < 1 or abs(m * cfg.dt - t0_horizon) > 1e-9 * t0_horizon:
-        raise ValueError("T_0 must be a positive integer number of steps")
     times = np.arange(m + 1) * cfg.dt
     n_part = len(h0)
     mass = h0.total_mass
-    factory = make_field_factory(domain, kind, params)
 
     hist_x = np.broadcast_to(h0.x, (m + 1, n_part, h0.dim)).copy()
     hist_v = np.broadcast_to(h0.v, (m + 1, n_part, h0.dim)).copy()
@@ -224,7 +216,7 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
         new_x[0], new_v[0] = e.x, e.v
         for k in range(m):
             # the field generated by the recorded history at grid index k
-            field_fn = factory(h0.with_state(x=hist_x[k]))
+            field_fn = field_factory(h0.with_state(x=hist_x[k]))
             e, _, _ = step(e, field_fn, cfg, t0=times[k])
             new_x[k + 1], new_v[k + 1] = e.x, e.v
 
@@ -250,7 +242,6 @@ def picard_iterate(h0: Ensemble, params, cfg: StepperConfig, t0_horizon,
                     "T_0 is too large for contraction",
                     NonContractionWarning,
                 )
-        state.prev_history_x, state.prev_history_v = hist_x, hist_v
         hist_x, hist_v = new_x, new_v
         state.n = n
         if z <= tol:

@@ -199,8 +199,8 @@ def test_criterion_06_picard_contraction():
     params = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.08, delta=0.08)
     maxratio = {}
     for horizon in (0.05, 0.025):
-        state = picard_iterate(e0, params, StepperConfig(dt=2.5e-3), horizon,
-                               n_max=6, kind=GreenKind.HALF_SPACE_IMAGE)
+        state = picard_iterate(e0, make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params),
+                               StepperConfig(dt=2.5e-3), horizon, n_max=6)
         assert len(state.ratios) == 5
         assert all(r < 1.0 for r in state.ratios), f"non-contractive at T0={horizon}"
         maxratio[horizon] = max(state.ratios)

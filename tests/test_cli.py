@@ -1,13 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specularvp
 import specularvp.fields as fields
 from specularvp.cli import (
-    Backend,
     ParseError,
     ValidationError,
     bounce3d_config_text,
@@ -44,6 +48,69 @@ t_end = 0.01
 """
 
 
+def in_ball(text):
+    """MINIMAL's run moved into the unit ball."""
+    return (text.replace("kind = halfspace", "kind = ball\nradius = 1.0")
+            .replace("x_min = 1.0, -1.0, -1.0", "x_min = -0.5, -0.5, -0.5")
+            .replace("x_max = 2.0, 1.0, 1.0", "x_max = 0.5, 0.5, 0.5"))
+
+
+def with_field(text, kind):
+    return text + f"\n[field]\nkind = {kind}\n"
+
+
+# configs whose run would crash, hang or step other physics: the command,
+# the config, and a fragment of the one error line
+REFUSED = {
+    "zeta-negative": ("simulate", MINIMAL.replace("zeta = 0.1", "zeta = -1"),
+                      "zeta must be > 0"),
+    "t_end-not-whole-steps": (
+        "simulate", MINIMAL.replace("dt = 1e-3", "dt = 0.3").replace("t_end = 0.01", "t_end = 1.0"),
+        "t_end = 1.0 is not a whole number of steps"),
+    "picard-t0-not-whole-steps": (
+        "picard", MINIMAL.replace("dt = 1e-3", "dt = 0.25").replace("t_end = 0.01", "t_end = 0.5"),
+        "[picard] t0 = 0.05 is not a whole number of steps"),
+    "ball-zeta-too-large": ("simulate", in_ball(MINIMAL).replace("zeta = 0.1", "zeta = 0.6"),
+                            "too large for ball radius"),
+    "no-reflections": ("simulate", MINIMAL + "max_reflections = 0\n",
+                       "max_reflections_per_step must be >= 1"),
+    "ball-image-in-halfspace": ("simulate", with_field(MINIMAL, "ball_image"),
+                                "does not belong to HalfSpace"),
+    "fold-in-ball": ("simulate", in_ball(MINIMAL) + "backend = fold\n",
+                     "backend = fold needs a half-space"),
+    "halfspace-image-in-ball": ("simulate", with_field(in_ball(MINIMAL), "halfspace_image"),
+                                "does not belong to Ball"),
+    "halfspace-mollified-in-ball": (
+        "simulate", with_field(in_ball(MINIMAL), "halfspace_mollified"),
+        "does not belong to Ball"),
+    "negative-n": ("simulate", MINIMAL.replace("n = 2", "n = -1"), "n must be >= 0"),
+    "negative-mass": ("simulate", MINIMAL.replace("mass = 0.1", "mass = -1"),
+                      "mass must be >= 0"),
+    # beyond those: more values that crashed a run, or stepped a wrong state
+    "zero-cadence": ("simulate", MINIMAL + "\n[output]\ncadence_snapshot = 0\n",
+                     "cadences must be >= 1"),
+    "negative-temperature": (
+        "simulate", MINIMAL.replace("type = uniform_box", "type = maxwellian\ntemperature = -1"),
+        "temperature must be >= 0"),
+    "vector-of-another-dimension": (
+        "simulate", MINIMAL.replace("v_max = 0.5, 0.5, 0.5", "v_max = 0.5, 0.5"),
+        "vectors need 3 entries"),
+    "explicit-particle-outside": (
+        "simulate", MINIMAL[:MINIMAL.index("[initial]")] + "[initial]\ntype = explicit\n"
+        "[particles]\n0 = -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1\n[stepper]\ndt = 1e-3\nt_end = 0.01\n",
+        "outside the domain"),
+    "box-outside-the-halfspace": (
+        "simulate",
+        MINIMAL.replace("x_min = 1.0", "x_min = -2.0").replace("x_max = 2.0", "x_max = -1.0"),
+        "misses the domain"),
+}
+
+# rejection sampling from this box never ends unless the config is refused
+HANGS = {"box-outside-the-halfspace"}
+
+PACKAGE_ROOT = str(Path(specularvp.__file__).resolve().parents[1])
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -54,9 +121,9 @@ class TestParseConfig:
     def test_minimal_config(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
         assert isinstance(cfg.domain, HalfSpace)
-        assert cfg.dt == 1e-3
+        assert cfg.stepper.dt == 1e-3
         assert cfg.t_end == 0.01
-        assert cfg.backend is Backend.EVENT_DRIVEN
+        assert cfg.fold is False
         assert cfg.params.zeta == 0.1
 
     def test_zeta_zero_is_a_validation_error(self, tmp_path):
@@ -97,9 +164,8 @@ class TestParseConfig:
 
     def test_explicit_particles(self, tmp_path):
         cfg = parse_config(write(tmp_path, bounce3d_config_text(), "bounce3d.cfg"))
-        ic, weights = cfg.initial
-        assert ic.n == 64
-        assert weights.shape == (64,)
+        assert cfg.initial.n == 64
+        assert cfg.initial.w.shape == (64,)
 
 
 class TestRun:
@@ -171,10 +237,27 @@ class TestCommands:
         assert lines[0] == "n,Z_n,ratio,w1_exact"
         assert len(lines) == 4
 
-    def test_bad_config_exit_code(self, tmp_path):
-        cfg_path = write(tmp_path, MINIMAL.replace("zeta = 0.1", "zeta = -1"))
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "x")]) == 2
+    @pytest.mark.parametrize("name, command, text, match", [
+        pytest.param(name, *case, id=name) for name, case in REFUSED.items()])
+    def test_bad_config_exit_code(self, tmp_path, capsys, name, command, text, match):
+        argv = [command, "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "x")]
+        if name in HANGS:
+            proc = subprocess.run([sys.executable, "-m", "specularvp.cli", *argv],
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+            rc, err = proc.returncode, proc.stderr
+        else:
+            rc, err = main(argv), capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+
+    def test_steps_that_do_not_divide_the_picard_horizon_still_simulate(self, tmp_path):
+        # dt = 0.3 divides t_end = 0.9 but not the default [picard] t0 = 0.05
+        text = MINIMAL.replace("dt = 1e-3", "dt = 0.3").replace("t_end = 0.01", "t_end = 0.9")
+        assert main(["simulate", "--config", str(write(tmp_path, text)),
+                     "--out", str(tmp_path / "x")]) == 0
 
 
 BALL_IMAGE_RUN = """
@@ -303,3 +386,30 @@ class TestBounceFixture:
         assert run(cfg, out) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["particles"] == 64
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block after ``heading`` in README.md."""
+    text = README.read_text()
+    return re.search(rf"^{re.escape(heading)}$.*?^```{lang}\n(.*?)^```", text,
+                     re.S | re.M).group(1)
+
+
+class TestReadme:
+    def test_config_example_parses(self, tmp_path):
+        cfg = parse_config(write(tmp_path, readme_block("### Config grammar", "ini")))
+        assert isinstance(cfg.domain, HalfSpace) and cfg.initial.n == 64
+
+    def test_command_line_flags_are_the_commands_own(self, capsys):
+        lines = readme_block("## Command line", "bash").splitlines()
+        assert len(lines) == 5
+        for line in lines:
+            command = line.split()[1]
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            for flag in re.findall(r"--[\w-]+", line):
+                assert re.search(rf"{flag}(?![\w-])", usage), (command, flag)

@@ -21,6 +21,7 @@ from specularvp.selfconsistent import (
 
 HS = HalfSpace(3)
 PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.05, delta=0.05)
+IMAGE = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, PARAMS)
 
 
 def cloud(n, seed, mass=1.0, spread=1.0, offset=0.0):
@@ -192,8 +193,7 @@ class TestPicard:
     def test_zero_mass_converges_immediately(self):
         e = Ensemble(x=np.array([[1.0, 0.0, 0.0]]), v=np.zeros((1, 3)),
                      w=np.array([0.0]), domain=HS)
-        state = picard_iterate(e, PARAMS, StepperConfig(dt=1e-2), 0.05,
-                               n_max=3, kind=GreenKind.HALF_SPACE_IMAGE)
+        state = picard_iterate(e, IMAGE, StepperConfig(dt=1e-2), 0.05, n_max=3)
         assert state.z_values[0] == 0.0
         assert state.converged
 
@@ -204,8 +204,8 @@ class TestPicard:
         params = RegularizationParams(0.05, 0.05, 0.04, 0.05)
         firsts = {}
         for t0 in (0.1, 0.05):
-            state = picard_iterate(e, params, StepperConfig(dt=2.5e-3), t0,
-                                   n_max=4, kind=GreenKind.HALF_SPACE_IMAGE)
+            state = picard_iterate(e, make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params),
+                                   StepperConfig(dt=2.5e-3), t0, n_max=4)
             assert all(r < 1 for r in state.ratios)
             firsts[t0] = state.ratios[0]
         # contraction factor roughly linear in T_0
@@ -218,18 +218,15 @@ class TestPicard:
                      v=np.array([[0.1, 0.2, 0.0], [-0.1, -0.2, 0.0]]),
                      w=np.array([0.5, 0.5]), domain=HS)
         cfg = StepperConfig(dt=5e-3)
-        state = picard_iterate(e, PARAMS, cfg, 0.05, n_max=12, tol=1e-14,
-                               kind=GreenKind.HALF_SPACE_IMAGE)
+        state = picard_iterate(e, IMAGE, cfg, 0.05, n_max=12, tol=1e-14)
         assert state.converged
-        fac = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, PARAMS)
-        rec = integrate(e, fac, StepperConfig(dt=5e-3, frozen_field=True), 0.05)
+        rec = integrate(e, IMAGE, StepperConfig(dt=5e-3, frozen_field=True), 0.05)
         assert np.allclose(state.history_x[-1], rec.final.x, atol=1e-12)
         assert np.allclose(state.history_v[-1], rec.final.v, atol=1e-12)
 
     def test_z_dominates_w1(self):
         e = cloud(8, 13, mass=2.0)
-        state = picard_iterate(e, PARAMS, StepperConfig(dt=5e-3), 0.05,
-                               n_max=3, kind=GreenKind.HALF_SPACE_IMAGE,
+        state = picard_iterate(e, IMAGE, StepperConfig(dt=5e-3), 0.05, n_max=3,
                                compute_w1=True)
         for z, w1v in zip(state.z_values, state.w1_values):
             assert w1v <= z * e.total_mass + 1e-12
@@ -237,8 +234,8 @@ class TestPicard:
     def test_problem_b_route(self):
         base = cloud(4, 14, mass=0.5)
         sym = symmetrize(base)
-        state = picard_iterate(sym, PARAMS, StepperConfig(dt=5e-3), 0.05,
-                               n_max=3, kind=GreenKind.WHOLE_SPACE)
+        state = picard_iterate(sym, make_field_factory(HS, GreenKind.WHOLE_SPACE, PARAMS),
+                               StepperConfig(dt=5e-3), 0.05, n_max=3)
         assert len(state.z_values) == 3
         assert all(r < 1 for r in state.ratios)
 
@@ -246,11 +243,11 @@ class TestPicard:
         # heavy mass and a long horizon break the contraction
         e = cloud(4, 15, mass=2000.0, spread=0.3)
         with pytest.warns(NonContractionWarning):
-            picard_iterate(e, RegularizationParams(0.05, 0.05, 0.02, 0.02),
-                           StepperConfig(dt=0.05), 1.0, n_max=8,
-                           kind=GreenKind.HALF_SPACE_IMAGE)
+            picard_iterate(e, make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE,
+                                                 RegularizationParams(0.05, 0.05, 0.02, 0.02)),
+                           StepperConfig(dt=0.05), 1.0, n_max=8)
 
     def test_bad_horizon_rejected(self):
         e = cloud(2, 16)
         with pytest.raises(ValueError):
-            picard_iterate(e, PARAMS, StepperConfig(dt=1e-2), -0.1)
+            picard_iterate(e, IMAGE, StepperConfig(dt=1e-2), -0.1)
