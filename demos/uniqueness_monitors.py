@@ -38,8 +38,8 @@ def separation_story(domain, params):
     pert = Ensemble(x=x + 1e-6 * rng.standard_normal((n, 3)), v=v, w=w, domain=domain)
     fac = make_field_factory(domain, GreenKind.HALF_SPACE_IMAGE, params)
     cfg = StepperConfig(dt=1e-2)
-    rec_b = integrate(base, fac, cfg, 0.5, store_trajectories=True)
-    rec_p = integrate(pert, fac, cfg, 0.5, store_trajectories=True)
+    rec_b = integrate(base, fac, cfg, 0.5)
+    rec_p = integrate(pert, fac, cfg, 0.5)
 
     print("-- separation functional Phi for 32 jittered pairs --")
     for zeta in (0.1, 0.05):
@@ -62,8 +62,7 @@ def residual_story(domain, params):
     for dt in (2e-4, 1e-4):
         e = Ensemble(x=np.array([[0.6, 0.0, 0.0]]), v=np.array([[-1.0, 0.6, 0.0]]),
                      w=np.array([2.0]), domain=domain)
-        rec = integrate(e, factory, StepperConfig(dt=dt), 1.2,
-                        store_trajectories=True)
+        rec = integrate(e, factory, StepperConfig(dt=dt), 1.2)
         traj = rec.trajectory(0)
         residuals = [weakform_residual(traj, phi, domain) for phi in lib]
         records += [{"dt": dt, "trajectory": 0, "test_function": k,

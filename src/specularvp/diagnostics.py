@@ -1,7 +1,7 @@
 """Diagnostics: every quantitative identity the scheme is supposed to satisfy.
 
-All diagnostics are pure folds over recorded run data (snapshots, events,
-trajectories); nothing here mutates a run.
+All diagnostics are pure folds over a run's record (its snapshots with
+their fields, and its events); nothing here mutates a run.
 
 Conventions worth pinning down once:
 
@@ -15,12 +15,13 @@ Conventions worth pinning down once:
   event; without it the ledger loses an order of accuracy at bounces.
 * The whole-space (Problem B) route replaces (1 - rbar^zeta) S by
   (sgn - sbar)(x_1) times the mollified-kernel sum against the odd density.
-* Every diagnostic reads the field from the run itself: ``energy_audit``,
-  ``blowup_monitor`` and ``incompressibility_probe`` rebuild each stored
-  snapshot's field with the run's own factory (``RunRecord.field_factory``),
-  ``LedgerObserver`` and ``k_tau`` take a snapshot's ``SnapshotField``.  So
-  a ledger cannot be audited with another field, sign or kind than the
-  run's.
+* Every diagnostic reads the field from the run itself: ``blowup_monitor``
+  and the trajectories read the field stored with each snapshot and each
+  event, ``energy_audit`` and ``incompressibility_probe`` rebuild each
+  stored snapshot's field with the run's own factory
+  (``RunRecord.field_factory``), ``LedgerObserver`` and ``k_tau`` take a
+  snapshot's ``SnapshotField``.  So a ledger cannot be audited with another
+  field, sign or kind than the run's.
 * ``energy_audit`` and ``blowup_monitor`` recompute everything from stored
   snapshots; ``LedgerObserver`` accumulates the same ledger and moment
   while ``integrate`` runs, from the stepper's own pair sweeps.  Both
@@ -37,7 +38,7 @@ import numpy as np
 
 from .ensemble import Ensemble, kinetic_energy
 from .fields import c_d, grad_green, green
-from .flow import RunRecord, Trajectory
+from .flow import RunRecord, StepperConfig, Trajectory, step
 
 __all__ = [
     "EnergyLedger",
@@ -182,7 +183,7 @@ def _ledger(times, ke, pe, kt, corr=None) -> EnergyLedger:
     return EnergyLedger(times, ke, pe, total, kt, k_int, drift)
 
 
-def energy_audit(run: RunRecord, event_correction=True) -> EnergyLedger:
+def energy_audit(run: RunRecord) -> EnergyLedger:
     """Recompute the energy ledger from a run's snapshots, each in its own
     field (the run's ``field_factory``), all event corrections at once.
 
@@ -196,7 +197,7 @@ def energy_audit(run: RunRecord, event_correction=True) -> EnergyLedger:
     pe = np.array([f.model.potential(f.ens) for f in fields])
     kt = np.array([k_tau(f) for f in fields])
     corr = None
-    if event_correction and run.events:
+    if run.events:
         corr = np.zeros(len(times))
         _add_event_corrections(corr, times, run.events, fields.__getitem__)
     return _ledger(times, ke, pe, kt, corr)
@@ -300,27 +301,22 @@ class SeparationProbe:
 
 def make_separation_probe(run_base: RunRecord, run_pert: RunRecord,
                           delta, zeta) -> SeparationProbe:
-    """Pair two runs by particle id; raises PairMismatch on misalignment."""
-    if run_base.traj_x is None or run_pert.traj_x is None:
-        raise PairMismatch("both runs need store_trajectories=True")
-    if run_base.traj_x.shape != run_pert.traj_x.shape:
+    """Pair two runs' snapshots by particle id; GridMismatch unless both
+    kept one snapshot per step, PairMismatch on misalignment."""
+    if run_base.snapshot_every != 1 or run_pert.snapshot_every != 1:
+        raise GridMismatch("the separation probe needs one snapshot per step")
+    (t_b, x_b, v_b), (t_p, x_p, v_p) = (
+        (np.array([t for t, _ in run.snapshots]), np.array([s.x for _, s in run.snapshots]),
+         np.array([s.v for _, s in run.snapshots])) for run in (run_base, run_pert))
+    if x_b.shape != x_p.shape:
         raise PairMismatch("trajectory families differ in shape")
-    if not np.allclose(run_base.traj_times, run_pert.traj_times, rtol=0, atol=1e-12):
+    if not np.allclose(t_b, t_p, rtol=0, atol=1e-12):
         raise PairMismatch("trajectory families differ in time grid")
     w_b = run_base.snapshots[0][1].w
-    w_p = run_pert.snapshots[0][1].w
-    if not np.array_equal(w_b, w_p):
+    if not np.array_equal(w_b, run_pert.snapshots[0][1].w):
         raise PairMismatch("trajectory families differ in weights")
-    return SeparationProbe(
-        times=run_base.traj_times,
-        x_base=run_base.traj_x,
-        v_base=run_base.traj_v,
-        x_pert=run_pert.traj_x,
-        v_pert=run_pert.traj_v,
-        w=w_b,
-        delta=delta,
-        zeta=zeta,
-    )
+    return SeparationProbe(times=t_b, x_base=x_b, v_base=v_b, x_pert=x_p, v_pert=v_p,
+                           w=w_b, delta=delta, zeta=zeta)
 
 
 def phi_series(probe: SeparationProbe):
@@ -447,17 +443,17 @@ class SeparableBump:
         return out
 
 
-def bump_library(d=3, t_span=(0.05, 1.0), speed=1.0, length=1.0, graze_cut=0.05):
+def bump_library(d=3, t_span=(0.05, 1.0), speed=1.0, length=1.0):
     """The fixed test-function library used by the residual acceptance runs.
 
     Separable bumps with varied centers and radii; every member vanishes
-    for |v_1| below 2*graze_cut*speed (grazing exclusion) and is supported
-    away from t = 0 (initial-corner exclusion).
+    for |v_1| <= 0.05 speed (grazing exclusion) and is supported away from
+    t = 0 (initial-corner exclusion).
     """
     t0, t1 = t_span
     tc = 0.5 * (t0 + t1)
     tr = 0.6 * (t1 - t0)
-    gc = graze_cut * speed
+    gc = 0.05 * speed
 
     def vec(first, rest=0.0):
         out = np.full(d, rest, dtype=float)
@@ -513,9 +509,9 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
     """
     nodes = [(float(t), traj.x[k], traj.v[k], traj.e_field[k])
              for k, t in enumerate(traj.times)]
-    for ev, ef in zip(traj.events, traj.event_fields):
-        nodes.append((float(ev.t), ev.x, ev.v_minus, ef))
-        nodes.append((float(ev.t) + 0.0, ev.x, ev.v_plus, ef))
+    for ev in traj.events:
+        nodes.append((float(ev.t), ev.x, ev.v_minus, ev.e))
+        nodes.append((float(ev.t) + 0.0, ev.x, ev.v_plus, ev.e))
     # stable sort keeps the minus node before the plus node at equal times
     nodes.sort(key=lambda nd: nd[0])
 
@@ -558,45 +554,34 @@ def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0,
     """|det J - 1| of the finite-difference flow-map Jacobian at one point.
 
     A stencil of 4d+1 passive tracers (center and +-h along every phase
-    coordinate) rides the run's per-step frozen fields, rebuilt from its
-    snapshots with its own factory; any tracer reaching the boundary raises
+    coordinate) takes ``step``s of ``dt`` in the run's per-step frozen
+    fields, rebuilt from its snapshots with its own factory; any step in
+    which a tracer's path bounces off the boundary, however briefly, raises
     StencilReflected (the map is not smooth across events, so the stencil
     must stay reflection-free).
     """
     if run.snapshot_every != 1:
         raise GridMismatch("incompressibility probe needs one snapshot per step")
-    domain = run.snapshots[0][1].domain
-
-    def field_at(step_index):
-        return run.field_factory(run.snapshots[min(step_index, len(run.snapshots) - 1)][1])
-
+    cfg = StepperConfig(dt=dt)
+    n_steps = cfg.steps(t_end, "t_end")
     z0 = np.asarray(seed_point, dtype=float)
     d = z0.size // 2
-    stencil = [z0.copy()]
-    for j in range(2 * d):
-        for s in (+1.0, -1.0):
-            z = z0.copy()
-            z[j] += s * h
-            stencil.append(z)
-    z = np.array(stencil)
-    x, v = z[:, :d].copy(), z[:, d:].copy()
+    offsets = np.zeros((4 * d + 1, 2 * d))
+    offsets[1::2], offsets[2::2] = h * np.eye(2 * d), -h * np.eye(2 * d)
+    z = z0 + offsets
+    tracers = Ensemble(x=z[:, :d], v=z[:, d:], w=np.zeros(len(z)),
+                       domain=run.snapshots[0][1].domain)
 
-    n_steps = int(round(t_end / dt))
     steps_per_field = run.dt / dt
     for k in range(n_steps):
-        field_fn = field_at(int(k / steps_per_field) if steps_per_field >= 1 else k)
-        e0 = field_fn(x)
-        v_half = v + 0.5 * dt * e0
-        x_new = x + dt * v_half
-        if domain is not None and np.any(domain.signed_distance(x_new) < 0.0):
+        snap = int(k / steps_per_field) if steps_per_field >= 1 else k
+        field_fn = run.field_factory(run.snapshots[min(snap, len(run.snapshots) - 1)][1])
+        tracers, events, _ = step(tracers, field_fn, cfg)
+        if events:
             raise StencilReflected("tracer stencil reached the boundary")
-        v = v_half + 0.5 * dt * field_fn(x_new)
-        x = x_new
 
-    z_end = np.concatenate([x, v], axis=1)
-    jac = np.empty((2 * d, 2 * d))
-    for j in range(2 * d):
-        jac[:, j] = (z_end[1 + 2 * j] - z_end[2 + 2 * j]) / (2.0 * h)
+    z_end = np.concatenate([tracers.x, tracers.v], axis=1)
+    jac = (z_end[1::2] - z_end[2::2]).T / (2.0 * h)
     return float(abs(np.linalg.det(jac) - 1.0))
 
 
@@ -631,15 +616,14 @@ def blowup_monitor(run: RunRecord) -> BlowupReport:
     The moment's total variation staying finite under refinement is the
     discrete face of trajectories not blowing up in finite time; the bound
     series integrates |b(Z)| / ((1 + |Z|) log(2 + |Z|)), with the field the
-    run felt (its ``field_factory``).
+    run felt (the one stored with each snapshot).
     """
     times = np.array([t for t, _ in run.snapshots])
     moment = np.empty(len(times))
     bound = np.empty(len(times))
-    for k, (_, e) in enumerate(run.snapshots):
+    for k, ((_, e), e_val) in enumerate(zip(run.snapshots, run.fields)):
         znorm = _phase_norm(e)
         moment[k] = _loglog_moment(e, znorm)
-        e_val = run.field_factory(e)(e.x)
         bnorm = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(e_val**2, axis=1))
         w = e.w * e.alive
         bound[k] = float(np.sum(w * bnorm / ((1.0 + znorm) * np.log(2.0 + znorm))))
@@ -690,8 +674,7 @@ def _random_boundary(rng, domain, n):
     return out
 
 
-def audit_green(domain, kind, n_pairs=10_000, seed=0, n_boundary=100,
-                n_sources=32) -> GreenAudit:
+def audit_green(domain, kind, n_pairs=10_000, seed=0) -> GreenAudit:
     """Audit the pointwise Green bounds and the grounded-boundary property.
 
     Bounds checked on random interior pairs:
@@ -699,8 +682,8 @@ def audit_green(domain, kind, n_pairs=10_000, seed=0, n_boundary=100,
       |grad_x G| <= C_g |x-z|^(1-d)  with C_g = 2 c_d
     (the two constants agree at d = 3; the gradient bound needs the larger
     one in higher dimension).  The boundary check evaluates the potential
-    of a random ensemble at boundary points, relative to the direct-kernel
-    scale.
+    of a random 32-particle ensemble at 100 boundary points, relative to
+    the direct-kernel scale.
     """
     rng = np.random.default_rng(seed)
     d = domain.dim
@@ -718,9 +701,9 @@ def audit_green(domain, kind, n_pairs=10_000, seed=0, n_boundary=100,
     gr = float(np.max(gg / (cg * sep ** (1.0 - d))))
     nonneg = bool(np.min(g) >= -1e-15 * np.max(np.abs(g)))
 
-    src = _random_interior(rng, domain, n_sources)
-    w = rng.random(n_sources)
-    xb = _random_boundary(rng, domain, n_boundary)
+    src = _random_interior(rng, domain, 32)
+    w = rng.random(32)
+    xb = _random_boundary(rng, domain, 100)
     pot = np.sum(w[None, :] * green(kind, domain, xb[:, None, :], src[None, :, :]), axis=1)
     typical = np.sum(
         w[None, :]

@@ -131,10 +131,10 @@ def symmetrize(e: Ensemble) -> Ensemble:
     )
 
 
-def mirror_pair_indices(e: Ensemble, tol=1e-9):
+def mirror_pair_indices(e: Ensemble):
     """Index ``m`` with ``m[i]`` the mirror partner of particle i.
 
-    Raises AsymmetricInput if some particle has no partner within ``tol``
+    Raises AsymmetricInput if some particle has no partner within 1e-9
     (relative to the domain scale) in mirrored phase space.
     """
     from scipy.spatial import cKDTree
@@ -144,7 +144,7 @@ def mirror_pair_indices(e: Ensemble, tol=1e-9):
     xm, vm = _mirror_xv(e.x, e.v)
     zm = np.concatenate([xm, vm, e.w[:, None]], axis=1)
     dist, idx = cKDTree(zm).query(z, k=1)
-    if np.any(dist > tol * max(scale, 1.0)):
+    if np.any(dist > 1e-9 * max(scale, 1.0)):
         raise AsymmetricInput("ensemble is not closed under the mirror map")
     return idx
 

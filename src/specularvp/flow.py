@@ -22,7 +22,9 @@ The ensemble's frame decides the wall:
   x_1 -> |x_1|, v_1 -> sgn(x_1) v_1, which reproduces the reflected flow.
   For the hard-sign field the same sub-stepper splits the step at plane
   crossings, passing through instead of reflecting, so the two routes
-  agree bitwise in folded coordinates.
+  agree in folded coordinates to rounding: the two clouds sum their pairs
+  in different orders, so the deviation is 0.0 on some draws and a few
+  ulps on others.
 """
 
 from __future__ import annotations
@@ -107,27 +109,30 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class ReflectionEvent:
-    """One specular bounce: velocity jump v_plus - v_minus = -2 (v_minus . n) n."""
+    """One specular bounce: velocity jump v_plus - v_minus = -2 (v_minus . n) n.
+
+    ``e`` is the step's frozen field at the hit x, the value the sub-stepper
+    kicked with (bitwise the frozen field function called at x).
+    """
 
     t: float
     particle: int
     x: np.ndarray
     v_minus: np.ndarray
     v_plus: np.ndarray
+    e: np.ndarray
 
 
 @dataclass
 class Trajectory:
-    """Recorded path of one particle: samples, field values, and events."""
+    """Path of one particle read from a run's snapshots: the sample times,
+    its position, velocity and field at each, and its events."""
 
     times: np.ndarray
     x: np.ndarray
     v: np.ndarray
     e_field: np.ndarray
     events: list
-    event_fields: list
-    t_minus: float = 0.0
-    t_plus: float = np.inf
 
 
 def _path(x, v, e, s):
@@ -350,8 +355,9 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
             f_hit[:, 0] = -f_hit[:, 0]
         else:
             v_plus = reflect_velocity(normal, vm)
-            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk)
-                       for k, tk, xk, vk, wk in zip(hit, t[hit] + s, hits, vm, v_plus)]
+            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk)
+                       for k, tk, xk, vk, wk, fk
+                       in zip(hit, t[hit] + s, hits, vm, v_plus, f_hit)]
         x[hit], v[hit], e[hit] = hits, v_plus, f_hit
         t[hit] += s
         remaining[hit] -= s
@@ -501,58 +507,54 @@ class RunRecord:
     """Everything a fixed-dt run left behind.
 
     ``snapshots`` holds (time, Ensemble) pairs every ``snapshot_every``
-    steps, always including the initial and final states.  Trajectory
-    arrays (sampled every step), per-sample field values and the field at
-    each event exist when the run was asked to store them.
-    ``field_factory`` is the factory the run stepped with; the diagnostics
-    rebuild each snapshot's field from it.
+    steps, always including the initial and final states, and ``fields``
+    the field of each at its own positions, the one the run stepped with.
+    ``events`` are the bounces in (particle, time) order within each step,
+    each carrying the field at its hit.  ``deaths`` maps each particle that
+    blew up to the time of the step it died in.  ``field_factory`` is the
+    factory the run stepped with; the diagnostics rebuild each snapshot's
+    field function from it.
     """
 
-    times: np.ndarray
     snapshots: list
+    fields: list
     events: list
     final: Ensemble
     dt: float
     snapshot_every: int = 1
-    traj_x: np.ndarray | None = None
-    traj_v: np.ndarray | None = None
-    traj_e: np.ndarray | None = None
-    traj_times: np.ndarray | None = None
-    event_fields: list = field(default_factory=list)
-    deaths: dict = field(default_factory=dict)  # particle -> t_plus (blow-up)
+    deaths: dict = field(default_factory=dict)
     field_factory: object = None
 
     def trajectory(self, i: int) -> Trajectory:
-        if self.traj_x is None:
-            raise ValueError("run was not recorded with store_trajectories=True")
-        evs = [ev for ev in self.events if ev.particle == i]
-        efs = [ef for ev, ef in zip(self.events, self.event_fields) if ev.particle == i]
+        """Particle i's path; needs one snapshot per step (ValueError otherwise)."""
+        if self.snapshot_every != 1:
+            raise ValueError("a trajectory needs one snapshot per step")
         return Trajectory(
-            times=self.traj_times,
-            x=self.traj_x[:, i, :],
-            v=self.traj_v[:, i, :],
-            e_field=self.traj_e[:, i, :],
-            events=evs,
-            event_fields=efs,
-            t_minus=float(self.traj_times[0]),
-            t_plus=self.deaths.get(i, float(self.traj_times[-1])),
+            times=np.array([t for t, _ in self.snapshots]),
+            x=np.array([s.x[i] for _, s in self.snapshots]),
+            v=np.array([s.v[i] for _, s in self.snapshots]),
+            e_field=np.array([f[i] for f in self.fields]),
+            events=[ev for ev in self.events if ev.particle == i],
         )
 
 
 def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, store_trajectories=False, t0=0.0, observer=None):
-    """Fixed-dt run over [t0, t0 + t_end].
+              snapshot_every=1, t0=0.0, observer=None):
+    """Fixed-dt run over [t0, t0 + t_end]; returns its ``RunRecord``.
 
     Each step freezes the field from the snapshot entering the step (the
     Picard-style decoupling); events are merged in (particle, time) order
-    within a step.  Deterministic for a fixed initial ensemble.
+    within a step.  Deterministic for a fixed initial ensemble.  A snapshot
+    is kept every ``snapshot_every`` steps, a whole number >= 1 (ValueError
+    otherwise, before any step).
 
     Force reuse: in refresh mode the trailing-kick field of a step is the
     field of the snapshot it ends on, so its sweep is the next step's
     leading field.  It is carried over unless a particle died in the step
     (dead particles leave the sources); then, and in frozen mode, the new
     snapshot's field is swept afresh.  Factories must therefore depend on
-    a snapshot's positions, weights and alive mask only.
+    a snapshot's positions, weights and alive mask only.  The field kept
+    with each stored snapshot is that sweep's.
 
     The ensemble's frame picks the wall (see ``step``).
 
@@ -562,6 +564,9 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     ``ens``), its ``Sweep`` (the per-row potential included) and the step's
     events (none for the initial call).
     """
+    if not (float(snapshot_every).is_integer() and snapshot_every >= 1):
+        raise ValueError(f"snapshot_every = {snapshot_every!r} is not a whole number >= 1")
+    snapshot_every = int(snapshot_every)
     n_steps = cfg.steps(t_end, "t_end")
     potential = observer is not None
 
@@ -571,18 +576,8 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     sweep = _own_sweep(field_fn, e.x, potential)  # of the current snapshot e
     if observer is not None:
         observer(t, field_fn, sweep, [])
-    snapshots = [(t, e)]
+    snapshots, fields = [(t, e)], [sweep.field]
     events: list[ReflectionEvent] = []
-    event_fields: list[np.ndarray] = []
-    tj_x = tj_v = tj_e = None
-    if store_trajectories:
-        d = e0.dim
-        tj_x = np.empty((n_steps + 1, len(e0), d))
-        tj_v = np.empty_like(tj_x)
-        tj_e = np.empty_like(tj_x)
-        tj_x[0], tj_v[0], tj_e[0] = e0.x, e0.v, sweep.field
-
-    times = [t]
     deaths: dict[int, float] = {}
     for k in range(n_steps):
         start, lead, sweep = e, sweep.field, None
@@ -590,10 +585,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
                               field_factory=None if cfg.frozen_field else field_factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events.extend(evts)
-        if store_trajectories and evts:
-            event_fields.extend(field_fn(np.array([ev.x for ev in evts])))
         t = t0 + (k + 1) * cfg.dt
-        times.append(t)
         died = start.alive & ~e.alive
         for i in np.flatnonzero(died):
             deaths[int(i)] = t
@@ -602,23 +594,10 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
             sweep = _own_sweep(field_fn, e.x, potential)
         if observer is not None:
             observer(t, field_fn, sweep, evts)
-        if store_trajectories:
-            tj_x[k + 1], tj_v[k + 1], tj_e[k + 1] = e.x, e.v, sweep.field
         if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
             snapshots.append((t, e))
+            fields.append(sweep.field)
 
-    return RunRecord(
-        times=np.asarray(times),
-        snapshots=snapshots,
-        events=events,
-        final=e,
-        dt=cfg.dt,
-        snapshot_every=snapshot_every,
-        traj_x=tj_x,
-        traj_v=tj_v,
-        traj_e=tj_e,
-        traj_times=np.asarray(times) if store_trajectories else None,
-        event_fields=event_fields,
-        deaths=deaths,
-        field_factory=field_factory,
-    )
+    return RunRecord(snapshots=snapshots, fields=fields, events=events, final=e, dt=cfg.dt,
+                     snapshot_every=snapshot_every, deaths=deaths,
+                     field_factory=field_factory)

@@ -269,8 +269,8 @@ def test_criterion_09_phi_growth():
     pert = Ensemble(x=x + 1e-6 * rng.standard_normal((n, 3)), v=v, w=w, domain=HS)
     fac = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params)
     cfg = StepperConfig(dt=1e-2)
-    rec_b = integrate(base, fac, cfg, 0.5, store_trajectories=True)
-    rec_p = integrate(pert, fac, cfg, 0.5, store_trajectories=True)
+    rec_b = integrate(base, fac, cfg, 0.5)
+    rec_p = integrate(pert, fac, cfg, 0.5)
     slopes = {}
     for zeta in (0.1, 0.05):
         probe = make_separation_probe(rec_b, rec_p, delta=1e-3, zeta=zeta)
@@ -295,8 +295,7 @@ def test_criterion_10_weakform_residual():
     for dt in (1e-4, 5e-5):
         e = Ensemble(x=np.array([[0.6, 0.0, 0.0]]), v=np.array([[-1.0, 0.6, 0.0]]),
                      w=np.array([2.0]), domain=HS)
-        rec = integrate(e, factory, StepperConfig(dt=dt), 1.2,
-                        store_trajectories=True)
+        rec = integrate(e, factory, StepperConfig(dt=dt), 1.2)
         assert len(rec.events) == 1, "fixture must produce a one-bounce trajectory"
         traj = rec.trajectory(0)
         residuals[dt] = max(abs(weakform_residual(traj, phi, HS)) for phi in lib)

@@ -1,7 +1,8 @@
 """Every script in demos/ runs to completion against the current API.
 
 Each demo runs as a subprocess in a temporary working directory, since the
-demos write their CSV and JSONL files there.
+demos write their CSV and JSONL files there, with warnings turned into
+errors and nothing allowed on stderr.
 """
 
 import os
@@ -20,6 +21,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -206,8 +206,8 @@ def free_streaming_pair(n=32, jitter=1e-6, dt=1e-2, t_end=0.5, dv=None):
     pert = Ensemble(x=x2, v=v2, w=w, domain=HS)
     cfg = StepperConfig(dt=dt)
     fac = lambda ens: (lambda pos: np.zeros_like(pos))
-    rec_b = integrate(base, fac, cfg, t_end, store_trajectories=True)
-    rec_p = integrate(pert, fac, cfg, t_end, store_trajectories=True)
+    rec_b = integrate(base, fac, cfg, t_end)
+    rec_p = integrate(pert, fac, cfg, t_end)
     return rec_b, rec_p
 
 
@@ -295,7 +295,7 @@ class TimeOnly:
 class TestWeakform:
     def bounce_trajectory(self, dt=1e-3, with_field=True):
         e = make([[0.6, 0.0, 0.0]], [[-1.0, 0.6, 0.0]], [2.0 if with_field else 0.0])
-        rec = run_fixture(e, dt, 1.2, store_trajectories=True)
+        rec = run_fixture(e, dt, 1.2)
         assert len(rec.events) == 1
         return rec.trajectory(0)
 
@@ -364,8 +364,7 @@ class TestWeakform:
         x = np.array([[0.0, 0.0, 0.0], [0.0, 1e-4, 0.0]])
         v = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         from specularvp.flow import Trajectory
-        traj = Trajectory(times=times, x=x, v=v, e_field=np.zeros((2, 3)),
-                          events=[], event_fields=[])
+        traj = Trajectory(times=times, x=x, v=v, e_field=np.zeros((2, 3)), events=[])
         with pytest.raises(SupportViolation):
             weakform_residual(traj, bad, HS)
 
@@ -395,6 +394,19 @@ class TestIncompressibility:
         with pytest.raises(StencilReflected):
             incompressibility_probe(rec, np.array([0.05, 0.0, 0.0, -1.0, 0.0, 0.0]),
                                     h=1e-5, t_end=1.0, dt=1e-3)
+
+    def test_excursion_within_one_step_raises(self):
+        # in a field of 1e4 pushing off the wall, a tracer at x_1 = 1.2e-5
+        # moving out at unit speed reaches x_1 = -3.8e-5 at t = 1e-4 and is
+        # back inside at the end of the step: only the whole path shows it
+        def push(ens):
+            return lambda x: np.tile([1e4, 0.0, 0.0], (len(x), 1))
+
+        rec = integrate(make([[0.5, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [1.0]), push,
+                        StepperConfig(dt=1e-3), 1e-3)
+        with pytest.raises(StencilReflected):
+            incompressibility_probe(rec, np.array([1.2e-5, 0.0, 0.0, -1.0, 0.0, 0.0]),
+                                    h=1e-6, t_end=1e-3, dt=1e-3)
 
 
 class TestBlowupMonitor:

@@ -512,6 +512,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(e, lambda ens: zero_field, StepperConfig(dt=0.3), 1.0)
 
+    @pytest.mark.parametrize("every", [0, -1, 2.5])
+    def test_bad_snapshot_cadence_rejected_before_stepping(self, every):
+        # 0 would divide by zero after the first step, -1 would store every
+        # step under a cadence the diagnostics cannot read, 2.5 a 0.5 grid
+        def factory(ens):
+            raise AssertionError("the run started")
+
+        e = particle([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="snapshot_every"):
+            integrate(e, factory, StepperConfig(dt=0.25), 1.0, snapshot_every=every)
+
     def test_blowup_marks_dead(self):
         e = particle([1.0, 0.0, 0.0], [1e13, 0.0, 0.0])
         rec = integrate(e, lambda ens: zero_field, StepperConfig(dt=0.01), 0.01)
@@ -520,6 +531,55 @@ class TestIntegrate:
         assert np.array_equal(rec.final.x[0], e.x[0] + 0.01 * e.v[0])
         rec2 = integrate(rec.final, lambda ens: zero_field, StepperConfig(dt=0.01), 0.02)
         assert np.array_equal(rec2.final.x[0], rec.final.x[0])
+
+
+class TestRunRecord:
+    """A run's record is its snapshots with their fields and its events with
+    theirs, each byte for byte the value a fresh evaluation gives."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("wall", ["halfspace", "ball"])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5))
+    def test_snapshots_fields_and_events_agree(self, wall, dim, seed, k):
+        rng = np.random.default_rng(seed)
+        x, v = draw_cloud(rng, wall, dim, k)
+        if wall == "halfspace":
+            domain, kind = HalfSpace(dim), GreenKind.HALF_SPACE_IMAGE
+            v[0, 0] = -1.0 - abs(v[0, 0])
+        else:
+            domain, kind = Ball(dim, 1.0), GreenKind.BALL_IMAGE
+            v[0] = 3.0 * x[0] / np.linalg.norm(x[0])
+        factory = make_field_factory(domain, kind, PARAMS)
+        e0 = Ensemble(x=x, v=v, w=np.full(k, 0.5 / k), domain=domain)
+        seen = []  # (snapshot, events of the step that ended on it)
+        rec = integrate(e0, factory, StepperConfig(dt=0.05), 0.5,
+                        observer=lambda t, field, sweep, evts: seen.append((field.ens, evts)))
+        assert rec.events, "particle 0 must bounce"
+        event(f"{len(rec.events)} events")
+        steps = [(snap, evts) for (snap, _), (_, evts) in zip(seen, seen[1:])]
+        assert [id(ev) for _, evts in steps for ev in evts] == [id(ev) for ev in rec.events]
+        for snap, evts in steps:
+            for ev in evts:
+                assert ev.e.tobytes() == factory(snap)(ev.x[None])[0].tobytes()
+        assert len(rec.fields) == len(rec.snapshots)
+        for (_, snap), f in zip(rec.snapshots, rec.fields):
+            assert f.tobytes() == factory(snap)(snap.x).tobytes()
+            assert domain.signed_distance(snap.x).min() >= 0.0
+        for i in range(k):
+            traj = rec.trajectory(i)
+            assert np.array_equal(traj.times, [t for t, _ in rec.snapshots])
+            assert np.array_equal(traj.x, [snap.x[i] for _, snap in rec.snapshots])
+            assert np.array_equal(traj.v, [snap.v[i] for _, snap in rec.snapshots])
+            assert np.array_equal(traj.e_field, [f[i] for f in rec.fields])
+            assert [id(ev) for ev in traj.events] == [id(ev) for ev in rec.events
+                                                       if ev.particle == i]
+
+    def test_a_trajectory_needs_every_step(self):
+        e = particle([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        rec = integrate(e, lambda ens: zero_field, StepperConfig(dt=0.25), 1.0,
+                        snapshot_every=2)
+        with pytest.raises(ValueError):
+            rec.trajectory(0)
 
 
 class TestBoundaryResidents:

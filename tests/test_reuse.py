@@ -94,47 +94,47 @@ CASES = {
 
 def reference_run(e, factory, cfg, t_end):
     """integrate without reuse: every step's leading field is evaluated afresh."""
-    snaps, events, event_fields, traj_e = [e], [], [], []
+    snaps, fields, events, hit_fields = [e], [], [], []
     for k in range(int(round(t_end / cfg.dt))):
         field_fn = factory(e)
-        traj_e.append(field_fn(e.x))
+        fields.append(field_fn(e.x))
         e, evts, _ = step(e, field_fn, cfg, t0=k * cfg.dt,
                           field_factory=None if cfg.frozen_field else factory)
         evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
         events += evts
-        event_fields += [field_fn(ev.x[None, :])[0] for ev in evts]
+        hit_fields += [field_fn(ev.x[None, :])[0] for ev in evts]
         snaps.append(e)
-    traj_e.append(factory(e)(e.x))
-    return snaps, events, event_fields, np.array(traj_e)
+    fields.append(factory(e)(e.x))
+    return snaps, fields, events, hit_fields
 
 
 def assert_same_run(rec, ref):
-    snaps, events, event_fields, traj_e = ref
-    assert len(rec.snapshots) == len(snaps)
+    snaps, fields, events, hit_fields = ref
+    assert len(rec.snapshots) == len(snaps) == len(rec.fields) == len(fields)
     for (_, a), b in zip(rec.snapshots, snaps):
         for name in ("x", "v", "alive"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert len(rec.events) == len(events) == len(rec.event_fields) == len(event_fields)
-    for a, b in zip(rec.events, events):
+    for a, b in zip(rec.fields, fields):
+        assert np.array_equal(a, b)
+    assert len(rec.events) == len(events) == len(hit_fields)
+    for a, b, ef in zip(rec.events, events, hit_fields):
         assert (a.t, a.particle) == (b.t, b.particle)
         for name in ("x", "v_minus", "v_plus"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-    for a, b in zip(rec.event_fields, event_fields):
-        assert np.array_equal(a, b)
-    assert np.array_equal(rec.traj_x, np.array([s.x for s in snaps]))
-    assert np.array_equal(rec.traj_v, np.array([s.v for s in snaps]))
-    assert np.array_equal(rec.traj_e, traj_e)
+        # the field the sub-stepper kicked with is the frozen field at the hit
+        assert np.array_equal(a.e, ef)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_reuse_matches_a_run_without_reuse(case):
     e0, factory, cfg, t_end = CASES[case]()
-    rec = integrate(e0, factory, cfg, t_end, store_trajectories=True)
+    rec = integrate(e0, factory, cfg, t_end)
     assert_same_run(rec, reference_run(e0, factory, cfg, t_end))
     if case.endswith("_event"):
         assert rec.events, "the case must reflect"
     if case.startswith("fold"):
-        assert np.any(rec.traj_x[:, :, 0] * rec.traj_x[0, :, 0] < 0), "no plane crossing"
+        x1 = np.array([s.x[:, 0] for _, s in rec.snapshots])
+        assert np.any(x1 * x1[0] < 0), "no plane crossing"
 
 
 # sha256 over the snapshots' x and v bytes of the fold(True) run as the
@@ -184,7 +184,7 @@ def test_a_plain_field_function_is_reused_and_dropped_too():
     def counting_factory(ens):
         return lambda x: np.full_like(x, -1e-3 * np.sum(ens.alive))
 
-    rec = integrate(e0, counting_factory, cfg, t_end, store_trajectories=True)
+    rec = integrate(e0, counting_factory, cfg, t_end)
     assert 0 in rec.deaths
     assert_same_run(rec, reference_run(e0, counting_factory, cfg, t_end))
 
@@ -228,12 +228,13 @@ def test_streamed_event_corrections_follow_the_step_index_rule():
     # end take the same step index, source snapshot and order in both paths
     e0, factory, cfg, _ = bounce()
     rec = integrate(e0, factory, cfg, 0.3)
-    times = rec.times
+    times = np.array([t for t, _ in rec.snapshots])
     fields = [factory(s) for _, s in rec.snapshots]
 
     def bounce_at(t):
         return ReflectionEvent(t, 1, np.array([0.0, 0.1, 0.0]),
-                               np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.2, 0.0]))
+                               np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.2, 0.0]),
+                               np.zeros(3))
 
     by_step = {
         5: [bounce_at(times[5] + 0.3 * cfg.dt)],
