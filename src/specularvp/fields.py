@@ -359,8 +359,9 @@ _KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPI
 
 @functools.cache
 def _load_kernel():
-    """``pair_rows`` of pairs.c as a ctypes function, or None when it cannot be
-    built or loaded (the numpy path then gives the same bits).
+    """pairs.c as a ctypes library (``pair_rows``, ``phase_cost``,
+    ``assignment``), or None when it cannot be built or loaded: the numpy
+    path and scipy then give the same bits.
 
     gcc builds it on first use into the package's ``__pycache__``, under a
     name keyed by the sha256 of the source and the flags, and publishes it
@@ -381,13 +382,16 @@ def _load_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).pair_rows
+        kernel = ctypes.CDLL(str(lib))
     except (OSError, subprocess.CalledProcessError):
         return None
-    p, dbl = ctypes.c_void_p, ctypes.c_double
-    kernel.argtypes = [ctypes.c_int, ctypes.c_int, dbl, dbl, dbl, dbl, p,
-                       ctypes.c_long, p, ctypes.c_long, p, p, p, p]
-    kernel.restype = None
+    p, dbl, i, n = ctypes.c_void_p, ctypes.c_double, ctypes.c_int, ctypes.c_long
+    kernel.pair_rows.argtypes = [i, i, dbl, dbl, dbl, dbl, p, n, p, n, p, p, p, p]
+    kernel.pair_rows.restype = None
+    kernel.phase_cost.argtypes = [n, p, n, p, i, p]
+    kernel.phase_cost.restype = None
+    kernel.assignment.argtypes = [n, p, p]
+    kernel.assignment.restype = i
     return kernel
 
 
@@ -551,8 +555,8 @@ class FieldModel:
             return
         t = np.ascontiguousarray(t, dtype=float)
         for y, q, a2 in cloud:
-            kernel(*args, _address(a2), len(t), t.ctypes.data, len(y), y.ctypes.data,
-                   q.ctypes.data, _address(s), _address(phi))
+            kernel.pair_rows(*args, _address(a2), len(t), t.ctypes.data, len(y),
+                             y.ctypes.data, q.ctypes.data, _address(s), _address(phi))
 
     def _sums(self, cloud, x, gradient=True, potential=False):
         """(S, phi) at targets x; each only when asked, else None."""

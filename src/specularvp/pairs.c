@@ -32,11 +32,26 @@
  * Build with -O3 -fno-math-errno -ffp-contract=off and without -ffast-math:
  * no fused multiply-add and no reassociation; vector sqrt and division are
  * correctly rounded, as the scalar ones are; -fno-math-errno only lets sqrt
- * be vectorised.  Where gcc targets x86-64 Linux, pair_rows is cloned for
- * AVX-512 and AVX2 and the loader picks the clone the CPU runs, which sets
- * the vector width and nothing else. */
+ * be vectorised.  Where gcc targets x86-64 Linux, pair_rows and phase_cost
+ * are cloned for AVX-512 and AVX2 and the loader picks the clone the CPU
+ * runs, which sets the vector width and nothing else.
+ *
+ * Exact W_1 between two point clouds (selfconsistent.w1_exact) adds two
+ * functions, built with the same flags.  phase_cost writes
+ *     cost[i nb + j] = sqrt(sum_k (a_ik - b_jk)^2),
+ * the squares added in coordinate order from k = 0, then one sqrt: the float
+ * operations of scipy's cdist(a, b), so the two give the same bits.  b comes
+ * transposed (bt[k nb + j]), so each coordinate is one loop along a row of
+ * the matrix.  assignment is the shortest augmenting path method of D. F.
+ * Crouse ("On implementing 2D rectangular assignment algorithms", IEEE TAES
+ * 52(4), 2016) on a square matrix, as scipy's linear_sum_assignment runs it:
+ * the same reduced costs and dual updates in the same order, and its tie
+ * rules (the free columns scanned from the last; on an equal reduced cost,
+ * an unassigned column wins), so it returns scipy's assignment. */
 
 #include <math.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define L 32
 
@@ -164,4 +179,108 @@ pair_rows(int d, int cut, double param, double amp, double gain,
     if (i < m)
         lanes(d, cut, param, amp, gain, radius2, a2, (int)(m - i), t + i * d,
               n, y, q, s ? s + i * d : 0, phi ? phi + i : 0);
+}
+
+
+CLONES void
+phase_cost(long na, const double *a, long nb, const double *bt, int d, double *cost)
+{
+    for (long i = 0; i < na; i++) {
+        double *c = cost + i * nb;
+
+        for (long j = 0; j < nb; j++)
+            c[j] = 0.0;
+        for (int k = 0; k < d; k++) {
+            const double x = a[i * d + k], *y = bt + k * nb;
+            for (long j = 0; j < nb; j++)
+                c[j] += (x - y[j]) * (x - y[j]);
+        }
+        for (long j = 0; j < nb; j++)
+            c[j] = sqrt(c[j]);
+    }
+}
+
+/* col4row[i] = the column matched to row i of the n x n cost matrix.
+   Returns 0, or -1 on a NaN or -inf entry and -2 when no finite matching
+   exists (scipy's two ValueErrors), or -3 when out of memory. */
+int
+assignment(long n, const double *cost, long *col4row)
+{
+    for (long i = 0; i < n * n; i++)
+        if (cost[i] != cost[i] || cost[i] == -INFINITY)
+            return -1;
+
+    double *u = calloc(n ? n : 1, 3 * sizeof(double) + 3 * sizeof(long) + 2);
+    if (!u)
+        return -3;
+    double *v = u + n, *spc = v + n;
+    long *path = (long *)(spc + n), *row4col = path + n, *remaining = row4col + n;
+    char *sr = (char *)(remaining + n), *sc = sr + n;
+    int status = 0;
+
+    for (long j = 0; j < n; j++)
+        col4row[j] = row4col[j] = -1;
+    for (long cur = 0; cur < n; cur++) {
+        double min_val = 0.0;
+        long i = cur, sink = -1, left = n;
+
+        /* filled from the last column, so a constant matrix gives the identity */
+        for (long it = 0; it < n; it++) {
+            remaining[it] = n - it - 1;
+            spc[it] = INFINITY;
+        }
+        memset(sr, 0, 2 * n);
+        while (sink == -1) {
+            long index = -1;
+            double lowest = INFINITY;
+
+            sr[i] = 1;
+            for (long it = 0; it < left; it++) {
+                long j = remaining[it];
+                double r = min_val + cost[i * n + j] - u[i] - v[j];
+
+                if (r < spc[j]) {
+                    path[j] = i;
+                    spc[j] = r;
+                }
+                /* on a tie, take a column that ends the path */
+                if (spc[j] < lowest || (spc[j] == lowest && row4col[j] == -1)) {
+                    lowest = spc[j];
+                    index = it;
+                }
+            }
+            min_val = lowest;
+            if (min_val == INFINITY) {
+                status = -2;
+                break;
+            }
+            long j = remaining[index];
+            if (row4col[j] == -1)
+                sink = j;
+            else
+                i = row4col[j];
+            sc[j] = 1;
+            remaining[index] = remaining[--left];
+        }
+        if (status)
+            break;
+
+        u[cur] += min_val;
+        for (long r = 0; r < n; r++)
+            if (sr[r] && r != cur)
+                u[r] += min_val - spc[col4row[r]];
+        for (long j = 0; j < n; j++)
+            if (sc[j])
+                v[j] -= min_val - spc[j];
+        for (long j = sink, r = -1; r != cur;) {  /* augment along the path */
+            long next;
+            r = path[j];
+            row4col[j] = r;
+            next = col4row[r];
+            col4row[r] = j;
+            j = next;
+        }
+    }
+    free(u);
+    return status;
 }

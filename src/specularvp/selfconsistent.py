@@ -6,18 +6,23 @@ phase-space displacement between consecutive iterates is an O(N) upper
 bound for W_1 between the iterate measures.  Exact W_1 (min-cost matching)
 is a secondary certified check at small N; the sliced estimator scales to
 large N but is an estimator, not a bound.
+
+The matching's cost matrix and assignment run in the pair kernel's library
+(pairs.c: ``phase_cost``, ``assignment``), which gives scipy's ``cdist`` and
+``linear_sum_assignment`` bit for bit; without a compiler those two are
+imported where they are called, so no command loads scipy at start.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
+from . import fields
 from .ensemble import Ensemble
 from .flow import StepperConfig, step
 
@@ -77,25 +82,63 @@ def _check_mass(a: Ensemble, b: Ensemble):
 def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> W1Report:
     """Exact Kantorovich W_1 between two equal-mass empirical measures.
 
-    Euclidean cost on phase space (x, v).  Equal particle counts reduce to
-    a min-cost perfect matching (Hungarian, O(N^3)); unequal counts with
-    uniform weights fall back to the transport LP.
+    Euclidean cost on phase space (x, v) between the live particles.  Equal
+    live counts reduce to a min-cost perfect matching (shortest augmenting
+    paths, O(N^3)); unequal counts with uniform weights fall back to the
+    transport LP.
     """
     mass = _check_mass(a, b)
-    if len(a) > n_exact or len(b) > n_exact:
-        raise TooLarge(f"exact matching limited to {n_exact} particles")
-    for e in (a, b):
-        if len(e) and np.ptp(e.w) > 1e-12 * np.max(e.w):
-            raise UnequalWeights("exact W_1 requires equal weights within each ensemble")
-    if len(a) == 0:
-        return W1Report(0.0, "exact_matching", True)
-    cost = cdist(_phase_points(a), _phase_points(b))
-    if len(a) == len(b):
-        rows, cols = linear_sum_assignment(cost)
-        value = mass / len(a) * float(cost[rows, cols].sum())
-    else:
-        value = _w1_lp(cost, a.w * a.alive, b.w * b.alive)
+    value = _w1_alive(_phase_points(a)[a.alive], a.w[a.alive],
+                      _phase_points(b)[b.alive], b.w[b.alive], mass, n_exact)
     return W1Report(value, "exact_matching", True)
+
+
+def _w1_alive(za, wa, zb, wb, mass, n_exact=N_EXACT):
+    """Exact W_1 between the phase points za and zb, live rows only, with
+    weights wa and wb, each summing to ``mass``."""
+    if len(za) > n_exact or len(zb) > n_exact:
+        raise TooLarge(f"exact matching limited to {n_exact} particles")
+    for w in (wa, wb):
+        if len(w) and np.ptp(w) > 1e-12 * np.max(w):
+            raise UnequalWeights("exact W_1 requires equal weights within each ensemble")
+    if len(za) == 0 or len(zb) == 0:
+        return 0.0
+    kernel = fields._load_kernel()
+    cost = _cost_matrix(kernel, za, zb)
+    if len(za) != len(zb):
+        return _w1_lp(cost, wa, wb)
+    cols = _assignment(kernel, cost)
+    return mass / len(za) * float(cost[np.arange(len(za)), cols].sum())
+
+
+def _cost_matrix(kernel, za, zb):
+    """cdist(za, zb): the squares summed in coordinate order, then sqrt."""
+    if kernel is None:
+        from scipy.spatial.distance import cdist
+        return cdist(za, zb)
+    za = np.ascontiguousarray(za, dtype=float)
+    zt = np.ascontiguousarray(zb.T, dtype=float)
+    cost = np.empty((len(za), len(zb)))
+    kernel.phase_cost(len(za), za.ctypes.data, len(zb), zt.ctypes.data, za.shape[1],
+                      cost.ctypes.data)
+    return cost
+
+
+def _assignment(kernel, cost):
+    """The columns of linear_sum_assignment(cost) for a square matrix, with
+    its ValueErrors."""
+    if kernel is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment(cost)[1]
+    cols = np.empty(len(cost), dtype=np.dtype(ctypes.c_long))
+    status = kernel.assignment(len(cost), cost.ctypes.data, cols.ctypes.data)
+    if status == -1:
+        raise ValueError("matrix contains invalid numeric entries")
+    if status == -2:
+        raise ValueError("cost matrix is infeasible")
+    if status:
+        raise MemoryError("no memory for the assignment")
+    return cols
 
 
 def _w1_lp(cost, wa, wb):
@@ -226,11 +269,12 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
         z = float(np.max(np.sum(h0.w[None, :] * disp, axis=1)) / mass) if mass else 0.0
         state.z_values.append(z)
         if compute_w1:
+            w = h0.w[h0.alive]
+            za = np.concatenate([new_x, new_v], axis=2)[:, h0.alive]
+            zb = np.concatenate([hist_x, hist_v], axis=2)[:, h0.alive]
             w1max = 0.0
             for k in range(m + 1):
-                a = h0.with_state(x=new_x[k], v=new_v[k])
-                b = h0.with_state(x=hist_x[k], v=hist_v[k])
-                w1max = max(w1max, w1_exact(a, b).value)
+                w1max = max(w1max, _w1_alive(za[k], w, zb[k], w, mass))
             state.w1_values.append(w1max)
         if len(state.z_values) >= 2 and state.z_values[-2] > 0:
             ratio = z / state.z_values[-2]

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -252,6 +253,28 @@ class TestCommands:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+
+    def scipy_modules(self, code, *argv):
+        """The scipy modules a fresh interpreter holds after running code."""
+        probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert self.scipy_modules("import specularvp.cli") == "[]"
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler: exact W1 needs scipy")
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", MINIMAL),
+        ("picard", MINIMAL + "\n[picard]\nt0 = 0.01\nn_max = 2\nw1 = true\n")])
+    def test_commands_load_no_scipy(self, tmp_path, command, text):
+        # exact W1 runs in the compiled kernel; importing scipy would be most
+        # of a command's start-up time
+        run_main = "from specularvp.cli import main\nassert main(sys.argv[1:]) == 0"
+        argv = [command, "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "x")]
+        assert self.scipy_modules(run_main, *argv) == "[]"
 
     def test_steps_that_do_not_divide_the_picard_horizon_still_simulate(self, tmp_path):
         # dt = 0.3 divides t_end = 0.9 but not the default [picard] t0 = 0.05

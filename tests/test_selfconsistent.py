@@ -1,10 +1,13 @@
+import shutil
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from specularvp import cli, fields
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import GreenKind, RegularizationParams, make_field_factory
 from specularvp.flow import StepperConfig, integrate
@@ -14,6 +17,8 @@ from specularvp.selfconsistent import (
     NonContractionWarning,
     TooLarge,
     UnequalWeights,
+    _assignment,
+    _cost_matrix,
     picard_iterate,
     w1_exact,
     w1_sliced,
@@ -22,6 +27,12 @@ from specularvp.selfconsistent import (
 HS = HalfSpace(3)
 PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.05, delta=0.05)
 IMAGE = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, PARAMS)
+NEEDS_GCC = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no C compiler: scipy is the only path")
+
+
+def no_compiler():
+    return mock.patch.object(fields, "_load_kernel", lambda: None)
 
 
 def cloud(n, seed, mass=1.0, spread=1.0, offset=0.0):
@@ -94,6 +105,124 @@ class TestW1Exact:
                      v=np.zeros((4, 3)), w=np.full(4, 0.25), domain=HS)
         # each source splits evenly to its two nearest targets at distance 1
         assert w1_exact(a, b).value == pytest.approx(1.0, rel=1e-8)
+
+
+class TestW1DeadParticles:
+    @staticmethod
+    def pair(x1, w, alive):
+        x = np.zeros((len(x1), 3))
+        x[:, 0] = x1
+        return Ensemble(x=x, v=np.zeros_like(x), w=w, domain=HS, alive=alive)
+
+    def test_dead_rows_are_not_matched(self):
+        # the live rows coincide; the dead ones sit apart and carry no mass
+        a = self.pair([1.0, 2.0], [0.5, 0.5], [True, False])
+        b = self.pair([1.0, 9.0], [0.5, 0.5], [True, False])
+        assert w1_exact(a, b).value == 0.0
+        assert w1_sliced(a, b).value == 0.0
+
+    def test_unequal_live_counts_take_the_lp(self):
+        # 3 particles each, 2 live against 1: the live weights are equal
+        # within each ensemble, the dead one's is not
+        a = self.pair([1.0, 3.0, 5.0], [0.25, 0.25, 0.25], [True, True, False])
+        b = self.pair([2.0, 4.0, 6.0], [0.5, 0.25, 0.25], [True, False, False])
+        assert w1_exact(a, b).value == pytest.approx(0.5, rel=1e-8)
+
+
+@NEEDS_GCC
+class TestCompiledMatching:
+    """The kernel's cost matrix and assignment against scipy, the oracle."""
+
+    def test_assignment_is_scipys(self):
+        kernel = fields._load_kernel()
+        rng = np.random.default_rng(2016)
+        for t in range(3000):
+            n = 1 if t < 20 else int(rng.integers(2, 61))
+            if t % 3 == 0:  # small integer costs: full of ties
+                cost = rng.integers(0, 4, (n, n)).astype(float)
+            else:
+                cost = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4)
+            assert np.array_equal(_assignment(kernel, cost), linear_sum_assignment(cost)[1])
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_cost_is_cdist_bytes(self, d):
+        kernel = fields._load_kernel()
+        rng = np.random.default_rng(d)
+        for _ in range(200):
+            na, nb = rng.integers(1, 100, 2)
+            za = rng.normal(size=(na, d)) * 10.0 ** rng.integers(-3, 4)
+            zb = rng.normal(size=(nb, d))
+            assert _cost_matrix(kernel, za, zb).tobytes() == cdist(za, zb).tobytes()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "scipy"])
+    @pytest.mark.parametrize("bad, match", [
+        (np.nan, "invalid numeric entries"), (-np.inf, "invalid numeric entries"),
+        (np.inf, "infeasible")])
+    def test_non_finite_cost_raises(self, compiled, bad, match):
+        cost = np.ones((3, 3))
+        cost[1] = bad  # a +inf row leaves row 1 no finite match
+        kernel = fields._load_kernel() if compiled else None
+        with pytest.raises(ValueError, match=match):
+            _assignment(kernel, cost)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "scipy"])
+    def test_infinite_velocity_raises(self, compiled):
+        a, b = cloud(4, 0), cloud(4, 1)
+        v = a.v.copy()
+        v[2, 1] = np.inf
+        loader = fields._load_kernel if compiled else (lambda: None)
+        with mock.patch.object(fields, "_load_kernel", loader):
+            with pytest.raises(ValueError, match="infeasible"):
+                w1_exact(a.with_state(v=v), b)
+
+    def test_picard_writes_the_same_bytes_without_a_compiler(self, tmp_path):
+        config = tmp_path / "picard.cfg"
+        config.write_text(PICARD_FOLD)
+        runs = {}
+        for name, loader in [("kernel", fields._load_kernel), ("scipy", lambda: None)]:
+            with mock.patch.object(fields, "_load_kernel", loader):
+                out = tmp_path / name
+                assert cli.main(["picard", "--config", str(config), "--out", str(out)]) == 0
+            runs[name] = (out / "contraction.csv").read_bytes()
+        assert runs["kernel"] == runs["scipy"]
+        assert len(runs["kernel"].splitlines()) == 4
+
+
+# Picard with exact W1 on a symmetrized cloud, fold backend
+PICARD_FOLD = """
+[domain]
+kind = halfspace
+dim = 3
+
+[regularization]
+eps_mollify = 0.05
+r_sign = 0.05
+zeta = 0.05
+delta = 0.05
+
+[field]
+kind = whole_space
+
+[initial]
+type = uniform_box
+n = 24
+mass = 0.5
+seed = 3
+x_min = 0.05, -1.0, -1.0
+x_max = 1.0, 1.0, 1.0
+v_min = -0.5, -0.5, -0.5
+v_max = 0.5, 0.5, 0.5
+
+[stepper]
+dt = 0.01
+t_end = 0.04
+backend = fold
+
+[picard]
+t0 = 0.04
+n_max = 3
+w1 = true
+"""
 
 
 class TestW1Sliced:
