@@ -333,14 +333,13 @@ def _build_ensemble(cfg: RunConfig, seed):
     return symmetrize(e) if cfg.fold else e
 
 
+def _header(dim, *vectors):
+    """The CSV header: t, id, then each vector's components."""
+    return ",".join(["t", "id", *(f"{name}{i}" for name in vectors for i in range(dim))])
+
+
 def _write_snapshots_csv(path, run, dim):
-    header = (
-        ["t", "id"]
-        + [f"x{i}" for i in range(dim)]
-        + [f"v{i}" for i in range(dim)]
-        + ["w"]
-    )
-    lines = [",".join(header)]
+    lines = [_header(dim, "x", "v") + ",w"]
     for t, snap in run.snapshots:
         lead = f"{float(t)!r},"
         lines += [f"{lead}{pid},{row}"
@@ -349,13 +348,7 @@ def _write_snapshots_csv(path, run, dim):
 
 
 def _write_events_csv(path, run, dim):
-    header = (
-        ["t", "id"]
-        + [f"x{i}" for i in range(dim)]
-        + [f"vm{i}" for i in range(dim)]
-        + [f"vp{i}" for i in range(dim)]
-    )
-    lines = [",".join(header)]
+    lines = [_header(dim, "x", "vm", "vp")]
     evs = run.events
     rows = float_rows([e.x for e in evs], [e.v_minus for e in evs], [e.v_plus for e in evs])
     lines += [f"{float(e.t)!r},{e.particle},{row}" for e, row in zip(evs, rows)]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ import numpy as np
 from .ensemble import Ensemble, kinetic_energy
 from .fields import c_d, grad_green, green
 from .flow import RunRecord, StepperConfig, Trajectory, step
+from .geometry import Ball
 
 __all__ = [
     "EnergyLedger",
@@ -88,10 +90,9 @@ class SupportViolation(ValueError):
 # energy ledger
 # -----------------------------------------------------------------------------
 
-def _k_power(e: Ensemble, gap, s_sum) -> float:
-    """K = 2 sum_i w_i gap(x_i) v_i . S_i over the live particles."""
-    w = e.w * e.alive
-    return 2.0 * float(np.sum(w * gap * np.sum(e.v * s_sum, axis=1)))
+def _k_power(e: Ensemble, w, gap, s_sum) -> float:
+    """K = 2 sum_i w_i gap(x_i) v_i . S_i, w the live weights."""
+    return 2.0 * float((w * gap * (e.v * s_sum).sum(axis=1)).sum())
 
 
 def k_tau(field) -> float:
@@ -112,7 +113,7 @@ def k_tau(field) -> float:
     gap = field.model.cutoff_gap(e.x)
     if not np.any(gap):
         return 0.0
-    return _k_power(e, gap, field.pre_cutoff_sum(e.x))
+    return _k_power(e, e.w * e.alive, gap, field.pre_cutoff_sum(e.x))
 
 
 @dataclass
@@ -208,11 +209,12 @@ class LedgerObserver:
 
     Pass it as ``integrate(..., observer=LedgerObserver())``: each
     snapshot's kinetic and potential energy, K and moment then come from
-    the field the run stepped with and the sweep the stepper made anyway,
-    and the run keeps O(steps) scalars and the fields of the last three
-    snapshots instead of one snapshot per step.  ``ledger()`` and
-    ``total_variation`` equal ``energy_audit`` and ``blowup_monitor`` on a
-    run that stored every snapshot.
+    the field the run stepped with and the sweep the stepper made anyway
+    (the cutoff gap from its factor), and the run keeps O(steps) scalars
+    and the fields of the last three (checked) snapshots instead of one
+    snapshot per step.  ``ledger()`` and ``total_variation`` equal
+    ``energy_audit`` and ``blowup_monitor`` on a run that stored every
+    snapshot.
 
     A bounce at exactly t_k counts in the step before (see
     ``_add_event_corrections``), so the observer keeps the last three
@@ -225,27 +227,27 @@ class LedgerObserver:
         self._corr = []         # event corrections per sample
         self._bounced = False   # the run had events
         self._pending = []      # events whose step ends after the last sample
-        self._recent = {}       # sample index -> field, the last three
+        self._recent = deque(maxlen=3)  # the fields of the last three samples
 
     def __call__(self, t, field, sweep, events):
         if sweep.phi is None:
             raise ValueError("the ledger needs sweeps with the per-row potential")
         snap, model = field.ens, field.model
-        n = len(self.times)
+        w, v2, znorm = _phase_terms(snap)
         self.times.append(t)
-        self.kinetic.append(kinetic_energy(snap))
+        self.kinetic.append(float((w * v2).sum()))
         self.potential.append(model.energy(snap, sweep.phi))
-        gap = model.cutoff_gap(snap.x)
-        self.k_tau.append(_k_power(snap, gap, sweep.pre_cutoff) if np.any(gap) else 0.0)
-        self.moment.append(_loglog_moment(snap, _phase_norm(snap)))
+        gap = model.cutoff_gap(snap.x, sweep.factor)
+        self.k_tau.append(_k_power(snap, w, gap, sweep.pre_cutoff) if gap.any() else 0.0)
+        self.moment.append(_loglog_moment(w, znorm))
         self._corr.append(0.0)
-        self._recent = {k: f for k, f in self._recent.items() if k > n - 3}
-        self._recent[n] = field
+        self._recent.append(field)
         self._bounced = self._bounced or bool(events)
         if self._pending or events:
+            # sample k's field is the (k - len(times))-th from the end
             self._pending = _add_event_corrections(
                 self._corr, np.array(self.times), self._pending + events,
-                self._recent.__getitem__)
+                lambda k: self._recent[k - len(self.times)])
 
     def ledger(self) -> EnergyLedger:
         corr = np.array(self._corr) if self._bounced else None
@@ -403,10 +405,11 @@ class SeparableBump:
         self.t0_margin = max(self.t_center - self.t_radius, 0.0)
 
     def _parts(self, t, x, v):
+        """The scaled distances s_t, u_x, u_v, then q(v_1) and q'(v_1)."""
         st = np.abs(np.asarray(t, dtype=float) - self.t_center) / self.t_radius
         ux = np.linalg.norm(x - self.x_center, axis=-1) / self.x_radius
         uv = np.linalg.norm(v - self.v_center, axis=-1) / self.v_radius
-        return st, ux, uv
+        return (st, ux, uv, *self._q(np.asarray(v, dtype=float)[..., 0]))
 
     def _q(self, v1):
         if self.graze_cut == 0.0:
@@ -417,27 +420,23 @@ class SeparableBump:
         return q, dq
 
     def value(self, t, x, v):
-        st, ux, uv = self._parts(t, x, v)
-        q, _ = self._q(np.asarray(v, dtype=float)[..., 0])
+        st, ux, uv, q, _ = self._parts(t, x, v)
         return self.amplitude * _bump(st) * _bump(ux) * _bump(uv) * q
 
     def grad_t(self, t, x, v):
-        st, ux, uv = self._parts(t, x, v)
-        q, _ = self._q(np.asarray(v, dtype=float)[..., 0])
+        st, ux, uv, q, _ = self._parts(t, x, v)
         db = _bump_ratio(st) * (np.asarray(t, dtype=float) - self.t_center) / self.t_radius**2
         return self.amplitude * db * _bump(ux) * _bump(uv) * q
 
     def grad_x(self, t, x, v):
-        st, ux, uv = self._parts(t, x, v)
-        q, _ = self._q(np.asarray(v, dtype=float)[..., 0])
+        st, ux, uv, q, _ = self._parts(t, x, v)
         db = _bump_ratio(ux)[..., None] / self.x_radius**2 * (x - self.x_center)
         return self.amplitude * (_bump(st) * _bump(uv) * q)[..., None] * db
 
     def grad_v(self, t, x, v):
-        st, ux, uv = self._parts(t, x, v)
-        v = np.asarray(v, dtype=float)
-        q, dq = self._q(v[..., 0])
-        db = _bump_ratio(uv)[..., None] / self.v_radius**2 * (v - self.v_center)
+        st, ux, uv, q, dq = self._parts(t, x, v)
+        dv = np.asarray(v, dtype=float) - self.v_center
+        db = _bump_ratio(uv)[..., None] / self.v_radius**2 * dv
         out = self.amplitude * (_bump(st) * _bump(ux) * q)[..., None] * db
         out[..., 0] += self.amplitude * _bump(st) * _bump(ux) * _bump(uv) * dq
         return out
@@ -597,13 +596,15 @@ class BlowupReport:
     integrand_bound: np.ndarray
 
 
-def _phase_norm(e: Ensemble):
-    with np.errstate(over="ignore"):  # |z| = inf at the float limit; the stepper reports it
-        return np.sqrt(np.sum(e.x**2, axis=1) + np.sum(e.v**2, axis=1))
+def _phase_terms(e: Ensemble):
+    """(w * alive, |v|^2, |(x, v)|); inf at the float limit, silently."""
+    with np.errstate(over="ignore"):
+        v2 = (e.v**2).sum(axis=1)
+        return e.w * e.alive, v2, np.sqrt((e.x**2).sum(axis=1) + v2)
 
 
-def _loglog_moment(e: Ensemble, znorm) -> float:
-    return float(np.sum(e.w * e.alive * np.log(np.log(2.0 + znorm))))
+def _loglog_moment(w, znorm) -> float:
+    return float((w * np.log(np.log(2.0 + znorm))).sum())
 
 
 def _total_variation(moment) -> float:
@@ -622,10 +623,9 @@ def blowup_monitor(run: RunRecord) -> BlowupReport:
     moment = np.empty(len(times))
     bound = np.empty(len(times))
     for k, ((_, e), e_val) in enumerate(zip(run.snapshots, run.fields)):
-        znorm = _phase_norm(e)
-        moment[k] = _loglog_moment(e, znorm)
-        bnorm = np.sqrt(np.sum(e.v**2, axis=1) + np.sum(e_val**2, axis=1))
-        w = e.w * e.alive
+        w, v2, znorm = _phase_terms(e)
+        moment[k] = _loglog_moment(w, znorm)
+        bnorm = np.sqrt(v2 + np.sum(e_val**2, axis=1))
         bound[k] = float(np.sum(w * bnorm / ((1.0 + znorm) * np.log(2.0 + znorm))))
     return BlowupReport(times, moment, _total_variation(moment), bound)
 
@@ -644,8 +644,6 @@ class GreenAudit:
 
 
 def _random_interior(rng, domain, n):
-    from .geometry import Ball
-
     d = domain.dim
     if isinstance(domain, Ball):
         out = np.empty((n, d))
@@ -662,8 +660,6 @@ def _random_interior(rng, domain, n):
 
 
 def _random_boundary(rng, domain, n):
-    from .geometry import Ball
-
     d = domain.dim
     if isinstance(domain, Ball):
         u = rng.standard_normal((n, d))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from .geometry import Domain, HalfSpace
 __all__ = [
     "Frame",
     "Ensemble",
+    "Sources",
     "InitialCondition",
     "FrameMismatch",
     "AsymmetricInput",
@@ -51,6 +52,8 @@ class Ensemble:
     Arrays are copied and frozen on construction.  ``alive`` marks particles
     still inside the finite phase-space box (blown-up particles are frozen
     and excluded from fields and observables; their weights are untouched).
+    Construction checks that a ProblemA ensemble lies in its closed domain;
+    the snapshot ``step`` returns is the step's one check of its positions.
     """
 
     x: np.ndarray
@@ -61,24 +64,18 @@ class Ensemble:
     alive: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        v = np.array(self.v, dtype=float)
-        w = np.array(self.w, dtype=float)
-        alive = self.alive
-        alive = np.ones(len(w), dtype=bool) if alive is None else np.array(alive, dtype=bool)
+        x, v, w = (np.array(a, dtype=float) for a in (self.x, self.v, self.w))
+        alive = np.ones(len(w), bool) if self.alive is None else np.array(self.alive, bool)
         if x.shape != v.shape or x.shape[:1] != w.shape:
             raise ValueError("inconsistent particle array shapes")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if self.frame is Frame.PROBLEM_A and self.domain is not None and len(x):
-            if np.min(self.domain.signed_distance(x)) < -1e-9 * self.domain.scale:
+            if self.domain.signed_distance(x).min() < -1e-9 * self.domain.scale:
                 raise ValueError("ProblemA particles must lie in the closed domain")
-        for a in (x, v, w, alive):
+        for name, a in (("x", x), ("v", v), ("w", w), ("alive", alive)):
             a.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "alive", alive)
+            object.__setattr__(self, name, a)
 
     def __len__(self):
         return len(self.w)
@@ -93,12 +90,20 @@ class Ensemble:
 
     def with_state(self, x=None, v=None, alive=None):
         """New snapshot with updated positions/velocities; weights never change."""
-        return replace(
-            self,
-            x=self.x if x is None else x,
-            v=self.v if v is None else v,
-            alive=self.alive if alive is None else alive,
-        )
+        return type(self)(self.x if x is None else x, self.v if v is None else v, self.w,
+                          self.domain, self.frame, self.alive if alive is None else alive)
+
+
+@dataclass(slots=True)
+class Sources:
+    """A snapshot as a field reads it, unchecked and with no velocities:
+    ``step`` builds its trailing-kick field from one, before the snapshot."""
+
+    x: np.ndarray
+    w: np.ndarray
+    alive: np.ndarray
+    domain: Domain | None
+    frame: Frame
 
 
 def _mirror_xv(x, v):
@@ -164,14 +169,7 @@ def restrict(e: Ensemble) -> Ensemble:
     partner = mirror_pair_indices(e)
     keep = e.x[:, 0] > 0
     on_plane = np.flatnonzero(e.x[:, 0] == 0)
-    taken = set()
-    for i in on_plane:
-        j = int(partner[i])
-        key = (min(int(i), j), max(int(i), j))
-        if key in taken:
-            continue
-        taken.add(key)
-        keep[min(int(i), j)] = True
+    keep[np.minimum(on_plane, partner[on_plane])] = True  # the lower index of each pair
     return Ensemble(
         x=e.x[keep],
         v=e.v[keep],

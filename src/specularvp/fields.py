@@ -167,9 +167,9 @@ def _smoothstep_prime(t):
 
 def _clipped_t(s):
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if (s < 0).any():
         raise NegativeArgument("cutoff argument must be >= 0")
-    return np.clip(s - 1.0, 0.0, 1.0)
+    return (s - 1.0).clip(0.0, 1.0)
 
 
 def cutoff_rbar(s):
@@ -582,14 +582,15 @@ class FieldModel:
 
     def energy(self, ens, phi) -> float:
         """The potential energy from the per-row sums phi of ``Sweep``."""
-        return float(np.sum(ens.w * ens.alive * self.charge(ens.x) * phi))
+        return float((ens.w * ens.alive * self.charge(ens.x) * phi).sum())
 
-    def cutoff_gap(self, x):
-        """charge - factor at x: 1 - r^zeta, sgn - s_bar, or 0 (hard sign, whole space)."""
+    def cutoff_gap(self, x, factor=None):
+        """charge - factor at x: 1 - r^zeta, sgn - s_bar, or 0 (hard sign, whole
+        space); ``factor`` is factor(x) when the caller has it (``Sweep.factor``)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.plane_split:
             return np.zeros(len(x))
-        return self.charge(x) - self.factor(x)
+        return self.charge(x) - (self.factor(x) if factor is None else factor)
 
 
 @dataclass(frozen=True)
@@ -600,18 +601,21 @@ class Sweep:
     pre_cutoff : S(x_i), the gradient sum before the target factor
     phi        : sum_j q_j g(s_ij) per row when asked (``FieldModel.energy``
                  turns it into the potential energy), else None
+    factor     : the target factor at x_i, which the streamed ledger's cutoff
+                 gap reuses; ``Ensemble``, not the sweep, checks positions
     """
 
     field: np.ndarray
     pre_cutoff: np.ndarray | None = None
     phi: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
 
 class SnapshotField:
     """The field of one snapshot: the model resolved once and the source cloud
     built on first use.  Called on positions x, it returns E(x); ``sweep``
     is the fused pass at the snapshot's own positions.  ``plane_split`` marks
-    a hard-sign field, discontinuous across {x_1 = 0}."""
+    a hard-sign field, discontinuous across {x_1 = 0}.  ``ens`` may be ``Sources``."""
 
     def __init__(self, model: FieldModel, ens):
         self.model, self.ens = model, ens
@@ -637,7 +641,8 @@ class SnapshotField:
         ``potential`` computed on their own."""
         x = self.ens.x
         s, phi = self.model._sums(self.cloud, x, potential=potential)
-        return Sweep(-self.model.factor(x)[:, None] * s, s, phi)
+        factor = self.model.factor(x)
+        return Sweep(-factor[:, None] * s, s, phi, factor)
 
 
 # field_model(domain, kind, frame, params, hard_sign=False): each model is built once

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GRAZE_RTOL, Domain, HalfSpace, reflect_velocity
-from .ensemble import Ensemble, Frame
+from .ensemble import Ensemble, Frame, Sources
 from .fields import Sweep
 
 __all__ = [
@@ -397,16 +397,17 @@ def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
     return x[0], v[0], events
 
 
-def _mark_blowups(e: Ensemble, x, v):
-    """Alive mask after a step: particles beyond BLOWUP_LIMIT die; a live one
-    gone non-finite raises, since NaN * 0 would still poison the pair sums."""
-    bad = e.alive & ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
-    if np.any(bad):
-        raise NonFiniteState(
-            f"particle {int(np.flatnonzero(bad)[0])} has a non-finite position or velocity")
-    scale = e.domain.scale if e.domain is not None else 1.0
-    return e.alive & (np.maximum(np.abs(x).max(axis=1), np.abs(v).max(axis=1))
-                      <= BLOWUP_LIMIT * scale)
+def _mark_blowups(alive, x, v, scale):
+    """Alive mask after a step: particles beyond BLOWUP_LIMIT * scale die.  The
+    limit test fails for NaN and inf too, and only then is finiteness checked:
+    a live particle gone non-finite raises (NaN * 0 would poison the sums)."""
+    limit = BLOWUP_LIMIT * scale
+    if np.abs(x).max(initial=0.0) <= limit and np.abs(v).max(initial=0.0) <= limit:
+        return alive
+    bad = np.flatnonzero(alive & ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)))
+    if len(bad):
+        raise NonFiniteState(f"particle {int(bad[0])} has a non-finite position or velocity")
+    return alive & (np.maximum(np.abs(x).max(axis=1), np.abs(v).max(axis=1)) <= limit)
 
 
 def _own_sweep(field_fn, x, potential):
@@ -426,7 +427,8 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     ``field_fn`` and ``tail`` is None; with one, the trailing kick of
     reflection-free particles re-freezes the field from the drifted
     positions, and ``tail`` is that field's sweep at the new positions, with
-    the per-row potential when ``potential`` is set.
+    the per-row potential when ``potential`` is set; the factory gets the
+    step's ``Sources`` (the new positions, the entering alive mask).
 
     The frame picks the wall.  A ProblemA ensemble reflects off its domain
     (none in the whole space).  A ProblemB ensemble is a whole-space,
@@ -440,53 +442,56 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     against the frozen field: all of them together, in rounds of one bounce
     each and one field call per round, bitwise as if each stepped alone.
     ReflectionOverflow names the lowest such particle past
-    cfg.max_reflections_per_step bounces.
+    cfg.max_reflections_per_step bounces, NonFiniteState a live particle
+    gone non-finite.  The one ``Ensemble`` built, the new snapshot, checks it.
     """
     fold = e.frame is Frame.PROBLEM_B
     if fold:
         wall = HalfSpace(e.dim) if getattr(field_fn, "plane_split", False) else None
     else:
         wall = e.domain
-    alive = e.alive
+    scale = e.domain.scale if e.domain is not None else 1.0
+    alive, dt = e.alive, cfg.dt
     e0 = field_fn(e.x) if lead is None else lead
-    v_half = e.v + np.where(alive[:, None], 0.5 * cfg.dt * e0, 0.0)
+    v_new = e.v + 0.5 * dt * e0
     with np.errstate(over="ignore"):  # an overflow is caught as non-finite below
-        x_new = e.x + cfg.dt * np.where(alive[:, None], v_half, 0.0)
-    v_new = v_half.copy()
-    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
-        _mark_blowups(e, x_new, v_new)  # raises before any field sees a non-finite point
+        x_new = e.x + dt * v_new
+    if not alive.all():  # the dead keep their state
+        x_new[~alive], v_new[~alive] = e.x[~alive], e.v[~alive]
+    if not np.isfinite(x_new).all():  # so is a non-finite v_new
+        _mark_blowups(alive, x_new, v_new, scale)  # raises before any field sees it
     events: list[ReflectionEvent] = []
 
-    crossing = np.zeros(len(e), dtype=bool)
+    rest = alive
     if wall is not None:
         side = np.where(e.x[:, 0] >= 0.0, 1.0, -1.0) if fold else 1.0
         # on [0, 1] the distance polynomial is at least its constant term
         # plus its negative coefficients; the end point may round outside
-        c = _distance_poly(wall, e.x, e.v, e0, cfg.dt, side)
+        c = _distance_poly(wall, e.x, e.v, e0, dt, side)
         outside = side * wall.signed_distance(x_new) < 0.0
         near = np.flatnonzero(
             alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside))
         if len(near):
             crossed, x_out, v_out, events = _advance_with_events(
-                e.x[near], e.v[near], e0[near], c[near], field_fn, cfg.dt, t0, wall,
+                e.x[near], e.v[near], e0[near], c[near], field_fn, dt, t0, wall,
                 cfg.max_reflections_per_step, near, fold)
-            crossing[near] = crossed
+            rest = alive.copy()
+            rest[near[crossed]] = False
             x_new[near[crossed]], v_new[near[crossed]] = x_out[crossed], v_out[crossed]
             # a path that stays in the closed domain but whose end rounds outside
             stay = near[~crossed & outside[near]]
             x_new[stay] = wall.project_boundary(x_new[stay])
 
     # trailing half-kick of the particles that did not cross
-    x_new[~alive] = e.x[~alive]
     if field_factory is None:
         tail, kick = None, field_fn(x_new)
     else:
-        tail = _own_sweep(field_factory(e.with_state(x=x_new, v=v_new)), x_new, potential)
+        tail = _own_sweep(field_factory(Sources(x_new, e.w, alive, e.domain, e.frame)),
+                          x_new, potential)
         kick = tail.field
-    rest = alive & ~crossing
-    v_new[rest] += 0.5 * cfg.dt * kick[rest]
-    v_new[~alive] = e.v[~alive]
-    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(e, x_new, v_new)), events, tail
+    np.add(v_new, 0.5 * dt * kick, out=v_new, where=rest[:, None])
+    return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(alive, x_new, v_new, scale)), \
+        events, tail
 
 
 def fold_halfspace(x, v):
@@ -543,8 +548,8 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     """Fixed-dt run over [t0, t0 + t_end]; returns its ``RunRecord``.
 
     Each step freezes the field from the snapshot entering the step (the
-    Picard-style decoupling); events are merged in (particle, time) order
-    within a step.  Deterministic for a fixed initial ensemble.  A snapshot
+    Picard-style decoupling); a step's events come in (particle, time)
+    order.  Deterministic for a fixed initial ensemble.  A snapshot
     is kept every ``snapshot_every`` steps, a whole number >= 1 (ValueError
     otherwise, before any step).
 
@@ -553,8 +558,9 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     leading field.  It is carried over unless a particle died in the step
     (dead particles leave the sources); then, and in frozen mode, the new
     snapshot's field is swept afresh.  Factories must therefore depend on
-    a snapshot's positions, weights and alive mask only.  The field kept
-    with each stored snapshot is that sweep's.
+    a snapshot's positions, weights and alive mask only (the trailing kick
+    gets the step's ``Sources``).  The field kept with each stored snapshot
+    is that sweep's.
 
     The ensemble's frame picks the wall (see ``step``).
 
@@ -570,31 +576,25 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     n_steps = cfg.steps(t_end, "t_end")
     potential = observer is not None
 
-    e = e0
-    t = float(t0)
-    field_fn = field_factory(e)
-    sweep = _own_sweep(field_fn, e.x, potential)  # of the current snapshot e
-    if observer is not None:
-        observer(t, field_fn, sweep, [])
-    snapshots, fields = [(t, e)], [sweep.field]
-    events: list[ReflectionEvent] = []
-    deaths: dict[int, float] = {}
-    for k in range(n_steps):
-        start, lead, sweep = e, sweep.field, None
-        e, evts, sweep = step(e, field_fn, cfg, t0=t, lead=lead, potential=potential,
-                              field_factory=None if cfg.frozen_field else field_factory)
-        evts = sorted(evts, key=lambda ev: (ev.particle, ev.t))
-        events.extend(evts)
-        t = t0 + (k + 1) * cfg.dt
-        died = start.alive & ~e.alive
-        for i in np.flatnonzero(died):
-            deaths[int(i)] = t
+    e, t, evts, sweep = e0, float(t0), [], None
+    snapshots, fields, events, deaths = [], [], [], {}
+    for k in range(n_steps + 1):  # k = 0: the initial snapshot
+        if k:
+            alive = e.alive
+            e, evts, sweep = step(e, field_fn, cfg, t0=t, lead=sweep.field, potential=potential,
+                                  field_factory=None if cfg.frozen_field else field_factory)
+            events.extend(evts)
+            t = t0 + k * cfg.dt
+            died = alive & ~e.alive
+            if died.any():
+                deaths.update(dict.fromkeys(np.flatnonzero(died).tolist(), t))
+                sweep = None  # the dead left the sources: sweep afresh
         field_fn = field_factory(e)
-        if sweep is None or died.any():
+        if sweep is None:
             sweep = _own_sweep(field_fn, e.x, potential)
         if observer is not None:
             observer(t, field_fn, sweep, evts)
-        if (k + 1) % snapshot_every == 0 or k + 1 == n_steps:
+        if k % snapshot_every == 0 or k == n_steps:
             snapshots.append((t, e))
             fields.append(sweep.field)
 

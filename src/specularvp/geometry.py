@@ -219,7 +219,6 @@ class FlatteningMap:
             return y.copy()
         R = self.domain.radius
         eta = y[..., 1:] / R
-        eta = eta.copy()
         eta[..., -1] = -eta[..., -1]
         q = np.sum(eta**2, axis=-1, keepdims=True)
         u = np.empty_like(y)

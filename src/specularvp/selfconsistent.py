@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields
-from .ensemble import Ensemble
+from .ensemble import Ensemble, Sources
 from .flow import StepperConfig, step
 
 __all__ = [
@@ -235,7 +235,7 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
     """Run the Picard scheme of the regularized system on [0, T_0].
 
     Iterate n+1 advances h0 under the field that ``field_factory`` (as for
-    ``integrate``) makes from iterate n's recorded trajectory history
+    ``integrate``) makes from iterate n's recorded history, as ``Sources``
     (iterate 0 is the constant-in-time h0).  Stops when Z_n <= tol or after
     n_max iterates; emits a NonContractionWarning if the ratio exceeds 1
     three times in a row.
@@ -259,7 +259,7 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
         new_x[0], new_v[0] = e.x, e.v
         for k in range(m):
             # the field generated by the recorded history at grid index k
-            field_fn = field_factory(h0.with_state(x=hist_x[k]))
+            field_fn = field_factory(Sources(hist_x[k], h0.w, h0.alive, h0.domain, h0.frame))
             e, _, _ = step(e, field_fn, cfg, t0=times[k])
             new_x[k + 1], new_v[k + 1] = e.x, e.v
 

@@ -621,6 +621,31 @@ class TestNonFiniteState:
         with pytest.raises(NonFiniteState, match="particle 1"):
             step(e, nan_field, StepperConfig(dt=0.01))
 
+    def test_nan_in_the_trailing_field_raises(self):
+        # the leading field is finite; the NaN comes with the trailing kick
+        e = particle([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 3)), [1.0, 1.0])
+
+        def factory(sources):
+            def nan_field(x):
+                out = np.zeros_like(x)
+                out[1, 2] = np.nan
+                return out
+            return nan_field
+
+        with pytest.raises(NonFiniteState, match="particle 1"):
+            step(e, zero_field, StepperConfig(dt=0.01), field_factory=factory)
+
+    def test_trailing_kick_past_the_limit_kills(self):
+        # a finite state beyond BLOWUP_LIMIT is a death, not an error
+        e = particle([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 3)), [1.0, 1.0])
+
+        def factory(sources):
+            return lambda x: np.where(np.arange(len(x))[:, None] == 1, [0.0, 0.0, 1e16], 0.0)
+
+        out, _, _ = step(e, zero_field, StepperConfig(dt=0.01), field_factory=factory)
+        assert list(out.alive) == [True, False]
+        assert out.v[1, 2] == 0.5 * 0.01 * 1e16 and np.array_equal(out.x, e.x)
+
     def test_dead_particles_are_not_checked(self):
         # a particle that blew up earlier keeps its frozen state and raises nothing
         e = particle([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 3)), [1.0, 1.0])

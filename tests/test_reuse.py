@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from specularvp.cli import bounce3d_ensemble
 from specularvp.diagnostics import LedgerObserver, blowup_monitor, energy_audit
@@ -205,6 +207,69 @@ def test_one_full_sweep_per_step(monkeypatch):
     assert rec.events
     assert passes.count(len(e0)) == int(round(t_end / cfg.dt)) + 1
     assert set(passes) == {len(e0), 1}
+
+
+def test_one_snapshot_and_one_factor_evaluation_per_step(monkeypatch):
+    # k steps build k validated snapshots after the initial one (the trailing
+    # field reads the step's Sources), and the target factor r^zeta is
+    # evaluated once per snapshot: the observer's cutoff gap reuses the sweep's
+    builds, factors = [], []
+    post_init = Ensemble.__post_init__
+
+    def counted_post_init(self):
+        builds.append(len(self.w))
+        post_init(self)
+
+    monkeypatch.setattr(Ensemble, "__post_init__", counted_post_init)
+    e0, params = bounce3d_ensemble()
+    factory = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params)
+    model = factory(e0).model
+    factor = model.factor
+
+    def counted_factor(x):
+        factors.append(len(x))
+        return factor(x)
+
+    monkeypatch.setattr(model, "factor", counted_factor)
+    k = 30
+    rec = integrate(e0, factory, StepperConfig(dt=1e-3), k * 1e-3, observer=LedgerObserver())
+    assert not rec.events and not rec.deaths
+    assert 0 < len(builds) <= k + 1
+    assert factors == [len(e0)] * (k + 1)
+
+
+def _whole_run(domain, dim, n, steps, seed):
+    rng = np.random.default_rng(seed)
+    if domain == "halfspace":
+        dom, kind = HalfSpace(dim), GreenKind.HALF_SPACE_IMAGE
+        x = np.c_[rng.uniform(0.0, 0.4, n), rng.normal(size=(n, dim - 1)) * 0.3]
+    else:
+        dom, kind = Ball(dim, 1.0), GreenKind.BALL_IMAGE
+        x = rng.normal(size=(n, dim))
+        x *= (0.95 * rng.random(n) ** (1.0 / dim) / np.linalg.norm(x, axis=1))[:, None]
+    e0 = Ensemble(x=x, v=rng.normal(size=(n, dim)) * 3.0, w=rng.uniform(0.1, 1.0, n) / n,
+                  domain=dom)
+    obs = LedgerObserver()
+    cfg = StepperConfig(dt=1e-2)
+    return e0, obs, integrate(e0, make_field_factory(dom, kind, PARAMS), cfg, steps * cfg.dt,
+                              observer=obs)
+
+
+@given(domain=st.sampled_from(["halfspace", "ball"]), dim=st.sampled_from([3, 4]),
+       n=st.integers(2, 5), steps=st.integers(20, 50), seed=st.integers(0, 2**16))
+def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
+        domain, dim, n, steps, seed):
+    # the stepper builds each snapshot once and the tail field reads unchecked
+    # Sources; every stored snapshot must still lie in the closed domain
+    e0, obs, rec = _whole_run(domain, dim, n, steps, seed)
+    event("bounces" if rec.events else "no bounce")
+    assert len(rec.snapshots) == steps + 1
+    for _, s in rec.snapshots:
+        assert s.domain.signed_distance(s.x).min() >= -1e-9 * s.domain.scale
+        assert s.w.tobytes() == e0.w.tobytes()
+    audit, ledger = energy_audit(rec), obs.ledger()
+    for f in dataclasses.fields(audit):
+        assert getattr(ledger, f.name).tobytes() == getattr(audit, f.name).tobytes(), f.name
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
