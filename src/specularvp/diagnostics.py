@@ -30,6 +30,7 @@ Conventions worth pinning down once:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from collections import deque
@@ -146,14 +147,15 @@ def _add_event_corrections(corr, times, events, field_at):
 
     K jumps by J = 2 w_i (charge - factor)(x*) (v_plus - v_minus) . S_i(x*)
     at a reflection; k is the step holding the event (the first k with
-    t* <= times[k + 1]) and the sources are those of ``field_at(k)``, the
+    t* <= times[k + 1], found by bisection, so a streamed call makes no
+    pass over the run) and the sources are those of ``field_at(k)``, the
     field of the snapshot entering it (an O(dt) approximation of an O(dt)
     term).  Events of a step that ends after times[-1] are skipped and
     returned.
     """
     later = []
     for ev in events:
-        k = int(np.searchsorted(times, ev.t) - 1)
+        k = bisect.bisect_left(times, ev.t) - 1
         if k + 1 >= len(times):
             later.append(ev)
             continue
@@ -246,7 +248,7 @@ class LedgerObserver:
         if self._pending or events:
             # sample k's field is the (k - len(times))-th from the end
             self._pending = _add_event_corrections(
-                self._corr, np.array(self.times), self._pending + events,
+                self._corr, self.times, self._pending + events,
                 lambda k: self._recent[k - len(self.times)])
 
     def ledger(self) -> EnergyLedger:
