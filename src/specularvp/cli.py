@@ -67,7 +67,7 @@ from .flow import (
     integrate,
 )
 from .geometry import Ball, HalfSpace
-from .selfconsistent import picard_iterate
+from .selfconsistent import check_exact_w1, picard_iterate
 
 __all__ = [
     "ParseError",
@@ -339,12 +339,12 @@ def _header(dim, *vectors):
 
 
 def _write_snapshots_csv(path, run, dim):
-    lines = [_header(dim, "x", "v") + ",w"]
-    for t, snap in run.snapshots:
-        lead = f"{float(t)!r},"
-        lines += [f"{lead}{pid},{row}"
-                  for pid, row in enumerate(float_rows(snap.x, snap.v, snap.w))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # a snapshot at a time: the text never holds the run
+        fh.write(_header(dim, "x", "v") + ",w\n")
+        for t, snap in run.snapshots:
+            lead = f"{float(t)!r},"
+            fh.writelines(f"{lead}{pid},{row}\n"
+                          for pid, row in enumerate(float_rows(snap.x, snap.v, snap.w)))
 
 
 def _write_events_csv(path, run, dim):
@@ -488,10 +488,14 @@ def _cmd_picard(args):
     ``simulate`` steps it in the hard sign."""
     cfg = parse_config(args.config)
     pc = cfg.picard
-    with _refusing():
+    e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
+    with _refusing():  # before any step; an error of the run itself stays one
         if cfg.stepper.steps(pc["t0"], "[picard] t0") < 1:
             raise ValueError("[picard] t0 must be > 0")
-    e0 = _build_ensemble(cfg, cfg.seed if args.seed is None else args.seed)
+        if pc["n_max"] < 1:
+            raise ValueError(f"[picard] n_max = {pc['n_max']} is not >= 1")
+        if pc["w1"]:
+            check_exact_w1(e0.w[e0.alive])
     state = picard_iterate(e0, make_field_factory(cfg.domain, cfg.field_kind, cfg.params),
                            cfg.stepper, pc["t0"], n_max=pc["n_max"], tol=pc["tol"],
                            compute_w1=pc["w1"])

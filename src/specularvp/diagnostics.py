@@ -211,12 +211,12 @@ class LedgerObserver:
 
     Pass it as ``integrate(..., observer=LedgerObserver())``: each
     snapshot's kinetic and potential energy, K and moment then come from
-    the field the run stepped with and the sweep the stepper made anyway
-    (the cutoff gap from its factor), and the run keeps O(steps) scalars
-    and the fields of the last three (checked) snapshots instead of one
-    snapshot per step.  ``ledger()`` and ``total_variation`` equal
-    ``energy_audit`` and ``blowup_monitor`` on a run that stored every
-    snapshot.
+    the snapshot and the cached ``sweep`` of the field the run stepped
+    with, the pass the stepper made anyway (the cutoff gap from its
+    factor).  The run keeps O(steps) scalars and the fields of the last
+    three snapshots instead of one snapshot per step.  ``ledger()`` and
+    ``total_variation`` equal ``energy_audit`` and ``blowup_monitor`` on a
+    run that stored every snapshot.
 
     A bounce at exactly t_k counts in the step before (see
     ``_add_event_corrections``), so the observer keeps the last three
@@ -231,10 +231,8 @@ class LedgerObserver:
         self._pending = []      # events whose step ends after the last sample
         self._recent = deque(maxlen=3)  # the fields of the last three samples
 
-    def __call__(self, t, field, sweep, events):
-        if sweep.phi is None:
-            raise ValueError("the ledger needs sweeps with the per-row potential")
-        snap, model = field.ens, field.model
+    def __call__(self, t, snap, field, events):
+        model, sweep = field.model, field.sweep
         w, v2, znorm = _phase_terms(snap)
         self.times.append(t)
         self.kinetic.append(float((w * v2).sum()))

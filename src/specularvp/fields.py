@@ -599,23 +599,24 @@ class Sweep:
 
     field      : E(x_i)
     pre_cutoff : S(x_i), the gradient sum before the target factor
-    phi        : sum_j q_j g(s_ij) per row when asked (``FieldModel.energy``
-                 turns it into the potential energy), else None
+    phi        : sum_j q_j g(s_ij) per row (``FieldModel.energy`` turns it
+                 into the potential energy)
     factor     : the target factor at x_i, which the streamed ledger's cutoff
                  gap reuses; ``Ensemble``, not the sweep, checks positions
     """
 
     field: np.ndarray
-    pre_cutoff: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    factor: np.ndarray | None = None
+    pre_cutoff: np.ndarray
+    phi: np.ndarray
+    factor: np.ndarray
 
 
 class SnapshotField:
     """The field of one snapshot: the model resolved once and the source cloud
     built on first use.  Called on positions x, it returns E(x); ``sweep``
-    is the fused pass at the snapshot's own positions.  ``plane_split`` marks
-    a hard-sign field, discontinuous across {x_1 = 0}.  ``ens`` may be ``Sources``."""
+    is the fused pass at the snapshot's own positions, made on first use.
+    ``plane_split`` marks a hard-sign field, discontinuous across {x_1 = 0}.
+    ``ens`` may be ``Sources``."""
 
     def __init__(self, model: FieldModel, ens):
         self.model, self.ens = model, ens
@@ -635,12 +636,13 @@ class SnapshotField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return -self.model.factor(x)[:, None] * self.pre_cutoff_sum(x)
 
-    def sweep(self, potential=False) -> Sweep:
-        """E, S and (with ``potential``) phi at the snapshot's positions, one
-        pair pass; bitwise equal to the field, ``pre_cutoff_sum`` and
-        ``potential`` computed on their own."""
+    @functools.cached_property
+    def sweep(self) -> Sweep:
+        """E, S and phi at the snapshot's positions, one pair pass; bitwise
+        equal to the field, ``pre_cutoff_sum`` and ``potential`` computed on
+        their own."""
         x = self.ens.x
-        s, phi = self.model._sums(self.cloud, x, potential=potential)
+        s, phi = self.model._sums(self.cloud, x, potential=True)
         factor = self.model.factor(x)
         return Sweep(-factor[:, None] * s, s, phi, factor)
 

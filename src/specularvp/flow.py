@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import GRAZE_RTOL, Domain, HalfSpace, reflect_velocity
 from .ensemble import Ensemble, Frame, Sources
-from .fields import Sweep
+from .fields import SnapshotField
 
 __all__ = [
     "StepperConfig",
@@ -274,10 +274,11 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
 
     The rows advance together in rounds.  Round 0 locates the first exits
     from ``c`` and calls no field.  Every later round makes one ``e_fn``
-    call, at the wall hits just located, the step ends of rows with no
-    further exit and the ends of the last round's grazing slides; then the
-    rows that bounced locate their next exits.  Each row goes through the
-    float operations it would go through alone.
+    call, at the wall hits just located and the step ends of rows with no
+    further exit, and one more at the ends of its grazing slides, which
+    finish in the round that finds them; then the rows that bounced locate
+    their next exits.  Each row goes through the float operations it would
+    go through alone.
 
     ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
     events): ``crossed`` marks the rows whose path leaves, x and v are the
@@ -291,46 +292,34 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     t, remaining = np.full(n, float(t0)), np.full(n, float(dt))
     bounces = np.zeros(n, dtype=int)
     tol = EVENT_DIST_RTOL * domain.scale
-    events, overflow, slide = [], [], None
+    events, overflow = [], []
+
+    def field_at(at, p):
+        # e_fn gives the upper branch on the plane; the lower side flips E_1 there
+        f = np.array(e_fn(p), dtype=float)
+        flip = (side[at] < 0.0) & (p[:, 0] == 0.0)
+        f[flip, 0] = -f[flip, 0]
+        return f
 
     theta = _first_exit(domain, c, x, v, e, remaining, side)
     crossed = ~np.isnan(theta)
     rows, theta = np.flatnonzero(crossed), theta[crossed]
-    while len(rows) or slide is not None:
+    while len(rows):
         leave = ~np.isnan(theta)
         end, hit, s = rows[~leave], rows[leave], theta[leave] * remaining[rows[leave]]
         # one field call for the round: at the step ends of the rows with no
-        # further exit, at the wall hits and at the ends of last round's slides
+        # further exit and at the wall hits
         ends = _path(x[end], v[end], e[end], remaining[end, None]) if len(end) else x[:0]
         hits = (domain.project_boundary(_path(x[hit], v[hit], e[hit], s[:, None]))
                 if len(hit) else x[:0])
-        slid, slid_end = slide[:2] if slide is not None else (rows[:0], x[:0])
-        at, p = np.concatenate([end, hit, slid]), np.concatenate([ends, hits, slid_end])
-        f = np.array(e_fn(p), dtype=float)
-        # e_fn gives the upper branch on the plane; the lower side flips E_1 there
-        flip = (side[at] < 0.0) & (p[:, 0] == 0.0)
-        f[flip, 0] = -f[flip, 0]
-        f_end, f_hit, f_slid = np.split(f, [len(end), len(end) + len(hit)])
-
+        f_end, f_hit = np.split(field_at(np.concatenate([end, hit]),
+                                         np.concatenate([ends, hits])), [len(end)])
         if len(end):
             # the rows with no further exit finish their KDK sub-step
             r = remaining[end, None]
             x[end], v[end] = ends, (v[end] + 0.5 * r * e[end]) + 0.5 * r * f_end
-
-        if slide is not None:
-            # grazing rows finish sliding; a path pushed through the wall is
-            # clamped back onto it and loses its outward normal velocity
-            g, g_end, g_vm, g_e, rest, through = slide
-            g_v = g_vm + 0.5 * rest[:, None] * (g_e + f_slid)
-            if through.any():
-                nrm = side[g[through], None] * domain.inward_normal(g_end[through])
-                vn = _dot(g_v[through], nrm)
-                g_v[through] -= np.where(0.0 < vn, 0.0, vn)[:, None] * nrm
-            x[g], v[g], slide = g_end, g_v, None
-
-        rows, theta = rows[:0], theta[:0]
         if not len(hit):
-            continue
+            break
         # complete the partial KDK sub-steps [t, t + s] ending on the wall
         vm = v[hit] + (0.5 * s)[:, None] * (e[hit] + f_hit)
         normal = domain.inward_normal(hits)
@@ -338,13 +327,17 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         if graze.any():
             # the grazing set, a particle at rest on the wall and one already
             # moving inward included: no jump; the rest of the step is one
-            # sub-step along the wall
+            # sub-step along the wall, and a path pushed through the wall is
+            # clamped back onto it and loses its outward normal velocity
             g, rest = hit[graze], remaining[hit[graze]] - s[graze]
             g_end = _path(hits[graze], vm[graze], f_hit[graze], rest[:, None])
             through = side[g] * domain.signed_distance(g_end) < 0.0
-            if through.any():
-                g_end[through] = domain.project_boundary(g_end[through])
-            slide = g, g_end, vm[graze], f_hit[graze], rest, through
+            g_end[through] = domain.project_boundary(g_end[through])
+            g_v = vm[graze] + 0.5 * rest[:, None] * (f_hit[graze] + field_at(g, g_end))
+            nrm = side[g[through], None] * domain.inward_normal(g_end[through])
+            vn = _dot(g_v[through], nrm)
+            g_v[through] -= np.where(0.0 < vn, 0.0, vn)[:, None] * nrm
+            x[g], v[g] = g_end, g_v
             hit, s, hits, f_hit, vm, normal = (
                 a[~graze] for a in (hit, s, hits, f_hit, vm, normal))
         if fold:
@@ -410,15 +403,13 @@ def _mark_blowups(alive, x, v, scale):
     return alive & (np.maximum(np.abs(x).max(axis=1), np.abs(v).max(axis=1)) <= limit)
 
 
-def _own_sweep(field_fn, x, potential):
-    """The sweep of a snapshot's own field at its own positions x; a plain
-    field function (no ``sweep``) gives the field alone."""
-    sweep = getattr(field_fn, "sweep", None)
-    return Sweep(field_fn(x)) if sweep is None else sweep(potential)
+def _own_field(field_fn, x):
+    """A snapshot's field at its own positions x: a ``SnapshotField``'s cached
+    sweep's, or a plain field function's value."""
+    return field_fn.sweep.field if isinstance(field_fn, SnapshotField) else field_fn(x)
 
 
-def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
-         lead=None, potential=False):
+def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None, lead=None):
     """One kick-drift-kick step; returns (new snapshot, reflection events, tail).
 
     ``field_fn`` is the field frozen from the input snapshot; ``lead`` is its
@@ -426,9 +417,9 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     a ``field_factory`` (the frozen-field step) both half-kicks use
     ``field_fn`` and ``tail`` is None; with one, the trailing kick of
     reflection-free particles re-freezes the field from the drifted
-    positions, and ``tail`` is that field's sweep at the new positions, with
-    the per-row potential when ``potential`` is set; the factory gets the
-    step's ``Sources`` (the new positions, the entering alive mask).
+    positions: ``tail`` is that field, the factory's value on the step's
+    ``Sources`` (the new positions, the entering alive mask), and the kick
+    is its sweep's.
 
     The frame picks the wall.  A ProblemA ensemble reflects off its domain
     (none in the whole space).  A ProblemB ensemble is a whole-space,
@@ -486,9 +477,8 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None,
     if field_factory is None:
         tail, kick = None, field_fn(x_new)
     else:
-        tail = _own_sweep(field_factory(Sources(x_new, e.w, alive, e.domain, e.frame)),
-                          x_new, potential)
-        kick = tail.field
+        tail = field_factory(Sources(x_new, e.w, alive, e.domain, e.frame))
+        kick = _own_field(tail, x_new)
     np.add(v_new, 0.5 * dt * kick, out=v_new, where=rest[:, None])
     return e.with_state(x=x_new, v=v_new, alive=_mark_blowups(alive, x_new, v_new, scale)), \
         events, tail
@@ -554,49 +544,47 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     otherwise, before any step).
 
     Force reuse: in refresh mode the trailing-kick field of a step is the
-    field of the snapshot it ends on, so its sweep is the next step's
-    leading field.  It is carried over unless a particle died in the step
-    (dead particles leave the sources); then, and in frozen mode, the new
-    snapshot's field is swept afresh.  Factories must therefore depend on
-    a snapshot's positions, weights and alive mask only (the trailing kick
-    gets the step's ``Sources``).  The field kept with each stored snapshot
-    is that sweep's.
+    field of the snapshot it ends on, so it is the next step's field, and
+    its cached sweep the next step's leading field.  It is carried over
+    unless a particle died in the step (dead particles leave the sources);
+    then, and in frozen mode, the factory builds the new snapshot's field.
+    Factories must therefore depend on a snapshot's positions, weights and
+    alive mask only (the trailing kick gets the step's ``Sources``).  The
+    field kept with each stored snapshot is that sweep's; a plain field
+    function's value at the snapshot's positions stands in for it.
 
     The ensemble's frame picks the wall (see ``step``).
 
-    ``observer(t, field, sweep, events)`` is called on the initial snapshot
-    and after every step, with the snapshot's own field (the factory's
-    ``SnapshotField``, which carries the ``model`` and the snapshot as
-    ``ens``), its ``Sweep`` (the per-row potential included) and the step's
-    events (none for the initial call).
+    ``observer(t, snapshot, field, events)`` is called on the initial
+    snapshot and after every step, with the snapshot, its own field (the
+    factory's ``SnapshotField``, which carries the ``model`` and the cached
+    ``sweep``, the per-row potential included) and the step's events (none
+    for the initial call).
     """
     if not (float(snapshot_every).is_integer() and snapshot_every >= 1):
         raise ValueError(f"snapshot_every = {snapshot_every!r} is not a whole number >= 1")
     snapshot_every = int(snapshot_every)
     n_steps = cfg.steps(t_end, "t_end")
-    potential = observer is not None
 
-    e, t, evts, sweep = e0, float(t0), [], None
+    e, t, evts, field_fn = e0, float(t0), [], field_factory(e0)
     snapshots, fields, events, deaths = [], [], [], {}
     for k in range(n_steps + 1):  # k = 0: the initial snapshot
         if k:
             alive = e.alive
-            e, evts, sweep = step(e, field_fn, cfg, t0=t, lead=sweep.field, potential=potential,
-                                  field_factory=None if cfg.frozen_field else field_factory)
+            e, evts, field_fn = step(e, field_fn, cfg, t0=t, lead=lead,
+                                     field_factory=None if cfg.frozen_field else field_factory)
             events.extend(evts)
             t = t0 + k * cfg.dt
             died = alive & ~e.alive
-            if died.any():
-                deaths.update(dict.fromkeys(np.flatnonzero(died).tolist(), t))
-                sweep = None  # the dead left the sources: sweep afresh
-        field_fn = field_factory(e)
-        if sweep is None:
-            sweep = _own_sweep(field_fn, e.x, potential)
+            deaths.update(dict.fromkeys(np.flatnonzero(died).tolist(), t))
+            if field_fn is None or died.any():  # frozen, or the dead left the sources
+                field_fn = field_factory(e)
+        lead = _own_field(field_fn, e.x)
         if observer is not None:
-            observer(t, field_fn, sweep, evts)
+            observer(t, e, field_fn, evts)
         if k % snapshot_every == 0 or k == n_steps:
             snapshots.append((t, e))
-            fields.append(sweep.field)
+            fields.append(lead)
 
     return RunRecord(snapshots=snapshots, fields=fields, events=events, final=e, dt=cfg.dt,
                      snapshot_every=snapshot_every, deaths=deaths,

@@ -34,6 +34,7 @@ __all__ = [
     "UnequalWeights",
     "NonContractionWarning",
     "N_EXACT",
+    "check_exact_w1",
     "w1_exact",
     "w1_sliced",
     "picard_iterate",
@@ -93,14 +94,20 @@ def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> W1Report:
     return W1Report(value, "exact_matching", True)
 
 
+def check_exact_w1(w, n_exact=N_EXACT):
+    """What exact W_1 cannot match, for the weights w of one ensemble's live
+    particles: TooLarge past ``n_exact`` of them, UnequalWeights if they differ."""
+    if len(w) > n_exact:
+        raise TooLarge(f"exact matching limited to {n_exact} particles, got {len(w)}")
+    if len(w) and np.ptp(w) > 1e-12 * np.max(w):
+        raise UnequalWeights("exact W_1 requires equal weights within each ensemble")
+
+
 def _w1_alive(za, wa, zb, wb, mass, n_exact=N_EXACT):
     """Exact W_1 between the phase points za and zb, live rows only, with
     weights wa and wb, each summing to ``mass``."""
-    if len(za) > n_exact or len(zb) > n_exact:
-        raise TooLarge(f"exact matching limited to {n_exact} particles")
     for w in (wa, wb):
-        if len(w) and np.ptp(w) > 1e-12 * np.max(w):
-            raise UnequalWeights("exact W_1 requires equal weights within each ensemble")
+        check_exact_w1(w, n_exact)
     if len(za) == 0 or len(zb) == 0:
         return 0.0
     kernel = fields._load_kernel()

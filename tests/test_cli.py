@@ -104,6 +104,18 @@ REFUSED = {
         "simulate",
         MINIMAL.replace("x_min = 1.0", "x_min = -2.0").replace("x_max = 2.0", "x_max = -1.0"),
         "misses the domain"),
+    # exact W1 refuses these; the picard run must not step before it says so
+    "picard-w1-too-many-particles": (
+        "picard", MINIMAL.replace("n = 2", "n = 300") + "backend = fold\n[picard]\nw1 = true\n",
+        "exact matching limited to 512 particles, got 600"),
+    "picard-w1-unequal-weights": (
+        "picard", MINIMAL[:MINIMAL.index("[initial]")] + "[initial]\ntype = explicit\n"
+        "[particles]\n0 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1\n"
+        "1 = 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2\n[stepper]\ndt = 1e-3\nt_end = 0.01\n"
+        "[picard]\nw1 = true\n",
+        "exact W_1 requires equal weights"),
+    "picard-no-iterates": ("picard", MINIMAL + "\n[picard]\nn_max = 0\n",
+                           "[picard] n_max = 0 is not >= 1"),
 }
 
 # rejection sampling from this box never ends unless the config is refused

@@ -299,8 +299,9 @@ def test_sweep_is_bitwise_the_separate_passes(route, d, data, tile):
     e, _ = data.draw(clouds(route, d))
     model = route_model(route, d)
     with mock.patch.object(fields, "_CHUNK_TARGETS", tile):
-        sweep = model.bind(e).sweep(potential=True)
-        assert model.bind(e).sweep().phi is None
+        bound = model.bind(e)
+        sweep = bound.sweep
+    assert bound.sweep is sweep  # made on first use, once
     assert bitwise_equal(sweep.field, model.field(e, e.x))
     assert bitwise_equal(sweep.pre_cutoff, model.bind(e).pre_cutoff_sum(e.x))
     assert model.energy(e, sweep.phi) == model.potential(e)

@@ -553,7 +553,7 @@ class TestRunRecord:
         e0 = Ensemble(x=x, v=v, w=np.full(k, 0.5 / k), domain=domain)
         seen = []  # (snapshot, events of the step that ended on it)
         rec = integrate(e0, factory, StepperConfig(dt=0.05), 0.5,
-                        observer=lambda t, field, sweep, evts: seen.append((field.ens, evts)))
+                        observer=lambda t, snap, field, evts: seen.append((snap, evts)))
         assert rec.events, "particle 0 must bounce"
         event(f"{len(rec.events)} events")
         steps = [(snap, evts) for (snap, _), (_, evts) in zip(seen, seen[1:])]

@@ -1,7 +1,8 @@
 """Force reuse and the streamed ledger.
 
-``integrate`` carries each step's trailing-kick sweep into the next step as
-its leading field, and drops it when a particle dies.  Every run here is
+``integrate`` carries each step's trailing-kick field into the next step as
+its field, the field's sweep as the leading field, and drops it when a
+particle dies.  Every run here is
 compared with a reference loop that reuses nothing: it evaluates each
 step's leading field afresh, as the stepper did before the reuse, and the
 two must agree bit for bit.  The ledger and log-log moment streamed by
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 from specularvp.cli import bounce3d_ensemble
 from specularvp.diagnostics import LedgerObserver, blowup_monitor, energy_audit
 from specularvp.ensemble import Ensemble, symmetrize
-from specularvp.fields import FieldModel, GreenKind, RegularizationParams, make_field_factory
+from specularvp.fields import (
+    FieldModel,
+    GreenKind,
+    RegularizationParams,
+    SnapshotField,
+    make_field_factory,
+)
 from specularvp.flow import ReflectionEvent, StepperConfig, fold_halfspace, integrate, step
 from specularvp.geometry import Ball, HalfSpace
 
@@ -211,19 +218,25 @@ def test_one_full_sweep_per_step(monkeypatch):
 
 def test_one_snapshot_and_one_factor_evaluation_per_step(monkeypatch):
     # k steps build k validated snapshots after the initial one (the trailing
-    # field reads the step's Sources), and the target factor r^zeta is
-    # evaluated once per snapshot: the observer's cutoff gap reuses the sweep's
-    builds, factors = [], []
-    post_init = Ensemble.__post_init__
+    # field reads the step's Sources) and k fields, the trailing ones, which
+    # the next steps step in; the target factor r^zeta is evaluated once per
+    # snapshot: the observer's cutoff gap reuses the sweep's
+    builds, factors, bound = [], [], []
+    post_init, field_init = Ensemble.__post_init__, SnapshotField.__init__
 
     def counted_post_init(self):
         builds.append(len(self.w))
         post_init(self)
 
+    def counted_field_init(self, model, ens):
+        bound.append(len(ens.w))
+        field_init(self, model, ens)
+
     monkeypatch.setattr(Ensemble, "__post_init__", counted_post_init)
     e0, params = bounce3d_ensemble()
     factory = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, params)
     model = factory(e0).model
+    monkeypatch.setattr(SnapshotField, "__init__", counted_field_init)
     factor = model.factor
 
     def counted_factor(x):
@@ -235,38 +248,80 @@ def test_one_snapshot_and_one_factor_evaluation_per_step(monkeypatch):
     rec = integrate(e0, factory, StepperConfig(dt=1e-3), k * 1e-3, observer=LedgerObserver())
     assert not rec.events and not rec.deaths
     assert 0 < len(builds) <= k + 1
+    assert bound == [len(e0)] * (k + 1)
     assert factors == [len(e0)] * (k + 1)
 
 
-def _whole_run(domain, dim, n, steps, seed):
+# each whole-run case: its domain, field kind and whether it is the
+# symmetrized hard-sign fold
+WHOLE_RUNS = {
+    "halfspace": ("halfspace", GreenKind.HALF_SPACE_IMAGE, False),
+    "ball": ("ball", GreenKind.BALL_IMAGE, False),
+    "ball_whole_space": ("ball", GreenKind.WHOLE_SPACE, False),
+    "fold_hard_sign": ("halfspace", GreenKind.WHOLE_SPACE, True),
+}
+
+
+def _whole_run(case, dim, n, steps, seed):
+    wall, kind, fold = WHOLE_RUNS[case]
     rng = np.random.default_rng(seed)
-    if domain == "halfspace":
-        dom, kind = HalfSpace(dim), GreenKind.HALF_SPACE_IMAGE
+    if wall == "halfspace":
+        dom = HalfSpace(dim)
         x = np.c_[rng.uniform(0.0, 0.4, n), rng.normal(size=(n, dim - 1)) * 0.3]
     else:
-        dom, kind = Ball(dim, 1.0), GreenKind.BALL_IMAGE
+        dom = Ball(dim, 1.0)
         x = rng.normal(size=(n, dim))
         x *= (0.95 * rng.random(n) ** (1.0 / dim) / np.linalg.norm(x, axis=1))[:, None]
     e0 = Ensemble(x=x, v=rng.normal(size=(n, dim)) * 3.0, w=rng.uniform(0.1, 1.0, n) / n,
                   domain=dom)
+    if fold:
+        e0 = symmetrize(e0)
     obs = LedgerObserver()
     cfg = StepperConfig(dt=1e-2)
-    return e0, obs, integrate(e0, make_field_factory(dom, kind, PARAMS), cfg, steps * cfg.dt,
-                              observer=obs)
+    factory = make_field_factory(dom, kind, PARAMS, hard_sign=fold)
+    return e0, obs, integrate(e0, factory, cfg, steps * cfg.dt, observer=obs)
 
 
-@given(domain=st.sampled_from(["halfspace", "ball"]), dim=st.sampled_from([3, 4]),
+def assert_mirror_pairs(s, n):
+    # particle i + n mirrors particle i; a particle and its mirror sum their
+    # pairs in different orders, so the two agree to rounding, not bitwise
+    flip = np.r_[-1.0, np.ones(s.dim - 1)]
+    for a in (s.x, s.v):
+        assert np.abs(a[n:] - flip * a[:n]).max() <= 1e-12 * (1.0 + np.abs(a).max())
+
+
+def assert_specular(domain, ev):
+    # |v+| = |v-|, and the jump v+ - v- lies along the normal at the hit, so
+    # the tangential part is unchanged, each within a few ulps of |v|
+    nrm = domain.inward_normal(ev.x)
+    tol = 8.0 * np.finfo(float).eps * np.linalg.norm(ev.v_minus)
+
+    def tangential(u):
+        return u - np.dot(u, nrm) * nrm
+
+    assert abs(np.linalg.norm(ev.v_plus) - np.linalg.norm(ev.v_minus)) <= tol
+    assert np.abs(tangential(ev.v_plus - ev.v_minus)).max() <= tol
+    assert np.abs(tangential(ev.v_plus) - tangential(ev.v_minus)).max() <= tol
+
+
+@given(case=st.sampled_from(sorted(WHOLE_RUNS)), dim=st.sampled_from([3, 4]),
        n=st.integers(2, 5), steps=st.integers(20, 50), seed=st.integers(0, 2**16))
 def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
-        domain, dim, n, steps, seed):
+        case, dim, n, steps, seed):
     # the stepper builds each snapshot once and the tail field reads unchecked
-    # Sources; every stored snapshot must still lie in the closed domain
-    e0, obs, rec = _whole_run(domain, dim, n, steps, seed)
+    # Sources; every stored snapshot must still lie in the closed domain, or
+    # for the fold keep its mirror pairs, and every bounce must be specular
+    e0, obs, rec = _whole_run(case, dim, n, steps, seed)
     event("bounces" if rec.events else "no bounce")
     assert len(rec.snapshots) == steps + 1
     for _, s in rec.snapshots:
-        assert s.domain.signed_distance(s.x).min() >= -1e-9 * s.domain.scale
+        if WHOLE_RUNS[case][2]:
+            assert_mirror_pairs(s, n)
+        else:
+            assert s.domain.signed_distance(s.x).min() >= -1e-9 * s.domain.scale
         assert s.w.tobytes() == e0.w.tobytes()
+    for ev in rec.events:
+        assert_specular(e0.domain, ev)
     audit, ledger = energy_audit(rec), obs.ledger()
     for f in dataclasses.fields(audit):
         assert getattr(ledger, f.name).tobytes() == getattr(audit, f.name).tobytes(), f.name
@@ -309,7 +364,7 @@ def test_streamed_event_corrections_follow_the_step_index_rule():
     }
     obs = LedgerObserver()
     for m, field in enumerate(fields):
-        obs(times[m], field, field.sweep(potential=True), by_step.get(m - 1, []))
+        obs(times[m], field.ens, field, by_step.get(m - 1, []))
     events = [ev for k in sorted(by_step) for ev in by_step[k]]
     audit = energy_audit(dataclasses.replace(rec, events=events))
     assert np.array_equal(obs.ledger().k_integral, audit.k_integral)
