@@ -15,7 +15,7 @@ from specularvp.ensemble import Ensemble, symmetrize
 from specularvp.fields import (
     GreenKind,
     RegularizationParams,
-    field_halfspace_A,
+    field_model,
     make_field_factory,
 )
 from specularvp.flow import StepperConfig, fold_halfspace, integrate
@@ -37,7 +37,8 @@ def main():
 
     def image_field_factory(ens):
         def field(x):
-            return field_halfspace_A(ens, params, x)
+            model = field_model(domain, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, params)
+            return model.bind(ens)(x)
         return field
 
     print(f"event-driven half-space run: N={n}, dt={dt}, t={t_end}")

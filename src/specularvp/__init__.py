@@ -26,9 +26,7 @@ from .fields import (
     boundary_cutoff,
     c_d,
     cutoff_rbar,
-    field_halfspace_A,
     field_model,
-    field_problem_b,
     green,
     green_cut,
     make_field_factory,

@@ -12,7 +12,8 @@ Conventions worth pinning down once:
   using the cut field gives identically zero.
 * K jumps when a particle reflects (v flips against a nonzero S), so the
   trapezoid K-integral carries an event correction  J h (1/2 - theta)  per
-  event; without it the ledger loses an order of accuracy at bounces.
+  event, in the step that made it; without it the ledger loses an order of
+  accuracy at bounces.
 * The whole-space (Problem B) route replaces (1 - rbar^zeta) S by
   (sgn - sbar)(x_1) times the mollified-kernel sum against the odd density.
 * Every diagnostic reads the field from the run itself: ``blowup_monitor``
@@ -33,7 +34,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,21 +146,15 @@ def _add_event_corrections(corr, times, events, field_at):
     """Add each bounce's trapezoid correction J h (1/2 - theta) to corr[k + 1].
 
     K jumps by J = 2 w_i (charge - factor)(x*) (v_plus - v_minus) . S_i(x*)
-    at a reflection; k is the step holding the event (the first k with
-    t* <= times[k + 1], found by bisection, so a streamed call makes no
-    pass over the run) and the sources are those of ``field_at(k)``, the
-    field of the snapshot entering it (an O(dt) approximation of an O(dt)
-    term).  Events of a step that ends after times[-1] are skipped and
-    returned.
+    at a reflection; k is the step that made the event, the index of its
+    ``step_start`` in ``times`` (found by bisection, so a streamed call
+    makes no pass over the run), and theta = (t* - times[k]) / h, which is
+    0 for a bounce at the step's start and may round just past 1.  The
+    sources are those of ``field_at(k)``, the field of the snapshot
+    entering the step (an O(dt) approximation of an O(dt) term).
     """
-    later = []
     for ev in events:
-        k = bisect.bisect_left(times, ev.t) - 1
-        if k + 1 >= len(times):
-            later.append(ev)
-            continue
-        if k < 0:
-            continue
+        k = bisect.bisect_left(times, ev.step_start)
         field = field_at(k)
         gap = float(field.model.cutoff_gap(ev.x)[0])
         if gap == 0.0:
@@ -173,7 +167,6 @@ def _add_event_corrections(corr, times, events, field_at):
         h = times[k + 1] - times[k]
         theta = (ev.t - times[k]) / h
         corr[k + 1] += jump * h * (0.5 - theta)
-    return later
 
 
 def _ledger(times, ke, pe, kt, corr=None) -> EnergyLedger:
@@ -213,14 +206,12 @@ class LedgerObserver:
     snapshot's kinetic and potential energy, K and moment then come from
     the snapshot and the cached ``sweep`` of the field the run stepped
     with, the pass the stepper made anyway (the cutoff gap from its
-    factor).  The run keeps O(steps) scalars and the fields of the last
-    three snapshots instead of one snapshot per step.  ``ledger()`` and
-    ``total_variation`` equal ``energy_audit`` and ``blowup_monitor`` on a
-    run that stored every snapshot.
-
-    A bounce at exactly t_k counts in the step before (see
-    ``_add_event_corrections``), so the observer keeps the last three
-    fields itself.
+    factor).  A step's events are booked in the call that ends the step,
+    against the field of the sample before (see ``_add_event_corrections``),
+    so every row is final when its step ends.  The run keeps O(steps)
+    scalars and that one previous field instead of one snapshot per step.
+    ``ledger()`` and ``total_variation`` equal ``energy_audit`` and
+    ``blowup_monitor`` on a run that stored every snapshot.
     """
 
     def __init__(self):
@@ -228,8 +219,7 @@ class LedgerObserver:
         self.moment = []
         self._corr = []         # event corrections per sample
         self._bounced = False   # the run had events
-        self._pending = []      # events whose step ends after the last sample
-        self._recent = deque(maxlen=3)  # the fields of the last three samples
+        self._previous = None   # the field of the last sample
 
     def __call__(self, t, snap, field, events):
         model, sweep = field.model, field.sweep
@@ -241,13 +231,12 @@ class LedgerObserver:
         self.k_tau.append(_k_power(snap, w, gap, sweep.pre_cutoff) if gap.any() else 0.0)
         self.moment.append(_loglog_moment(w, znorm))
         self._corr.append(0.0)
-        self._recent.append(field)
-        self._bounced = self._bounced or bool(events)
-        if self._pending or events:
-            # sample k's field is the (k - len(times))-th from the end
-            self._pending = _add_event_corrections(
-                self._corr, self.times, self._pending + events,
-                lambda k: self._recent[k - len(self.times)])
+        if events:
+            # made by the step from the previous sample to this one
+            self._bounced = True
+            _add_event_corrections(self._corr, self.times, events,
+                                   lambda k: self._previous)
+        self._previous = field
 
     def ledger(self) -> EnergyLedger:
         corr = np.array(self._corr) if self._bounced else None
@@ -548,21 +537,23 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
 # incompressibility probe
 # -----------------------------------------------------------------------------
 
-def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0,
-                            dt=1e-3) -> float:
+def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0) -> float:
     """|det J - 1| of the finite-difference flow-map Jacobian at one point.
 
     A stencil of 4d+1 passive tracers (center and +-h along every phase
-    coordinate) takes ``step``s of ``dt`` in the run's per-step frozen
-    fields, rebuilt from its snapshots with its own factory; any step in
-    which a tracer's path bounces off the boundary, however briefly, raises
-    StencilReflected (the map is not smooth across events, so the stencil
-    must stay reflection-free).
+    coordinate) takes the run's own steps: step k is a ``step`` of
+    ``run.dt`` in the frozen field of ``run.snapshots[k]``, rebuilt with
+    the run's factory.  ``t_end`` must lie within the run (GridMismatch
+    otherwise).  Any step in which a tracer's path bounces off the
+    boundary, however briefly, raises StencilReflected (the map is not
+    smooth across events, so the stencil must stay reflection-free).
     """
     if run.snapshot_every != 1:
         raise GridMismatch("incompressibility probe needs one snapshot per step")
-    cfg = StepperConfig(dt=dt)
+    cfg = StepperConfig(dt=run.dt)
     n_steps = cfg.steps(t_end, "t_end")
+    if n_steps >= len(run.snapshots):
+        raise GridMismatch(f"t_end = {t_end!r} lies beyond the run")
     z0 = np.asarray(seed_point, dtype=float)
     d = z0.size // 2
     offsets = np.zeros((4 * d + 1, 2 * d))
@@ -571,11 +562,8 @@ def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0,
     tracers = Ensemble(x=z[:, :d], v=z[:, d:], w=np.zeros(len(z)),
                        domain=run.snapshots[0][1].domain)
 
-    steps_per_field = run.dt / dt
-    for k in range(n_steps):
-        snap = int(k / steps_per_field) if steps_per_field >= 1 else k
-        field_fn = run.field_factory(run.snapshots[min(snap, len(run.snapshots) - 1)][1])
-        tracers, events, _ = step(tracers, field_fn, cfg)
+    for _, snap in run.snapshots[:n_steps]:
+        tracers, events, _ = step(tracers, run.field_factory(snap), cfg)
         if events:
             raise StencilReflected("tracer stencil reached the boundary")
 

@@ -71,9 +71,6 @@ __all__ = [
     "grad_green_cut",
     "kernel_plummer",
     "field_model",
-    "field_halfspace_A",
-    "field_problem_b",
-    "interaction_energy",
     "make_field_factory",
 ]
 
@@ -571,12 +568,10 @@ class FieldModel:
         """The field of one snapshot, its source cloud built once."""
         return SnapshotField(self, ens)
 
-    def field(self, ens, x):
-        """E(x) = -factor(x) S(x) at positions x, shape (n, d)."""
-        return self.bind(ens)(x)
-
     def potential(self, ens) -> float:
-        """Double sum over all particle pairs, i = j included (the self-image term survives)."""
+        """Double sum over all particle pairs, i = j included; on the domain
+        route the delta-cutoff removes the singular direct self-term and keeps
+        the finite self-image term, so its gradient is the route's force."""
         phi = self._sums(self._cloud(ens), ens.x, gradient=False, potential=True)[1]
         return self.energy(ens, phi)
 
@@ -651,29 +646,6 @@ class SnapshotField:
 field_model = functools.lru_cache(maxsize=64)(FieldModel)
 
 
-def field_halfspace_A(ens, params: RegularizationParams, x):
-    """Half-space field of Problem A: softened kernel against the odd-reflected density.
-
-    E(x) = c_d sum_j w_j [K_eps(x - x_j) - K_eps(x - x_j')], where x' flips
-    the first coordinate.  Tangential components vanish on the boundary
-    plane by the image antisymmetry.
-    """
-    model = field_model(ens.domain, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, params)
-    return model.field(ens, x)
-
-
-def field_problem_b(ens, params: RegularizationParams, x, hard_sign=False):
-    """Whole-space field of Problem B from a symmetrized ensemble.
-
-    E(x) = pref(x_1) * c_d sum_j sgn(x_j1) w_j K_eps(x - x_j), with pref the
-    smoothed sign (the regularized problem) or the hard sign (the limit
-    problem; stepping a symmetrized ensemble in it makes the folded flow
-    agree with the event-driven half-space flow exactly).
-    """
-    model = field_model(ens.domain, GreenKind.WHOLE_SPACE, Frame.PROBLEM_B, params, hard_sign)
-    return model.field(ens, x)
-
-
 def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=False):
     """Factory: snapshot ensemble -> its ``SnapshotField`` (callable on positions).
 
@@ -686,15 +658,3 @@ def make_field_factory(domain, kind, params: RegularizationParams, hard_sign=Fal
         return field_model(domain, kind, ens.frame, params, hard_sign).bind(ens)
 
     return factory
-
-
-def interaction_energy(ens, kind, domain, params: RegularizationParams):
-    """Double sum sum_{i,j} w_i w_j G^delta(x_i, x_j), all pairs including i = j.
-
-    The delta-cutoff removes the singular direct self-term while keeping the
-    finite self-image term, so this is the potential energy whose gradient
-    is the domain-route force.  ProblemB-framed ensembles instead use the
-    mollified kernel against the odd density (signed weights), matching the
-    smooth-sign force.
-    """
-    return field_model(domain, kind, ens.frame, params).potential(ens)

@@ -113,6 +113,9 @@ class ReflectionEvent:
 
     ``e`` is the step's frozen field at the hit x, the value the sub-stepper
     kicked with (bitwise the frozen field function called at x).
+    ``step_start`` is the start time of the step that made the bounce, the
+    sample the energy ledger books its correction against; t may equal it,
+    or round past the step's end.
     """
 
     t: float
@@ -121,6 +124,7 @@ class ReflectionEvent:
     v_minus: np.ndarray
     v_plus: np.ndarray
     e: np.ndarray
+    step_start: float
 
 
 @dataclass
@@ -283,7 +287,8 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
     events): ``crossed`` marks the rows whose path leaves, x and v are the
     rows' end states (rows that do not cross come back as given), and the
-    events are in (particle, time) order.  ReflectionOverflow names the
+    events are in (particle, time) order, each with ``t0``, the step's
+    start, as its ``step_start``.  ReflectionOverflow names the
     lowest particle with more than ``max_reflections`` bounces.
     """
     x, v, e = (np.array(a, dtype=float) for a in (x, v, e))
@@ -348,7 +353,8 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
             f_hit[:, 0] = -f_hit[:, 0]
         else:
             v_plus = reflect_velocity(normal, vm)
-            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk)
+            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk,
+                                       float(t0))
                        for k, tk, xk, vk, wk, fk
                        in zip(hit, t[hit] + s, hits, vm, v_plus, f_hit)]
         x[hit], v[hit], e[hit] = hits, v_plus, f_hit
@@ -534,12 +540,13 @@ class RunRecord:
 
 
 def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, t0=0.0, observer=None):
-    """Fixed-dt run over [t0, t0 + t_end]; returns its ``RunRecord``.
+              snapshot_every=1, observer=None):
+    """Fixed-dt run over [0, t_end]; returns its ``RunRecord``.
 
     Each step freezes the field from the snapshot entering the step (the
     Picard-style decoupling); a step's events come in (particle, time)
-    order.  Deterministic for a fixed initial ensemble.  A snapshot
+    order, and each records the time of that snapshot as its
+    ``step_start``.  Deterministic for a fixed initial ensemble.  A snapshot
     is kept every ``snapshot_every`` steps, a whole number >= 1 (ValueError
     otherwise, before any step).
 
@@ -566,7 +573,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     snapshot_every = int(snapshot_every)
     n_steps = cfg.steps(t_end, "t_end")
 
-    e, t, evts, field_fn = e0, float(t0), [], field_factory(e0)
+    e, t, evts, field_fn = e0, 0.0, [], field_factory(e0)
     snapshots, fields, events, deaths = [], [], [], {}
     for k in range(n_steps + 1):  # k = 0: the initial snapshot
         if k:
@@ -574,7 +581,7 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
             e, evts, field_fn = step(e, field_fn, cfg, t0=t, lead=lead,
                                      field_factory=None if cfg.frozen_field else field_factory)
             events.extend(evts)
-            t = t0 + k * cfg.dt
+            t = k * cfg.dt
             died = alive & ~e.alive
             deaths.update(dict.fromkeys(np.flatnonzero(died).tolist(), t))
             if field_fn is None or died.any():  # frozen, or the dead left the sources

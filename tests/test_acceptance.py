@@ -28,7 +28,7 @@ from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import (
     GreenKind,
     RegularizationParams,
-    field_halfspace_A,
+    field_model,
     green,
     make_field_factory,
 )
@@ -169,7 +169,8 @@ def test_criterion_05_symmetrization_equivalence():
 
     def a_factory(ens):
         def field(pos):
-            return field_halfspace_A(ens, params, pos)
+            model = field_model(HS, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, params)
+            return model.bind(ens)(pos)
         return field
 
     rec_a = integrate(base, a_factory, StepperConfig(dt=dt), 1.0)
@@ -249,7 +250,7 @@ def test_criterion_08_incompressibility():
         seed_pt = np.concatenate([
             [1.0 + 1.5 * rng.random()], rng.normal(size=2) * 0.3,
             rng.normal(size=3) * 0.2])
-        err = incompressibility_probe(rec, seed_pt, h=1e-5, t_end=1.0, dt=1e-3)
+        err = incompressibility_probe(rec, seed_pt, h=1e-5, t_end=1.0)
         worst = max(worst, err)
         assert err <= 1e-4, f"|det - 1| = {err:.2e}"
     elapsed = time.time() - t0

@@ -3,6 +3,7 @@ import pytest
 
 from specularvp.diagnostics import (
     GridMismatch,
+    LedgerObserver,
     PairMismatch,
     SeparableBump,
     SeparationProbe,
@@ -122,12 +123,22 @@ class TestEnergyAudit:
         assert np.max(no_k) > 100 * ledger.max_abs_drift
 
     def test_event_correction_restores_second_order(self):
-        e = make([[0.6, 0.0, 0.0]], [[-1.0, 0.0, 0.0]], [2.0])
-        drifts = {}
-        for dt in (1e-3, 5e-4):
-            rec = run_fixture(e, dt, 1.2)
-            drifts[dt] = energy_audit(rec).max_abs_drift
-        assert drifts[1e-3] / drifts[5e-4] >= 3.0
+        # a generic bounce, and one on a sample time: the first particle of
+        # the second case moves field-free inside the zeta-shell and ends a
+        # step exactly on the wall at t = 0.125, so the next step makes the
+        # bounce at its start (theta = 0)
+        generic = make([[0.6, 0.0, 0.0]], [[-1.0, 0.0, 0.0]], [2.0])
+        on_sample = make([[0.0625, 0.0, 0.0], [0.15, 0.0, 0.0]],
+                         [[-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.3, 0.3])
+        for e, dts, t_end in ((generic, (1e-3, 5e-4), 1.2),
+                              (on_sample, (1 / 32, 1 / 64), 0.5)):
+            drifts = []
+            for dt in dts:
+                obs = LedgerObserver()
+                ledger = energy_audit(run_fixture(e, dt, t_end, observer=obs))
+                assert obs.ledger().drift.tobytes() == ledger.drift.tobytes()
+                drifts.append(ledger.max_abs_drift)
+            assert drifts[0] / drifts[1] >= 3.0
 
     def test_grid_mismatch(self):
         e = make([[0.6, 0.0, 0.0]], [[-1.0, 0.0, 0.0]], [1.0])
@@ -380,20 +391,20 @@ class TestIncompressibility:
         e = make([[5.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [0.0])
         rec = run_fixture(e, 1e-3, 1.0)
         err = incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]),
-                                      h=1e-5, t_end=1.0, dt=1e-3)
+                                      h=1e-5, t_end=1.0)
         assert err < 1e-9
 
     def test_self_consistent_two_body(self):
         rec = self.reference_run()
         err = incompressibility_probe(rec, np.array([1.5, 0.3, 0.0, 0.0, 0.1, 0.0]),
-                                      h=1e-5, t_end=1.0, dt=1e-3)
+                                      h=1e-5, t_end=1.0)
         assert err <= 1e-4
 
     def test_stencil_reflection_raises(self):
         rec = self.reference_run()
         with pytest.raises(StencilReflected):
             incompressibility_probe(rec, np.array([0.05, 0.0, 0.0, -1.0, 0.0, 0.0]),
-                                    h=1e-5, t_end=1.0, dt=1e-3)
+                                    h=1e-5, t_end=1.0)
 
     def test_excursion_within_one_step_raises(self):
         # in a field of 1e4 pushing off the wall, a tracer at x_1 = 1.2e-5
@@ -406,7 +417,14 @@ class TestIncompressibility:
                         StepperConfig(dt=1e-3), 1e-3)
         with pytest.raises(StencilReflected):
             incompressibility_probe(rec, np.array([1.2e-5, 0.0, 0.0, -1.0, 0.0, 0.0]),
-                                    h=1e-6, t_end=1e-3, dt=1e-3)
+                                    h=1e-6, t_end=1e-3)
+
+    def test_t_end_beyond_the_run_raises(self):
+        # tracer step k takes the field of snapshot k; past the run there is none
+        rec = run_fixture(make([[5.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [0.0]), 1e-2, 0.1)
+        incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]), t_end=0.1)
+        with pytest.raises(GridMismatch):
+            incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]), t_end=0.11)
 
 
 class TestBlowupMonitor:

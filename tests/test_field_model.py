@@ -275,7 +275,7 @@ def test_model_matches_pair_reference(route, d, data):
     err = np.abs(s - s_ref).max(axis=1)
     assert np.all(err <= RTOL * scale), (err, scale)
 
-    field = model.field(e, targets)
+    field = model.bind(e)(targets)
     assert np.all(np.isfinite(field))
     f_ref = np.array([-factor(route, list(x)) * si for x, si in zip(targets, s_ref)])
     assert np.all(np.abs(field - f_ref).max(axis=1) <= RTOL * scale)
@@ -302,7 +302,7 @@ def test_sweep_is_bitwise_the_separate_passes(route, d, data, tile):
         bound = model.bind(e)
         sweep = bound.sweep
     assert bound.sweep is sweep  # made on first use, once
-    assert bitwise_equal(sweep.field, model.field(e, e.x))
+    assert bitwise_equal(sweep.field, model.bind(e)(e.x))
     assert bitwise_equal(sweep.pre_cutoff, model.bind(e).pre_cutoff_sum(e.x))
     assert model.energy(e, sweep.phi) == model.potential(e)
 
@@ -382,4 +382,4 @@ def test_targets_of_another_dimension_raise(route, shift, compiled):
     loader = fields._load_kernel if compiled else (lambda: None)
     with mock.patch.object(fields, "_load_kernel", loader):
         with pytest.raises(ValueError, match="dimension"):
-            model.field(e, np.full((1, 3 + shift), 0.1))
+            model.bind(e)(np.full((1, 3 + shift), 0.1))

@@ -15,13 +15,10 @@ from specularvp.fields import (
     c_d,
     cutoff_rbar,
     cutoff_rbar_prime,
-    field_halfspace_A,
     field_model,
-    field_problem_b,
     grad_green_cut,
     green,
     green_cut,
-    interaction_energy,
     kernel_plummer,
     plummer_potential,
     smooth_sign,
@@ -34,7 +31,18 @@ PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.1, delta=0.1
 
 def regularized(domain, kind, e, x):
     """The regularized field of e at x, on the route its frame and the kind pick."""
-    return field_model(domain, kind, e.frame, PARAMS).field(e, x)
+    return field_model(domain, kind, e.frame, PARAMS).bind(e)(x)
+
+
+def mollified_image(e, params, x):
+    """Problem A's half-space field: the softened kernel against the
+    odd-reflected density."""
+    return field_model(e.domain, GreenKind.HALF_SPACE_MOLLIFIED, e.frame, params).bind(e)(x)
+
+
+def energy(e, kind, domain):
+    """The double sum over all pairs, i = j included, on e's route."""
+    return field_model(domain, kind, e.frame, PARAMS).potential(e)
 
 
 def ensemble(x, v=None, w=None, domain=HS, frame=Frame.PROBLEM_A):
@@ -210,7 +218,7 @@ class TestFields:
         # unit particle at (1,0,0): E((2,0,0)) = c_3 (1 - 1/9) e_1 = 2/(9 pi) e_1
         e = ensemble([[1.0, 0.0, 0.0]])
         small_eps = RegularizationParams(1e-12, 0.05, 0.1, 0.1)
-        field = field_halfspace_A(e, small_eps, np.array([[2.0, 0.0, 0.0]]))[0]
+        field = mollified_image(e, small_eps, np.array([[2.0, 0.0, 0.0]]))[0]
         assert field[0] == pytest.approx(2.0 / (9 * np.pi), rel=1e-9)
         assert field[1] == field[2] == 0.0
 
@@ -220,7 +228,7 @@ class TestFields:
                      w=rng.random(12))
         xb = rng.standard_normal((20, 3))
         xb[:, 0] = 0.0
-        field = field_halfspace_A(e, PARAMS, xb)
+        field = mollified_image(e, PARAMS, xb)
         scale = np.abs(field[:, 0]).max()
         assert np.abs(field[:, 1:]).max() <= 1e-10 * max(scale, 1e-300)
 
@@ -235,7 +243,7 @@ class TestFields:
             xm[0] = -xm[0]
             total += wj * (kernel_plummer(eps, x[0] - xj) - kernel_plummer(eps, x[0] - xm))
         total *= c_d(3)
-        assert np.allclose(field_halfspace_A(e, PARAMS, x)[0], total, rtol=1e-14)
+        assert np.allclose(mollified_image(e, PARAMS, x)[0], total, rtol=1e-14)
 
     def test_regularized_vanishes_in_boundary_collar(self):
         e = ensemble([[1.0, 0.0, 0.0]])
@@ -306,10 +314,10 @@ class TestFields:
                         v=rng.standard_normal((10, 3)), w=rng.random(10))
         sym = symmetrize(base)
         x = rng.standard_normal((40, 3))
-        ex = field_problem_b(sym, PARAMS, x)
+        ex = regularized(HS, GreenKind.WHOLE_SPACE, sym, x)
         xp = x.copy()
         xp[:, 0] = -xp[:, 0]
-        exp = field_problem_b(sym, PARAMS, xp)
+        exp = regularized(HS, GreenKind.WHOLE_SPACE, sym, xp)
         flipped = ex.copy()
         flipped[:, 0] = -flipped[:, 0]
         assert np.allclose(exp, flipped, rtol=1e-12, atol=1e-16)
@@ -324,7 +332,7 @@ class TestInteractionEnergy:
     def test_single_particle_pure_self_image(self):
         x1 = 0.4
         e = ensemble([[x1, 0.0, 0.0]], w=[0.7])
-        pe = interaction_energy(e, GreenKind.HALF_SPACE_IMAGE, HS, PARAMS)
+        pe = energy(e, GreenKind.HALF_SPACE_IMAGE, HS)
         expected = 0.7**2 * (-cutoff_rbar(2 * x1 / PARAMS.delta)
                              * c_d(3) * (2 * x1) ** (-1.0))
         assert pe == pytest.approx(expected, rel=1e-14)
@@ -334,7 +342,7 @@ class TestInteractionEnergy:
         a = np.array([100.0, 0.0, 0.0])
         b = np.array([100.0, 0.8, 0.0])
         e = ensemble([a, b], w=[0.5, 0.5])
-        pe = interaction_energy(e, GreenKind.HALF_SPACE_IMAGE, HS, PARAMS)
+        pe = energy(e, GreenKind.HALF_SPACE_IMAGE, HS)
         hand = 0.0
         for xi, wi in zip(e.x, e.w):
             for xj, wj in zip(e.x, e.w):
@@ -347,12 +355,12 @@ class TestInteractionEnergy:
 
     def test_empty_ensemble(self):
         e = Ensemble(x=np.zeros((0, 3)), v=np.zeros((0, 3)), w=np.zeros(0), domain=HS)
-        assert interaction_energy(e, GreenKind.HALF_SPACE_IMAGE, HS, PARAMS) == 0.0
+        assert energy(e, GreenKind.HALF_SPACE_IMAGE, HS) == 0.0
 
     def test_problem_b_route_uses_mollified_kernel(self):
         base = ensemble([[0.5, 0.0, 0.0]], w=[1.0])
         sym = symmetrize(base)
-        pe = interaction_energy(sym, GreenKind.WHOLE_SPACE, None, PARAMS)
+        pe = energy(sym, GreenKind.WHOLE_SPACE, None)
         eps = PARAMS.eps_mollify
         # signed double sum over the pair {x, x'}: 2 H_eps(0) - 2 H_eps(|x - x'|)
         expected = 2 * plummer_potential(3, eps, 0.0) - 2 * plummer_potential(3, eps, 1.0)

@@ -8,7 +8,7 @@ from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import (
     GreenKind,
     RegularizationParams,
-    field_halfspace_A,
+    field_model,
     make_field_factory,
 )
 from specularvp.flow import (
@@ -26,6 +26,12 @@ from specularvp.geometry import Ball, HalfSpace
 HS = HalfSpace(3)
 BALL = Ball(3, 1.0)
 PARAMS = RegularizationParams(eps_mollify=0.05, r_sign=0.05, zeta=0.05, delta=0.05)
+
+
+def mollified_image(ens):
+    """Problem A's mollified half-space field of ens: the softened kernel
+    against the odd-reflected density."""
+    return field_model(ens.domain, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, PARAMS).bind(ens)
 
 
 def zero_field(x):
@@ -696,7 +702,7 @@ class TestFoldBackend:
 
         def a_factory(ens):
             def field(x):
-                return field_halfspace_A(ens, PARAMS, x)
+                return mollified_image(ens)(x)
             return field
 
         dt = 1e-3
@@ -723,7 +729,7 @@ class TestFoldBackend:
 
         def a_factory(ens):
             def field(pos):
-                return field_halfspace_A(ens, PARAMS, pos)
+                return mollified_image(ens)(pos)
             return field
 
         dt = 1e-2

@@ -276,10 +276,15 @@ def _whole_run(case, dim, n, steps, seed):
                   domain=dom)
     if fold:
         e0 = symmetrize(e0)
-    obs = LedgerObserver()
+    obs, calls = LedgerObserver(), []
+
+    def observer(t, snap, field, events):
+        calls.append((t, events))
+        obs(t, snap, field, events)
+
     cfg = StepperConfig(dt=1e-2)
     factory = make_field_factory(dom, kind, PARAMS, hard_sign=fold)
-    return e0, obs, integrate(e0, factory, cfg, steps * cfg.dt, observer=obs)
+    return e0, obs, calls, integrate(e0, factory, cfg, steps * cfg.dt, observer=observer)
 
 
 def assert_mirror_pairs(s, n):
@@ -311,7 +316,8 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
     # the stepper builds each snapshot once and the tail field reads unchecked
     # Sources; every stored snapshot must still lie in the closed domain, or
     # for the fold keep its mirror pairs, and every bounce must be specular
-    e0, obs, rec = _whole_run(case, dim, n, steps, seed)
+    # and name the step that made it
+    e0, obs, calls, rec = _whole_run(case, dim, n, steps, seed)
     event("bounces" if rec.events else "no bounce")
     assert len(rec.snapshots) == steps + 1
     for _, s in rec.snapshots:
@@ -322,6 +328,9 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
         assert s.w.tobytes() == e0.w.tobytes()
     for ev in rec.events:
         assert_specular(e0.domain, ev)
+    # a call's events come from the step that starts at the call before
+    for (t_start, _), (_, events) in zip(calls, calls[1:]):
+        assert all(ev.step_start == t_start for ev in events)
     audit, ledger = energy_audit(rec), obs.ledger()
     for f in dataclasses.fields(audit):
         assert getattr(ledger, f.name).tobytes() == getattr(audit, f.name).tobytes(), f.name
@@ -344,30 +353,32 @@ def test_streamed_ledger_equals_the_audits(case):
 
 
 def test_streamed_event_corrections_follow_the_step_index_rule():
-    # events at a step's start time, just past its end, and past the run's
-    # end take the same step index, source snapshot and order in both paths
+    # an event is corrected in the step that made it, whatever its time: at
+    # the step's start, just past its end, or just past the run's end, in
+    # the same sample, with the same source snapshot, in both paths
     e0, factory, cfg, _ = bounce()
     rec = integrate(e0, factory, cfg, 0.3)
     times = np.array([t for t, _ in rec.snapshots])
     fields = [factory(s) for _, s in rec.snapshots]
+    last = len(fields) - 2
 
-    def bounce_at(t):
+    def bounce_at(t, k):
         return ReflectionEvent(t, 1, np.array([0.0, 0.1, 0.0]),
                                np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.2, 0.0]),
-                               np.zeros(3))
+                               np.zeros(3), times[k])
 
     by_step = {
-        5: [bounce_at(times[5] + 0.3 * cfg.dt)],
-        10: [bounce_at(times[10])],                             # counted in step 9
-        11: [bounce_at(np.nextafter(times[12], np.inf))],       # counted in step 12
-        len(fields) - 2: [bounce_at(np.nextafter(times[-1], np.inf))],  # dropped
+        5: [bounce_at(times[5] + 0.3 * cfg.dt, 5)],
+        10: [bounce_at(times[10], 10)],                                 # theta = 0
+        11: [bounce_at(np.nextafter(times[12], np.inf), 11)],           # theta > 1
+        last: [bounce_at(np.nextafter(times[-1], np.inf), last)],       # past the end
     }
     obs = LedgerObserver()
     for m, field in enumerate(fields):
         obs(times[m], field.ens, field, by_step.get(m - 1, []))
     events = [ev for k in sorted(by_step) for ev in by_step[k]]
     audit = energy_audit(dataclasses.replace(rec, events=events))
-    assert np.array_equal(obs.ledger().k_integral, audit.k_integral)
-    assert np.array_equal(obs.ledger().drift, audit.drift)
+    for name in ("k_integral", "drift"):
+        assert getattr(obs.ledger(), name).tobytes() == getattr(audit, name).tobytes()
     jumps = np.diff(audit.k_integral - energy_audit(rec).k_integral)
-    assert list(np.flatnonzero(jumps) + 1) == [6, 10, 13]
+    assert list(np.flatnonzero(jumps) + 1) == [6, 11, 12, len(times) - 1]
