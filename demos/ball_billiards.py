@@ -12,8 +12,9 @@ Run:  python demos/ball_billiards.py
 import numpy as np
 
 from specularvp.diagnostics import audit_green
+from specularvp.ensemble import Ensemble
 from specularvp.fields import GreenKind
-from specularvp.flow import handle_reflection
+from specularvp.flow import StepperConfig, step
 from specularvp.geometry import Ball
 
 
@@ -21,10 +22,10 @@ def main():
     ball = Ball(3, radius=1.0)
     rng = np.random.default_rng(0)
 
-    print("-- billiard chord: five bounces of one free flight --")
-    x = np.array([0.3, 0.1, 0.0])
-    v = np.array([0.9, 0.7, 0.2])
-    x, v, events = handle_reflection(x, v, 0.0, 6.0, ball, max_reflections=8)
+    print("-- billiard chord: the bounces of one free flight --")
+    # one particle's step of 6 time units in a zero field
+    flight = Ensemble(x=[[0.3, 0.1, 0.0]], v=[[0.9, 0.7, 0.2]], w=[1.0], domain=ball)
+    _, events, _ = step(flight, np.zeros_like, StepperConfig(dt=6.0, max_reflections_per_step=8))
     for ev in events:
         n = ball.inward_normal(ev.x)
         angle_in = np.degrees(np.arccos(-np.dot(ev.v_minus, n) / np.linalg.norm(ev.v_minus)))

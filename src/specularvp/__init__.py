@@ -45,7 +45,6 @@ from .ensemble import (
     symmetrize,
 )
 from .flow import (
-    NoCrossing,
     NonFiniteState,
     ReflectionEvent,
     ReflectionOverflow,
@@ -53,8 +52,8 @@ from .flow import (
     StepperConfig,
     Trajectory,
     fold_halfspace,
-    handle_reflection,
     integrate,
+    samples,
     step,
 )
 

@@ -19,15 +19,18 @@ Config grammar (strict): ``[section]`` headers and ``key = value`` lines;
 
 ``parse_config`` builds the run's objects once, and every command uses
 them.  Their checks refuse, with exit 2 and one ``error:`` line, a config
-whose run would crash, hang or step other physics (README.md lists them).
+whose run would crash, hang or step other physics (README.md lists them);
+so do the commands for a file they cannot read or an argument out of range.
 
-A run emits snapshots.csv (t, id, x[0..d), v[0..d), w), events.csv
-(t, id, x, v_minus, v_plus), ledger.csv (t, kinetic, potential, total,
-K_integral, drift), diagnostics.json, and manifest.json listing every file
-with its content hash.  Outputs are byte-identical for identical
-(config, seed).  A run stopped by a NonFiniteState or ReflectionOverflow
-exits 1 with a one-line error; its manifest says complete: false and
-carries the error.
+A run appends the rows of snapshots.csv (t, id, x[0..d), v[0..d), w),
+events.csv (t, id, x, v_minus, v_plus) and ledger.csv (t, kinetic,
+potential, total, K_integral, drift) as it makes each sample, so it holds
+one snapshot at a time; then it writes diagnostics.json, and manifest.json
+with the content hash of every file it wrote.  Outputs are byte-identical
+for identical (config, seed).  A run stopped by a NonFiniteState or
+ReflectionOverflow exits 1 with a one-line error; its CSVs keep the rows of
+the samples made before it, and its manifest says complete: false, carries
+the error and hashes those files.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    LEDGER_HEADER,
     LedgerObserver,
     audit_green,
     energy_bound_check,
     float_rows,
     read_ledger_csv,
-    write_ledger_csv,
 )
 from .ensemble import Ensemble, Frame, InitialCondition, sample_initial, symmetrize
 from .fields import (
@@ -64,7 +67,7 @@ from .flow import (
     ReflectionOverflow,
     StepperConfig,
     fold_halfspace,
-    integrate,
+    samples,
 )
 from .geometry import Ball, HalfSpace
 from .selfconsistent import check_exact_w1, picard_iterate
@@ -137,13 +140,14 @@ class RunConfig:
 
 @contextlib.contextmanager
 def _refusing():
-    """A check's ValueError becomes a ValidationError: the config is
-    refused, and the command exits 2 with one line."""
+    """A check's ValueError, or an input file that cannot be read, becomes a
+    ValidationError: the input is refused, and the command exits 2 with one
+    line."""
     try:
         yield
     except ParseError:
         raise
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
 
 
@@ -215,11 +219,11 @@ def _boolean(text):
 
 def parse_config(path) -> RunConfig:
     """Strict parse of a sectioned key=value run configuration into the
-    run's objects; a value their checks refuse is a ValidationError."""
-    text = Path(path).read_text()
-    sections = _read_sections(text)
+    run's objects; a value their checks refuse, or a file that cannot be
+    read, is a ValidationError."""
     with _refusing():
-        return _run_config(sections, text)
+        text = Path(path).read_text()
+        return _run_config(_read_sections(text), text)
 
 
 def _run_config(sections, text):
@@ -338,32 +342,18 @@ def _header(dim, *vectors):
     return ",".join(["t", "id", *(f"{name}{i}" for name in vectors for i in range(dim))])
 
 
-def _write_snapshots_csv(path, run, dim):
-    with open(path, "w") as fh:  # a snapshot at a time: the text never holds the run
-        fh.write(_header(dim, "x", "v") + ",w\n")
-        for t, snap in run.snapshots:
-            lead = f"{float(t)!r},"
-            fh.writelines(f"{lead}{pid},{row}\n"
-                          for pid, row in enumerate(float_rows(snap.x, snap.v, snap.w)))
-
-
-def _write_events_csv(path, run, dim):
-    lines = [_header(dim, "x", "vm", "vp")]
-    evs = run.events
-    rows = float_rows([e.x for e in evs], [e.v_minus for e in evs], [e.v_plus for e in evs])
-    lines += [f"{float(e.t)!r},{e.particle},{row}" for e, row in zip(evs, rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in blocks: a run's files can be long
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run(cfg: RunConfig, out_dir, seed=None) -> int:
-    """Execute a configured run and emit artifacts; returns the exit status.
-
-    The manifest is written however the run ends (complete: false and the
-    error when it raises)."""
+    """Execute a configured run, writing its rows as it makes each sample;
+    returns the exit status.  The manifest is written however the run ends
+    and hashes the files this run wrote."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
@@ -374,30 +364,48 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
         "complete": False,
         "files": {},
     }
+    written = []
     try:
         e0 = _build_ensemble(cfg, seed)
         # the ledger and the log-log moment stream from the stepper's own sweeps
         # (the mollified A-route has no matching cut-Green ledger)
         mollified = cfg.field_kind == GreenKind.HALF_SPACE_MOLLIFIED and not cfg.fold
-        ledger_obs = None if mollified else LedgerObserver()
-        rec = integrate(e0, cfg.field.bind, cfg.stepper, cfg.t_end,
-                        snapshot_every=cfg.cadence_snapshot, observer=ledger_obs)
-        dim = e0.dim
-        _write_snapshots_csv(out / "snapshots.csv", rec, dim)
-        _write_events_csv(out / "events.csv", rec, dim)
-        diag = {"events": len(rec.events), "particles": len(e0), "t_end": cfg.t_end}
-        if ledger_obs is not None:
-            ledger = ledger_obs.ledger()
-            if cfg.cadence_ledger > 1:
-                ledger = ledger.every(cfg.cadence_ledger)
-            write_ledger_csv(ledger, out / "ledger.csv")
-            check = energy_bound_check(ledger)
+        ledger = None if mollified else LedgerObserver(every=cfg.cadence_ledger)
+        with contextlib.ExitStack() as files:
+            def csv(name, header):
+                fh = files.enter_context(open(out / name, "w"))
+                written.append(name)
+                fh.write(header + "\n")
+                return fh
+
+            snapshots = csv("snapshots.csv", _header(e0.dim, "x", "v") + ",w")
+            events = csv("events.csv", _header(e0.dim, "x", "vm", "vp"))
+            rows = None if ledger is None else csv("ledger.csv", LEDGER_HEADER)
+            last, n_events = cfg.stepper.steps(cfg.t_end, "t_end"), 0
+            for k, (t, snap, field, evts) in enumerate(
+                    samples(e0, cfg.field.bind, cfg.stepper, cfg.t_end)):
+                if evts:
+                    n_events += len(evts)
+                    cols = ([getattr(e, a) for e in evts] for a in ("x", "v_minus", "v_plus"))
+                    events.writelines(f"{e.t!r},{e.particle},{row}\n"
+                                      for e, row in zip(evts, float_rows(*cols)))
+                if k % cfg.cadence_snapshot == 0 or k == last:
+                    lead = f"{t!r},"
+                    snapshots.writelines(f"{lead}{i},{row}\n" for i, row
+                                         in enumerate(float_rows(snap.x, snap.v, snap.w)))
+                if ledger is not None and (row := ledger(t, snap, field, evts)):
+                    rows.write(",".join(map(repr, row)) + "\n")
+        diag = {"events": n_events, "particles": len(e0), "t_end": cfg.t_end}
+        if ledger is not None:
+            kept = ledger.ledger()
+            check = energy_bound_check(kept)
             diag.update({
-                "max_abs_drift": ledger.max_abs_drift,
+                "max_abs_drift": kept.max_abs_drift,
                 "energy_bound_passed": check.passed,
                 "energy_bound_min_margin": check.min_margin,
-                "loglog_total_variation": ledger_obs.total_variation,
+                "loglog_total_variation": ledger.total_variation,
             })
+        written.append("diagnostics.json")
         (out / "diagnostics.json").write_text(
             json.dumps(diag, sort_keys=True, indent=2) + "\n")
         manifest["complete"] = True
@@ -405,8 +413,7 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        for name in sorted(p.name for p in out.iterdir() if p.name != "manifest.json"):
-            manifest["files"][name] = _sha256(out / name)
+        manifest["files"] = {name: _sha256(out / name) for name in sorted(written)}
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return 0
@@ -513,8 +520,9 @@ def _cmd_picard(args):
 
 
 def _cmd_diagnose(args):
-    ledger = read_ledger_csv(args.ledger)
-    check = energy_bound_check(ledger, tol=args.tol)
+    with _refusing():  # a missing, empty or malformed ledger
+        ledger = read_ledger_csv(args.ledger)
+        check = energy_bound_check(ledger, tol=args.tol)
     verdict = "PASS" if check.passed else "FAIL"
     print(f"energy bound: {verdict} (min margin {check.min_margin!r}, "
           f"max |drift| {ledger.max_abs_drift!r})")
@@ -527,16 +535,16 @@ def _cmd_compare_backends(args):
     if not isinstance(cfg.domain, HalfSpace):
         raise ValidationError("compare-backends needs a half-space configuration")
     # Problem A in the mollified image field, event-driven, against its
-    # symmetrization in the hard-sign field, folded
+    # symmetrization in the hard-sign field, folded, walked in lockstep
     base = sample_initial(cfg.initial, domain=cfg.domain, seed=seed)
     n = len(base)
-    rec_a = integrate(base, make_field_factory(cfg.domain, GreenKind.HALF_SPACE_MOLLIFIED,
-                                               cfg.params), cfg.stepper, cfg.t_end)
-    rec_b = integrate(symmetrize(base), make_field_factory(cfg.domain, cfg.field_kind,
-                                                           cfg.params, hard_sign=True),
-                      cfg.stepper, cfg.t_end)
+    run_a = samples(base, make_field_factory(cfg.domain, GreenKind.HALF_SPACE_MOLLIFIED,
+                                             cfg.params), cfg.stepper, cfg.t_end)
+    run_b = samples(symmetrize(base), make_field_factory(cfg.domain, cfg.field_kind,
+                                                         cfg.params, hard_sign=True),
+                    cfg.stepper, cfg.t_end)
     dev = 0.0
-    for (_, sa), (_, sb) in zip(rec_a.snapshots, rec_b.snapshots):
+    for (_, sa, _, _), (_, sb, _, _) in zip(run_a, run_b):
         xf, vf = fold_halfspace(sb.x[:n], sb.v[:n])
         dev = max(dev, float(np.max(np.abs(np.c_[xf, vf] - np.c_[sa.x, sa.v]))))
     allowed = 10.0 * cfg.stepper.dt**2 * max(cfg.t_end, 1.0)
@@ -545,12 +553,15 @@ def _cmd_compare_backends(args):
 
 
 def _cmd_audit_green(args):
-    if args.domain == "ball":
-        domain = Ball(args.dim, args.radius)
-        kind = GreenKind.BALL_IMAGE
-    else:
-        domain = HalfSpace(args.dim)
-        kind = GreenKind.HALF_SPACE_IMAGE
+    with _refusing():  # the domains check their dimension and radius
+        if args.pairs < 1:
+            raise ValueError(f"--pairs {args.pairs} is not >= 1")
+        if args.domain == "ball":
+            domain = Ball(args.dim, args.radius)
+            kind = GreenKind.BALL_IMAGE
+        else:
+            domain = HalfSpace(args.dim)
+            kind = GreenKind.HALF_SPACE_IMAGE
     report = audit_green(domain, kind, n_pairs=args.pairs, seed=args.seed)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"green audit [{args.domain}, d={args.dim}]: {verdict} "

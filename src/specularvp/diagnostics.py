@@ -25,15 +25,16 @@ Conventions worth pinning down once:
   field, sign or kind than the run's.
 * ``energy_audit`` and ``blowup_monitor`` recompute everything from stored
   snapshots; ``LedgerObserver`` accumulates the same ledger and moment
-  while ``integrate`` runs, from the stepper's own pair sweeps.  Both
-  assemble the ledger with one helper, so they agree bit for bit.
+  sample by sample while the run goes, from the stepper's own pair sweeps.
+  Both book a bounce with one helper and add in the same order, so they
+  agree bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,7 @@ __all__ = [
     "blowup_monitor",
     "audit_green",
     "float_rows",
+    "LEDGER_HEADER",
     "write_ledger_csv",
     "write_phi_csv",
     "write_residual_jsonl",
@@ -136,54 +138,34 @@ class EnergyLedger:
     def max_abs_drift(self) -> float:
         return float(np.max(np.abs(self.drift)))
 
-    def every(self, stride) -> "EnergyLedger":
-        """Every ``stride``-th row."""
-        return EnergyLedger(*(getattr(self, f.name)[::stride]
-                              for f in dataclasses.fields(self)))
 
-
-def _add_event_corrections(corr, times, events, field_at):
-    """Add each bounce's trapezoid correction J h (1/2 - theta) to corr[k + 1].
+def _event_correction(ev, field, t0, t1) -> float:
+    """A bounce's trapezoid correction J h (1/2 - theta) to the K-integral
+    of the step [t0, t1] that made it.
 
     K jumps by J = 2 w_i (charge - factor)(x*) (v_plus - v_minus) . S_i(x*)
-    at a reflection; k is the step that made the event, the index of its
-    ``step_start`` in ``times`` (found by bisection, so a streamed call
-    makes no pass over the run), and theta = (t* - times[k]) / h, which is
-    0 for a bounce at the step's start and may round just past 1.  The
-    sources are those of ``field_at(k)``, the field of the snapshot
-    entering the step (an O(dt) approximation of an O(dt) term).
+    at a reflection, and theta = (t* - t0) / h, which is 0 for a bounce at
+    the step's start and may round just past 1.  The sources are those of
+    ``field``, the field of the snapshot entering the step (an O(dt)
+    approximation of an O(dt) term).
     """
-    for ev in events:
-        k = bisect.bisect_left(times, ev.step_start)
-        field = field_at(k)
-        gap = float(field.model.cutoff_gap(ev.x)[0])
-        if gap == 0.0:
-            continue
-        s_at = field.pre_cutoff_sum(ev.x)[0]
-        jump = (
-            2.0 * field.ens.w[ev.particle] * gap
-            * float(np.dot(ev.v_plus - ev.v_minus, s_at))
-        )
-        h = times[k + 1] - times[k]
-        theta = (ev.t - times[k]) / h
-        corr[k + 1] += jump * h * (0.5 - theta)
-
-
-def _ledger(times, ke, pe, kt, corr=None) -> EnergyLedger:
-    """Trapezoid K-integral, plus the summed event corrections, and the drift."""
-    total = ke + pe
-    k_int = np.concatenate([[0.0], np.cumsum(0.5 * (kt[1:] + kt[:-1]) * np.diff(times))])
-    if corr is not None:
-        k_int = k_int + np.cumsum(corr)
-    drift = total - total[0] - k_int
-    return EnergyLedger(times, ke, pe, total, kt, k_int, drift)
+    gap = float(field.model.cutoff_gap(ev.x)[0])
+    if gap == 0.0:
+        return 0.0
+    s_at = field.pre_cutoff_sum(ev.x)[0]
+    jump = 2.0 * field.ens.w[ev.particle] * gap * float(np.dot(ev.v_plus - ev.v_minus, s_at))
+    h = t1 - t0
+    return float(jump * h * (0.5 - (ev.t - t0) / h))
 
 
 def energy_audit(run: RunRecord) -> EnergyLedger:
     """Recompute the energy ledger from a run's snapshots, each in its own
-    field (the run's ``field_factory``), all event corrections at once.
+    field (the run's ``field_factory``), as whole arrays: the trapezoid
+    K-integral plus the summed event corrections, and the drift.
 
-    Requires one snapshot per step (GridMismatch otherwise).
+    Each bounce is booked in the step that made it, the index of its
+    ``step_start`` among the sample times (found by bisection).  Requires
+    one snapshot per step (GridMismatch otherwise).
     """
     if run.snapshot_every != 1:
         raise GridMismatch("energy audit needs one snapshot per step")
@@ -192,56 +174,77 @@ def energy_audit(run: RunRecord) -> EnergyLedger:
     ke = np.array([kinetic_energy(f.ens) for f in fields])
     pe = np.array([f.model.potential(f.ens) for f in fields])
     kt = np.array([k_tau(f) for f in fields])
-    corr = None
-    if run.events:
-        corr = np.zeros(len(times))
-        _add_event_corrections(corr, times, run.events, fields.__getitem__)
-    return _ledger(times, ke, pe, kt, corr)
+    corr = np.zeros(len(times))
+    for ev in run.events:
+        k = bisect.bisect_left(times, ev.step_start)
+        corr[k + 1] += _event_correction(ev, fields[k], times[k], times[k + 1])
+    total = ke + pe
+    k_int = np.concatenate([[0.0], np.cumsum(0.5 * (kt[1:] + kt[:-1]) * np.diff(times))])
+    k_int = k_int + np.cumsum(corr)
+    return EnergyLedger(times, ke, pe, total, kt, k_int, total - total[0] - k_int)
 
 
 class LedgerObserver:
     """The energy ledger and the log-log moment, accumulated during a run.
 
-    Pass it as ``integrate(..., observer=LedgerObserver())``: each
-    snapshot's kinetic and potential energy, K and moment then come from
-    the snapshot and the cached ``sweep`` of the field the run stepped
-    with, the pass the stepper made anyway (the cutoff gap from its
-    factor).  A step's events are booked in the call that ends the step,
-    against the field of the sample before (see ``_add_event_corrections``),
-    so every row is final when its step ends.  The run keeps O(steps)
-    scalars and that one previous field instead of one snapshot per step.
-    ``ledger()`` and ``total_variation`` equal ``energy_audit`` and
-    ``blowup_monitor`` on a run that stored every snapshot.
+    Call it on each sample of ``flow.samples`` (or pass it as
+    ``integrate``'s observer): a snapshot's kinetic and potential energy, K
+    and moment come from the snapshot and the cached ``sweep`` of the field
+    the run stepped with (the cutoff gap from its factor).  A step's events
+    are booked in the call that ends the step, against the field of the
+    sample before, so a row is final when its step ends: the K-integral and
+    the drift are running sums, added in ``np.cumsum``'s order.
+
+    A call returns every ``every``-th sample's row (t, kinetic, potential,
+    total, K_integral, drift) as Python floats, the initial one included,
+    and None for the others.  The observer keeps those rows with their K
+    for ``ledger()``, and every sample's moment for ``total_variation``, as
+    packed doubles.  With ``every = 1`` both equal ``energy_audit`` and
+    ``blowup_monitor`` on a run that stored every snapshot, bit for bit.
     """
 
-    def __init__(self):
-        self.times, self.kinetic, self.potential, self.k_tau = [], [], [], []
-        self.moment = []
-        self._corr = []         # event corrections per sample
-        self._bounced = False   # the run had events
-        self._previous = None   # the field of the last sample
+    def __init__(self, every=1):
+        self.every = every
+        # the kept rows' t, kinetic, potential, total, K_integral, drift and K
+        self._columns = tuple(array("d") for _ in range(7))
+        self.moment = array("d")
+        self._total0 = None
+        self._trapezoids = -0.0   # the additive identity, as cumsum's first term
+        self._corrections = 0.0
+        self._previous = None     # (t, K, field) of the last sample
 
     def __call__(self, t, snap, field, events):
         model, sweep = field.model, field.sweep
         w, v2, znorm = _phase_terms(snap)
-        self.times.append(t)
-        self.kinetic.append(float((w * v2).sum()))
-        self.potential.append(model.energy(snap, sweep.phi))
+        kinetic = float((w * v2).sum())
+        potential = model.energy(snap, sweep.phi)
         gap = model.cutoff_gap(snap.x, sweep.factor)
-        self.k_tau.append(_k_power(snap, w, gap, sweep.pre_cutoff) if gap.any() else 0.0)
+        kt = _k_power(snap, w, gap, sweep.pre_cutoff) if gap.any() else 0.0
         self.moment.append(_loglog_moment(w, znorm))
-        self._corr.append(0.0)
-        if events:
-            # made by the step from the previous sample to this one
-            self._bounced = True
-            _add_event_corrections(self._corr, self.times, events,
-                                   lambda k: self._previous)
-        self._previous = field
+        total = kinetic + potential
+        if self._previous is None:
+            self._total0, k_int = total, 0.0
+        else:
+            t0, kt0, field0 = self._previous
+            self._trapezoids += 0.5 * (kt + kt0) * (t - t0)
+            corr = 0.0
+            for ev in events:  # made by the step from the previous sample to this one
+                corr += _event_correction(ev, field0, t0, t)
+            self._corrections += corr
+            k_int = self._trapezoids
+        k_int += self._corrections
+        self._previous = (t, kt, field)
+        if (len(self.moment) - 1) % self.every:
+            return None
+        row = (t, kinetic, potential, total, k_int, total - self._total0 - k_int)
+        for column, value in zip(self._columns, (*row, kt)):
+            column.append(value)
+        return row
 
     def ledger(self) -> EnergyLedger:
-        corr = np.array(self._corr) if self._bounced else None
-        return _ledger(*(np.array(a) for a in (self.times, self.kinetic, self.potential,
-                                               self.k_tau)), corr)
+        """The kept rows as an ``EnergyLedger``."""
+        t, ke, pe, total, k_int, drift, kt = (np.array(c) for c in self._columns)
+        return EnergyLedger(t, ke, pe, total, kt, k_int, drift)
 
     @property
     def total_variation(self) -> float:
@@ -713,8 +716,11 @@ def float_rows(*columns):
             for row in np.column_stack(columns).astype(float).tolist()]
 
 
+LEDGER_HEADER = "t,kinetic,potential,total,K_integral,drift"
+
+
 def write_ledger_csv(ledger: EnergyLedger, path):
-    lines = ["t,kinetic,potential,total,K_integral,drift"]
+    lines = [LEDGER_HEADER]
     lines += float_rows(ledger.times, ledger.kinetic, ledger.potential,
                         ledger.total, ledger.k_integral, ledger.drift)
     with open(path, "w") as fh:
@@ -722,18 +728,11 @@ def write_ledger_csv(ledger: EnergyLedger, path):
 
 
 def read_ledger_csv(path) -> EnergyLedger:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    kt = np.zeros(len(data))
-    return EnergyLedger(
-        times=np.asarray(data["t"], dtype=float),
-        kinetic=np.asarray(data["kinetic"], dtype=float),
-        potential=np.asarray(data["potential"], dtype=float),
-        total=np.asarray(data["total"], dtype=float),
-        k_tau=kt,
-        k_integral=np.asarray(data["K_integral"], dtype=float),
-        drift=np.asarray(data["drift"], dtype=float),
-    )
+    """A written ledger; its K column reads as zeros (it is not written)."""
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    t, ke, pe, total, k_int, drift = (np.asarray(data[name], dtype=float)
+                                      for name in LEDGER_HEADER.split(","))
+    return EnergyLedger(t, ke, pe, total, np.zeros(len(data)), k_int, drift)
 
 
 def write_phi_csv(probe: SeparationProbe, path):

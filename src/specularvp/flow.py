@@ -45,9 +45,8 @@ __all__ = [
     "RunRecord",
     "ReflectionOverflow",
     "NonFiniteState",
-    "NoCrossing",
     "step",
-    "handle_reflection",
+    "samples",
     "integrate",
     "fold_halfspace",
 ]
@@ -70,10 +69,6 @@ class ReflectionOverflow(RuntimeError):
 
 class NonFiniteState(RuntimeError):
     """A live particle's position or velocity became NaN or infinite."""
-
-
-class NoCrossing(RuntimeError):
-    """handle_reflection called on a segment that never exits the domain."""
 
 
 @dataclass(frozen=True)
@@ -376,26 +371,6 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     return crossed, x, v, events
 
 
-def handle_reflection(x_enter, v, t_enter, dt_remaining, domain: Domain,
-                      max_reflections=8):
-    """Field-free drift from x_enter over dt_remaining with specular bounces.
-
-    Returns (x_exit, v_exit, events).  Raises NoCrossing if the segment
-    never leaves the domain (caller contract) and ReflectionOverflow past
-    ``max_reflections`` bounces.  Grazing hits (|v . n| <= GRAZE_RTOL |v|)
-    pass through with no jump.
-    """
-    x, v = np.array([x_enter], dtype=float), np.array([v], dtype=float)
-    e = np.zeros_like(x)
-    c = _distance_poly(domain, x, v, e, float(dt_remaining), 1.0)
-    crossed, x, v, events = _advance_with_events(x, v, e, c, np.zeros_like, dt_remaining,
-                                                 t_enter, domain, max_reflections,
-                                                 np.array([0]))
-    if not crossed[0]:
-        raise NoCrossing("drift segment does not exit the domain")
-    return x[0], v[0], events
-
-
 def _mark_blowups(alive, x, v, scale):
     """Alive mask after a step: particles beyond BLOWUP_LIMIT * scale die.  The
     limit test fails for NaN and inf too, and only then is finiteness checked:
@@ -539,16 +514,17 @@ class RunRecord:
         )
 
 
-def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, observer=None):
-    """Fixed-dt run over [0, t_end]; returns its ``RunRecord``.
+def samples(e0: Ensemble, field_factory, cfg: StepperConfig, t_end):
+    """The run over [0, t_end] as a stream of samples (t, snapshot, field,
+    events), the initial one and one after each step; it keeps nothing.
 
-    Each step freezes the field from the snapshot entering the step (the
-    Picard-style decoupling); a step's events come in (particle, time)
-    order, and each records the time of that snapshot as its
-    ``step_start``.  Deterministic for a fixed initial ensemble.  A snapshot
-    is kept every ``snapshot_every`` steps, a whole number >= 1 (ValueError
-    otherwise, before any step).
+    ``field`` is the snapshot's own field, the one the next step steps in
+    (the factory's ``SnapshotField``: its ``model`` and cached ``sweep``,
+    the per-row potential included); ``events`` are the bounces of the step
+    that made the snapshot, in (particle, time) order, each with the time
+    of the sample before as its ``step_start``.  Each step freezes the
+    field from the snapshot entering it (the Picard-style decoupling); a
+    step that raises ends the stream after the samples made before it.
 
     Force reuse: in refresh mode the trailing-kick field of a step is the
     field of the snapshot it ends on, so it is the next step's field, and
@@ -556,42 +532,51 @@ def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
     unless a particle died in the step (dead particles leave the sources);
     then, and in frozen mode, the factory builds the new snapshot's field.
     Factories must therefore depend on a snapshot's positions, weights and
-    alive mask only (the trailing kick gets the step's ``Sources``).  The
-    field kept with each stored snapshot is that sweep's; a plain field
-    function's value at the snapshot's positions stands in for it.
+    alive mask only (the trailing kick gets the step's ``Sources``).
 
     The ensemble's frame picks the wall (see ``step``).
+    """
+    n_steps = cfg.steps(t_end, "t_end")
+    e, t, events, field_fn = e0, 0.0, [], field_factory(e0)
+    for k in range(n_steps + 1):  # k = 0: the initial snapshot
+        if k:
+            alive = e.alive
+            e, events, field_fn = step(e, field_fn, cfg, t0=t, lead=lead,
+                                       field_factory=None if cfg.frozen_field else field_factory)
+            t = k * cfg.dt
+            if field_fn is None or (alive & ~e.alive).any():  # frozen, or a death
+                field_fn = field_factory(e)
+        lead = _own_field(field_fn, e.x)
+        yield t, e, field_fn, events
 
-    ``observer(t, snapshot, field, events)`` is called on the initial
-    snapshot and after every step, with the snapshot, its own field (the
-    factory's ``SnapshotField``, which carries the ``model`` and the cached
-    ``sweep``, the per-row potential included) and the step's events (none
-    for the initial call).
+
+def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
+              snapshot_every=1, observer=None):
+    """Fixed-dt run over [0, t_end]; returns its ``RunRecord``, recorded
+    from ``samples``.
+
+    A snapshot is kept every ``snapshot_every`` steps, a whole number >= 1
+    (ValueError otherwise, before any step), with the field it steps in at
+    its own positions: that field's sweep's, or a plain field function's
+    value.  ``observer(t, snapshot, field, events)`` is handed every sample
+    of the stream as it is made.
     """
     if not (float(snapshot_every).is_integer() and snapshot_every >= 1):
         raise ValueError(f"snapshot_every = {snapshot_every!r} is not a whole number >= 1")
     snapshot_every = int(snapshot_every)
     n_steps = cfg.steps(t_end, "t_end")
 
-    e, t, evts, field_fn = e0, 0.0, [], field_factory(e0)
     snapshots, fields, events, deaths = [], [], [], {}
-    for k in range(n_steps + 1):  # k = 0: the initial snapshot
-        if k:
-            alive = e.alive
-            e, evts, field_fn = step(e, field_fn, cfg, t0=t, lead=lead,
-                                     field_factory=None if cfg.frozen_field else field_factory)
-            events.extend(evts)
-            t = k * cfg.dt
-            died = alive & ~e.alive
-            deaths.update(dict.fromkeys(np.flatnonzero(died).tolist(), t))
-            if field_fn is None or died.any():  # frozen, or the dead left the sources
-                field_fn = field_factory(e)
-        lead = _own_field(field_fn, e.x)
+    alive = e0.alive
+    for k, (t, e, field_fn, evts) in enumerate(samples(e0, field_factory, cfg, t_end)):
+        events.extend(evts)
+        deaths.update(dict.fromkeys(np.flatnonzero(alive & ~e.alive).tolist(), t))
+        alive = e.alive
         if observer is not None:
             observer(t, e, field_fn, evts)
         if k % snapshot_every == 0 or k == n_steps:
             snapshots.append((t, e))
-            fields.append(lead)
+            fields.append(_own_field(field_fn, e.x))
 
     return RunRecord(snapshots=snapshots, fields=fields, events=events, final=e, dt=cfg.dt,
                      snapshot_every=snapshot_every, deaths=deaths,

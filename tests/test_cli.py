@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -121,6 +123,25 @@ REFUSED = {
 # rejection sampling from this box never ends unless the config is refused
 HANGS = {"box-outside-the-halfspace"}
 
+# inputs other than a config that a command refuses: its arguments (``{tmp}``
+# is the test's directory) and a fragment of the one error line
+LEDGER_HEADER_ONLY = "t,kinetic,potential,total,K_integral,drift\n"
+LEDGER_MISSING_COLUMNS = "t,kinetic\n0.0,1.0\n"
+BAD_INPUTS = {
+    "diagnose-missing-ledger": (["diagnose", "--ledger", "{tmp}/missing.csv"], "not found"),
+    "diagnose-header-only-ledger": (["diagnose", "--ledger", "{tmp}/header_only.csv"],
+                                    "empty ledger"),
+    "diagnose-missing-columns": (["diagnose", "--ledger", "{tmp}/two_columns.csv"],
+                                 "no field of name potential"),
+    "simulate-missing-config": (["simulate", "--config", "{tmp}/missing.cfg",
+                                 "--out", "{tmp}/x"], "No such file"),
+    "audit-green-dim-2": (["audit-green", "--dim", "2", "--pairs", "10"],
+                          "dimension must be >= 3"),
+    "audit-green-no-pairs": (["audit-green", "--pairs", "0"], "--pairs 0 is not >= 1"),
+    "audit-green-negative-radius": (["audit-green", "--domain", "ball", "--radius", "-1",
+                                     "--pairs", "10"], "radius must be positive"),
+}
+
 PACKAGE_ROOT = str(Path(specularvp.__file__).resolve().parents[1])
 
 
@@ -214,6 +235,24 @@ class TestRun:
         for name in ("snapshots.csv", "ledger.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out7 / name).read_bytes()
 
+    def test_memory_stays_flat_over_a_run(self, tmp_path):
+        # every snapshot written: the run holds one sample at a time, so the
+        # traced peak of a run four times as long is no larger
+        def traced_peak(t_end):
+            text = bounce3d_config_text(t_end=t_end).replace(
+                "cadence_snapshot = 10", "cadence_snapshot = 1")
+            cfg = parse_config(write(tmp_path, text, f"{t_end}.cfg"))
+            tracemalloc.start()
+            try:
+                assert run(cfg, tmp_path / f"out{t_end}") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(0.01)  # first-use allocations (the compiled kernel, caches)
+        short, long = traced_peak(0.1), traced_peak(0.4)
+        assert long - short < 0.5e6, (short, long)
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
         out1, out2 = tmp_path / "s0", tmp_path / "s1"
@@ -262,6 +301,17 @@ class TestCommands:
         else:
             rc, err = main(argv), capsys.readouterr().err
         assert rc == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+
+    @pytest.mark.parametrize("argv, match", [
+        pytest.param(*case, id=name) for name, case in BAD_INPUTS.items()])
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, match):
+        write(tmp_path, LEDGER_HEADER_ONLY, "header_only.csv")
+        write(tmp_path, LEDGER_MISSING_COLUMNS, "two_columns.csv")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
@@ -379,6 +429,18 @@ max_reflections = 2
 """
 
 
+# the same particle slower and for ten steps: two bounces in each of steps
+# 1-6, then a third in step 7 raises
+PARTWAY_RUN = (OVERFLOW_RUN.replace("100.0, 0.0, 0.0", "41.5, 0.0, 0.0")
+               .replace("t_end = 0.1", "t_end = 1.0"))
+
+ROW_FILES = ("events.csv", "ledger.csv", "snapshots.csv")
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestFailedRuns:
     @pytest.mark.parametrize("seed", [6, 11, 13])
     def test_ball_image_wall_hits_finish(self, tmp_path, seed):
@@ -400,6 +462,35 @@ class TestFailedRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert manifest["error"].startswith(f"{error}: ")
+
+    def test_a_run_that_raises_keeps_its_finished_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write(tmp_path, PARTWAY_RUN)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ReflectionOverflow: ")
+        snaps = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert snaps[:, 0].tolist() == [k * 0.1 for k in range(7)]
+        events = (out / "events.csv").read_text().splitlines()
+        assert len(events) == 1 + 12
+        ledger = np.loadtxt(out / "ledger.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert ledger[:, 0].tolist() == snaps[:, 0].tolist()
+        assert not (out / "diagnostics.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert manifest["files"] == {name: sha256(out / name) for name in ROW_FILES}
+
+    def test_the_manifest_hashes_only_the_files_its_run_wrote(self, tmp_path):
+        # a failed run into the directory of a complete one: the earlier
+        # run's diagnostics.json is not this run's
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write(tmp_path, MINIMAL)),
+                     "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(write(tmp_path, OVERFLOW_RUN, "fail.cfg")),
+                     "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert manifest["files"] == {name: sha256(out / name) for name in ROW_FILES}
 
     def test_non_finite_run_warns_nothing(self, tmp_path):
         # pytest captures warnings, so the capsys check above cannot see them
