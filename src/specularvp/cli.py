@@ -356,6 +356,9 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
     and hashes the files this run wrote."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("snapshots.csv", "events.csv", "ledger.csv", "diagnostics.json",
+                 "manifest.json"):  # an earlier run's files, and no other
+        (out / name).unlink(missing_ok=True)
     seed = cfg.seed if seed is None else seed
     manifest = {
         "version": __version__,

@@ -1,11 +1,12 @@
 """Picard fixed-point loop and the Wasserstein-1 machinery monitoring it.
 
-The convergence monitor of choice is the trajectory-coupling metric Z_n:
-both iterates start from the same particles, so the mass-weighted mean
-phase-space displacement between consecutive iterates is an O(N) upper
-bound for W_1 between the iterate measures.  Exact W_1 (min-cost matching)
-is a secondary certified check at small N; the sliced estimator scales to
-large N but is an estimator, not a bound.
+The convergence monitor of choice is the trajectory-coupling metric Z_n,
+the mass-weighted mean phase-space displacement between consecutive
+iterates, sup over the time grid.  Both iterates start from the same
+particles, so mass * Z_n is the sup of the identity coupling's cost, an O(N)
+upper bound: sup_k W_1(k) <= mass * Z_n.  Exact W_1 (min-cost matching) is a
+secondary certified check at small N; the sliced estimator scales to large N
+but is an estimator, not a bound.
 
 The matching's cost matrix and assignment run in the pair kernel's library
 (pairs.c: ``phase_cost``, ``assignment``), which gives scipy's ``cdist`` and
@@ -213,6 +214,23 @@ def w1_sliced(a: Ensemble, b: Ensemble, directions=128, seed=0) -> W1Report:
     return W1Report(raw / mean_proj, "sliced", False, directions, seed, raw_mean=raw)
 
 
+def _sup_w1(za, zb, w, mass):
+    """max over the grid times k of the exact W_1 between the live phase points
+    za[k] and zb[k] (weights w, summing to ``mass``), the same float as matching
+    every k.  The identity coupling's cost bounds W_1(k) from above, so the
+    times are visited in descending order of it, and the visit stops once the
+    next bound, widened by a relative 1e-9 for rounding, cannot exceed the max.
+    A non-finite bound visits every time in order, raising as that loop does."""
+    bound = np.sqrt(np.sum((za - zb) ** 2, axis=2)) @ w
+    finite = bool(np.all(np.isfinite(bound)))
+    sup = 0.0
+    for k in np.argsort(-bound, kind="stable") if finite else range(len(za)):
+        if finite and bound[k] * (1 + 1e-9) <= sup:
+            break
+        sup = max(sup, _w1_alive(za[k], w, zb[k], w, mass))
+    return sup
+
+
 # -----------------------------------------------------------------------------
 # Picard iteration
 # -----------------------------------------------------------------------------
@@ -223,8 +241,10 @@ class PicardState:
 
     z_values[k] is the contraction metric Z_{k+1} (mass-weighted mean
     phase-space displacement between iterates k+1 and k, sup over the time
-    grid); ratios[k] = Z_{k+2}/Z_{k+1}.  The history is the last iterate's
-    trajectories on the shared grid.
+    grid); ratios[k] = Z_{k+2}/Z_{k+1}.  With ``compute_w1``, w1_values[k] is
+    the sup over the time grid of exact W_1 between the live particles of
+    iterates k+1 and k, at most mass * z_values[k].  The history is the last
+    iterate's trajectories on the shared grid.
     """
 
     n: int
@@ -245,7 +265,8 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
     ``integrate``) makes from iterate n's recorded history, as ``Sources``
     (iterate 0 is the constant-in-time h0).  Stops when Z_n <= tol or after
     n_max iterates; emits a NonContractionWarning if the ratio exceeds 1
-    three times in a row.
+    three times in a row.  With ``compute_w1`` it refuses (TooLarge,
+    UnequalWeights) before the first step what exact W_1 cannot match.
     """
     m = cfg.steps(t0_horizon, "T_0")
     if m < 1:
@@ -258,6 +279,8 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
     hist_v = np.broadcast_to(h0.v, (m + 1, n_part, h0.dim)).copy()
     state = PicardState(n=0, times=times)
     bad_streak = 0
+    if compute_w1:  # refuse before stepping
+        check_exact_w1(h0.w[h0.alive])
 
     for n in range(1, n_max + 1):
         new_x = np.empty_like(hist_x)
@@ -276,13 +299,9 @@ def picard_iterate(h0: Ensemble, field_factory, cfg: StepperConfig, t0_horizon,
         z = float(np.max(np.sum(h0.w[None, :] * disp, axis=1)) / mass) if mass else 0.0
         state.z_values.append(z)
         if compute_w1:
-            w = h0.w[h0.alive]
             za = np.concatenate([new_x, new_v], axis=2)[:, h0.alive]
             zb = np.concatenate([hist_x, hist_v], axis=2)[:, h0.alive]
-            w1max = 0.0
-            for k in range(m + 1):
-                w1max = max(w1max, _w1_alive(za[k], w, zb[k], w, mass))
-            state.w1_values.append(w1max)
+            state.w1_values.append(_sup_w1(za, zb, h0.w[h0.alive], mass))
         if len(state.z_values) >= 2 and state.z_values[-2] > 0:
             ratio = z / state.z_values[-2]
             state.ratios.append(ratio)

@@ -482,7 +482,7 @@ class TestFailedRuns:
 
     def test_the_manifest_hashes_only_the_files_its_run_wrote(self, tmp_path):
         # a failed run into the directory of a complete one: the earlier
-        # run's diagnostics.json is not this run's
+        # run's diagnostics.json is not this run's, and goes
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write(tmp_path, MINIMAL)),
                      "--out", str(out)]) == 0
@@ -491,6 +491,21 @@ class TestFailedRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert manifest["files"] == {name: sha256(out / name) for name in ROW_FILES}
+        assert not (out / "diagnostics.json").exists()
+
+    def test_a_run_removes_only_the_files_it_owns(self, tmp_path):
+        # the mollified A-route writes no ledger, so an earlier run's
+        # ledger.csv goes; a file no run writes stays
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write(tmp_path, MINIMAL)),
+                     "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        mollified = write(tmp_path, with_field(MINIMAL, "halfspace_mollified"), "a.cfg")
+        assert main(["simulate", "--config", str(mollified), "--out", str(out)]) == 0
+        assert not (out / "ledger.csv").exists()
+        assert (out / "notes.txt").read_text() == "kept\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == ["diagnostics.json", "events.csv", "snapshots.csv"]
 
     def test_non_finite_run_warns_nothing(self, tmp_path):
         # pytest captures warnings, so the capsys check above cannot see them

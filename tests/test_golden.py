@@ -1,4 +1,5 @@
-"""Golden artifacts: the sha256 of every data file four short runs write.
+"""Golden artifacts: the sha256 of every data file four short runs write,
+and of one Picard run's ``contraction.csv``.
 
 The hashes pin the exact bytes of ``snapshots.csv``, ``events.csv``,
 ``ledger.csv`` and ``diagnostics.json``, so a refactor or speed-up that
@@ -14,7 +15,8 @@ import shutil
 import pytest
 
 import specularvp.fields as fields
-from specularvp.cli import bounce3d_config_text, parse_config, run
+from specularvp.cli import bounce3d_config_text, main, parse_config, run
+from test_selfconsistent import PICARD_FOLD
 
 FOLD_RUN = """
 [domain]
@@ -179,3 +181,20 @@ def test_numpy_path_writes_the_same_bytes(tmp_path, monkeypatch, name):
     monkeypatch.setattr(fields, "_load_kernel", lambda: None)
     assert "manifest.json" in compiled
     assert all_files(run_config(tmp_path / "numpy", name)) == compiled
+
+
+# contraction.csv of PICARD_FOLD (w1 = true), pinned from the max of exact W1
+# over every grid time: the sup visited in coupling-bound order writes the
+# same bytes
+PICARD_GOLDEN = "602b914c388e3014238a048c943803da737446a16af1f2ce22516bed01d62ec5"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_picard_contraction_matches_golden_hash(tmp_path, monkeypatch, compiled):
+    if not compiled:
+        monkeypatch.setattr(fields, "_load_kernel", lambda: None)
+    cfg_path = tmp_path / "picard.cfg"
+    cfg_path.write_text(PICARD_FOLD)
+    assert main(["picard", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "contraction.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PICARD_GOLDEN

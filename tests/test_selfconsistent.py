@@ -4,10 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from specularvp import cli, fields
+from specularvp import cli, fields, selfconsistent
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import GreenKind, RegularizationParams, make_field_factory
 from specularvp.flow import StepperConfig, integrate
@@ -19,6 +21,8 @@ from specularvp.selfconsistent import (
     UnequalWeights,
     _assignment,
     _cost_matrix,
+    _sup_w1,
+    _w1_alive,
     picard_iterate,
     w1_exact,
     w1_sliced,
@@ -225,6 +229,71 @@ w1 = true
 """
 
 
+def exhaustive_sup(za, zb, w, mass):
+    return max(_w1_alive(za[k], w, zb[k], w, mass) for k in range(len(za)))
+
+
+class TestSupW1:
+    """The sup over the grid of exact W1, visited in coupling-bound order,
+    against matching every grid time."""
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "scipy"])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 5), n=st.integers(1, 7),
+           tie=st.booleans(), swap=st.booleans(), scale=st.sampled_from([1e-9, 0.3, 1.0, 1e3]),
+           spread=st.sampled_from([0.01, 1.0]), mass=st.sampled_from([0.5, 3.0]))
+    def test_pruned_sup_is_the_exhaustive_max(self, compiled, seed, m, n, tie, swap,
+                                              scale, spread, mass):
+        # at a scale near the cloud's own spread the identity coupling is far
+        # from optimal; a small spread gives grid times of near-equal bound
+        # and unequal W1
+        rng = np.random.default_rng(seed)
+        za = rng.normal(size=(m + 1, n, 6))
+        amp = scale * (1.0 + spread * rng.random((m + 1, 1, 1)))
+        zb = za + amp * rng.normal(size=za.shape)
+        if tie and m >= 1:
+            # time 1 takes time 0's displacements, row-permuted: the same
+            # bound to rounding, another W1; time 2 repeats time 0 exactly
+            zb[1] = za[1] + (zb[0] - za[0])[rng.permutation(n)]
+            if m >= 2:
+                za[2], zb[2] = za[0], zb[0]
+        if swap and n >= 2:
+            # two rows trade places at the last time: the identity coupling
+            # costs more than W1 there, by far at a small scale
+            i, j = rng.choice(n, 2, replace=False)
+            zb[m, [i, j]] = zb[m, [j, i]]
+        w = np.full(n, mass / n)
+        loader = fields._load_kernel if compiled else (lambda: None)
+        with mock.patch.object(fields, "_load_kernel", loader):
+            assert _sup_w1(za, zb, w, mass) == exhaustive_sup(za, zb, w, mass)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "scipy"])
+    def test_nan_raises_as_the_exhaustive_loop(self, compiled):
+        rng = np.random.default_rng(5)
+        za = rng.normal(size=(4, 5, 6))
+        zb = za + rng.normal(size=za.shape)
+        zb[2, 1, 3] = np.nan
+        w = np.full(5, 0.2)
+        loader = fields._load_kernel if compiled else (lambda: None)
+        with mock.patch.object(fields, "_load_kernel", loader):
+            with pytest.raises(ValueError) as exhaustive:
+                exhaustive_sup(za, zb, w, 1.0)
+            with pytest.raises(ValueError) as pruned:
+                _sup_w1(za, zb, w, 1.0)
+        assert type(pruned.value) is type(exhaustive.value)
+        assert str(pruned.value) == str(exhaustive.value) == "matrix contains invalid numeric entries"
+
+    def test_one_assignment_per_iterate(self, tmp_path):
+        # PICARD_FOLD: 3 iterates of 5 grid times; the identity coupling is
+        # optimal at each iterate's sup, so each iterate matches once
+        config = tmp_path / "picard.cfg"
+        config.write_text(PICARD_FOLD)
+        with mock.patch.object(selfconsistent, "_assignment",
+                               wraps=selfconsistent._assignment) as matched:
+            assert cli.main(["picard", "--config", str(config),
+                             "--out", str(tmp_path / "out")]) == 0
+        assert matched.call_count == 3
+
+
 class TestW1Sliced:
     def test_identical(self):
         a = cloud(64, 0)
@@ -375,6 +444,19 @@ class TestPicard:
             picard_iterate(e, make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE,
                                                  RegularizationParams(0.05, 0.05, 0.02, 0.02)),
                            StepperConfig(dt=0.05), 1.0, n_max=8)
+
+    @pytest.mark.parametrize("n, w, error", [
+        (513, None, TooLarge), (8, np.linspace(0.05, 0.2, 8), UnequalWeights)],
+        ids=["too-large", "unequal-weights"])
+    def test_exact_w1_refused_before_stepping(self, n, w, error):
+        h0 = cloud(n, 17)
+        if w is not None:
+            h0 = Ensemble(x=h0.x, v=h0.v, w=w, domain=HS)
+        with mock.patch.object(selfconsistent, "step", wraps=selfconsistent.step) as stepped:
+            with pytest.raises(error):
+                picard_iterate(h0, IMAGE, StepperConfig(dt=1e-2), 0.01, n_max=1,
+                               compute_w1=True)
+        assert stepped.call_count == 0
 
     def test_bad_horizon_rejected(self):
         e = cloud(2, 16)
