@@ -12,12 +12,7 @@ Run:  python demos/backend_equivalence.py
 import numpy as np
 
 from specularvp.ensemble import Ensemble, symmetrize
-from specularvp.fields import (
-    GreenKind,
-    RegularizationParams,
-    field_model,
-    make_field_factory,
-)
+from specularvp.fields import GreenKind, RegularizationParams, make_field_factory
 from specularvp.flow import StepperConfig, fold_halfspace, integrate
 from specularvp.geometry import HalfSpace
 
@@ -35,14 +30,9 @@ def main():
     params = RegularizationParams(eps_mollify=0.08, r_sign=0.05, zeta=0.05, delta=0.05)
     dt, t_end = 1e-3, 1.0
 
-    def image_field_factory(ens):
-        def field(x):
-            model = field_model(domain, GreenKind.HALF_SPACE_MOLLIFIED, ens.frame, params)
-            return model.bind(ens)(x)
-        return field
-
     print(f"event-driven half-space run: N={n}, dt={dt}, t={t_end}")
-    rec_a = integrate(base, image_field_factory, StepperConfig(dt=dt), t_end)
+    rec_a = integrate(base, make_field_factory(domain, GreenKind.HALF_SPACE_MOLLIFIED, params),
+                      StepperConfig(dt=dt), t_end)
     print(f"  reflections handled: {len(rec_a.events)}")
 
     print(f"fold: 2N={2 * n} mirrored particles (ProblemB frame), hard-sign whole-space field")

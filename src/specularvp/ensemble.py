@@ -228,21 +228,26 @@ class InitialCondition:
     def validate_for_domain(self, domain: Domain | None):
         """Refuse a recipe with no particles in the domain: vectors of another
         dimension, a given position outside the closed domain, or a sampling
-        box that misses its interior (rejection sampling would never end)."""
-        if domain is None:
-            return
-        vectors = [*(self.x_bounds or ()), *(self.v_bounds or ()), self.v_center, self.x0, self.v0]
-        if any(np.shape(a) != (domain.dim,) for a in vectors if a is not None):
-            raise ValueError(f"initial-condition vectors need {domain.dim} entries")
-        given = self.x0 if self.x is None else self.x
-        if given is not None and np.any(domain.signed_distance(given) < -1e-9 * domain.scale):
-            raise ValueError("an initial position lies outside the domain")
-        if self.x_bounds is not None:
-            lo, hi = np.minimum(*self.x_bounds), np.maximum(*self.x_bounds)
-            # the box point deepest in the domain: largest x_1, or nearest the center
-            deepest = hi if isinstance(domain, HalfSpace) else np.clip(0.0, lo, hi)
-            if not domain.signed_distance(deepest) > 0:
-                raise ValueError("the sampling box x_min..x_max misses the domain")
+        box that misses its interior (rejection sampling would never end);
+        then one with a value that is not finite."""
+        if domain is not None:
+            vectors = [*(self.x_bounds or ()), *(self.v_bounds or ()), self.v_center, self.x0,
+                       self.v0]
+            if any(np.shape(a) != (domain.dim,) for a in vectors if a is not None):
+                raise ValueError(f"initial-condition vectors need {domain.dim} entries")
+            given = self.x0 if self.x is None else self.x
+            if given is not None and np.any(domain.signed_distance(given) < -1e-9 * domain.scale):
+                raise ValueError("an initial position lies outside the domain")
+            if self.x_bounds is not None:
+                lo, hi = np.minimum(*self.x_bounds), np.maximum(*self.x_bounds)
+                # the box point deepest in the domain: largest x_1, or nearest the center
+                deepest = hi if isinstance(domain, HalfSpace) else np.clip(0.0, lo, hi)
+                if not domain.signed_distance(deepest) > 0:
+                    raise ValueError("the sampling box x_min..x_max misses the domain")
+        for name in ("mass", "temperature", "x_bounds", "v_bounds", "v_center", "x0", "v0",
+                     "x", "v", "w"):
+            if (value := getattr(self, name)) is not None and not np.isfinite(value).all():
+                raise ValueError(f"initial-condition {name} is not finite")
 
 
 def _sample_box(rng, lo, hi, n):

@@ -20,11 +20,11 @@ The ensemble's frame decides the wall:
 * ProblemB: an even-symmetric whole-space ensemble is advanced with no
   reflections; half-space observables are read through the fold
   x_1 -> |x_1|, v_1 -> sgn(x_1) v_1, which reproduces the reflected flow.
-  For the hard-sign field the same sub-stepper splits the step at plane
-  crossings, passing through instead of reflecting, so the two routes
-  agree in folded coordinates to rounding: the two clouds sum their pairs
-  in different orders, so the deviation is 0.0 on some draws and a few
-  ulps on others.
+  For the hard-sign field ``step`` folds the rows, making the plane the
+  half-space wall and a pass through it a bounce of the same sub-stepper.
+  The two routes agree in folded coordinates to rounding: the two clouds
+  sum their pairs in different orders, so the deviation is 0.0 on some
+  draws and a few ulps on others.
 """
 
 from __future__ import annotations
@@ -144,18 +144,18 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _distance_poly(domain: Domain, x, v, e, h, side):
+def _distance_poly(domain: Domain, x, v, e, h):
     """Coefficients (lowest degree first, last axis) of the distance to the
     wall along ``_path`` in theta = s / h, for rows with a scalar or per-row
-    h: side * x_1 for the half-space wall or the fold plane, R^2 - |x|^2 for
-    the ball.  The constant term comes from the start's computed signed
-    distance d (R^2 - |x|^2 = d (2R - d)), clipped at 0: a start that reads
-    as on the wall is a root at theta = 0, and one an ulp outside is not an
-    exit.  The powers h^3 and h^4 are taken per value as Python floats,
-    whose rounding differs from numpy's array power."""
-    d = np.maximum(side * domain.signed_distance(x), 0.0)
+    h: x_1 for the half-space wall (the fold plane, folded by ``step``),
+    R^2 - |x|^2 for the ball.  The constant term comes from the start's
+    computed signed distance d (R^2 - |x|^2 = d (2R - d)), clipped at 0: a
+    start that reads as on the wall is a root at theta = 0, and one an ulp
+    outside is not an exit.  The powers h^3 and h^4 are taken per value as
+    Python floats, whose rounding differs from numpy's array power."""
+    d = np.maximum(domain.signed_distance(x), 0.0)
     if isinstance(domain, HalfSpace):
-        return np.stack([d, side * h * v[..., 0], side * 0.5 * h * h * e[..., 0]], axis=-1)
+        return np.stack([d, h * v[..., 0], 0.5 * h * h * e[..., 0]], axis=-1)
     hs = np.asarray(h, dtype=float)
     h3, h4 = (np.array([t**p for t in hs.ravel().tolist()]).reshape(hs.shape) for p in (3, 4))
     xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
@@ -196,7 +196,7 @@ def _real_roots(cs):
     return roots
 
 
-def _first_exit(domain: Domain, c, x, v, e, h, side):
+def _first_exit(domain: Domain, c, x, v, e, h):
     """Fraction theta in [0, 1) of each row's sub-step h at which its path
     first leaves the domain, NaN where it stays in the closed domain; c holds
     the rows' ``_distance_poly`` coefficients.
@@ -209,14 +209,14 @@ def _first_exit(domain: Domain, c, x, v, e, h, side):
     ULP_WALK above (further back if there is none).  A path whose computed
     end point rounds outside exits just before theta = 1.  The piece search
     and Newton steps run per row in Python floats, the ulp walk on all rows
-    at once.
+    at once.  The fold plane is the half-space wall of rows folded by ``step``.
     """
     def poly(t, c):
         return sum(cj * t**j for j, cj in enumerate(c))
 
     def dist(i, t):
-        # side * signed distance at fractions t (a row of columns per row i)
-        return side[i, None] * domain.signed_distance(
+        # signed distance at fractions t (a row of columns per row i)
+        return domain.signed_distance(
             _path(x[i, None], v[i, None], e[i, None], (t * h[i, None])[..., None]))
 
     polys = c.tolist()
@@ -251,7 +251,7 @@ def _first_exit(domain: Domain, c, x, v, e, h, side):
 
 
 def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflections,
-                         particles, fold=False):
+                         particles):
     """One full KDK step of the rows (x, v), each split where its path leaves.
 
     ``e`` is the frozen field ``e_fn`` at x and ``c`` the rows'
@@ -259,17 +259,14 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     flag the rows.  Between exits each sub-interval is a kick-drift-kick
     sub-step with the frozen field, and the partial sub-step up to an exit
     is completed on the wall, where the velocity is reflected and the event
-    recorded.  With ``fold`` the wall is the plane {x_1 = 0} of whole-space
-    particles, passed with no jump and no event; a particle then takes the
-    field branch of its new side (the hard-sign field has E(0-) =
-    (E(0+))'), so the folded step equals the reflected one.  Grazing hits
-    (|v . n| <= GRAZE_RTOL |v|, v = 0 included) finish the step with no
-    jump, sliding along the wall if the field pushes them into it; so do
-    hits whose KDK velocity v_minus already points inward (v . n >
-    GRAZE_RTOL |v|, n the inward normal, side * n on the fold plane), which
-    the path can reach when the field at the hit differs from the one at
-    the sub-step's start: a reflection would send them out, and the next
-    sub-step would undo it at the same time.
+    recorded; ``step`` hands in the fold plane as the half-space wall of
+    folded rows, where a pass is a bounce.  Grazing hits (|v . n| <=
+    GRAZE_RTOL |v|, v = 0 included) finish the step with no jump, sliding
+    along the wall if the field pushes them into it; so do hits whose KDK
+    velocity v_minus already points inward (v . n > GRAZE_RTOL |v|, n the
+    inward normal), which the path can reach when the field at the hit
+    differs from the one at the sub-step's start: a reflection would send
+    them out, and the next sub-step would undo it at the same time.
 
     The rows advance together in rounds.  Round 0 locates the first exits
     from ``c`` and calls no field.  Every later round makes one ``e_fn``
@@ -280,28 +277,21 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     go through alone.
 
     ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
-    events): ``crossed`` marks the rows whose path leaves, x and v are the
-    rows' end states (rows that do not cross come back as given), and the
-    events are in (particle, time) order, each with ``t0``, the step's
-    start, as its ``step_start``.  ReflectionOverflow names the
-    lowest particle with more than ``max_reflections`` bounces.
+    events, bounces): ``crossed`` marks the rows whose path leaves, x and v
+    are the rows' end states (rows that do not cross come back as given),
+    the events are in (particle, time) order, each with ``t0``, the step's
+    start, as its ``step_start``, and ``bounces`` counts each row's
+    reflections.  ReflectionOverflow names the lowest particle with more
+    than ``max_reflections`` bounces.
     """
     x, v, e = (np.array(a, dtype=float) for a in (x, v, e))
     n = len(x)
-    side = np.where(x[:, 0] < 0.0, -1.0, 1.0) if fold else np.ones(n)
     t, remaining = np.full(n, float(t0)), np.full(n, float(dt))
     bounces = np.zeros(n, dtype=int)
     tol = EVENT_DIST_RTOL * domain.scale
     events, overflow = [], []
 
-    def field_at(at, p):
-        # e_fn gives the upper branch on the plane; the lower side flips E_1 there
-        f = np.array(e_fn(p), dtype=float)
-        flip = (side[at] < 0.0) & (p[:, 0] == 0.0)
-        f[flip, 0] = -f[flip, 0]
-        return f
-
-    theta = _first_exit(domain, c, x, v, e, remaining, side)
+    theta = _first_exit(domain, c, x, v, e, remaining)
     crossed = ~np.isnan(theta)
     rows, theta = np.flatnonzero(crossed), theta[crossed]
     while len(rows):
@@ -312,8 +302,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         ends = _path(x[end], v[end], e[end], remaining[end, None]) if len(end) else x[:0]
         hits = (domain.project_boundary(_path(x[hit], v[hit], e[hit], s[:, None]))
                 if len(hit) else x[:0])
-        f_end, f_hit = np.split(field_at(np.concatenate([end, hit]),
-                                         np.concatenate([ends, hits])), [len(end)])
+        f_end, f_hit = np.split(e_fn(np.concatenate([ends, hits])), [len(end)])
         if len(end):
             # the rows with no further exit finish their KDK sub-step
             r = remaining[end, None]
@@ -323,7 +312,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         # complete the partial KDK sub-steps [t, t + s] ending on the wall
         vm = v[hit] + (0.5 * s)[:, None] * (e[hit] + f_hit)
         normal = domain.inward_normal(hits)
-        graze = side[hit] * _dot(vm, normal) >= -GRAZE_RTOL * np.sqrt(_dot(vm, vm))
+        graze = _dot(vm, normal) >= -GRAZE_RTOL * np.sqrt(_dot(vm, vm))
         if graze.any():
             # the grazing set, a particle at rest on the wall and one already
             # moving inward included: no jump; the rest of the step is one
@@ -331,27 +320,18 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
             # clamped back onto it and loses its outward normal velocity
             g, rest = hit[graze], remaining[hit[graze]] - s[graze]
             g_end = _path(hits[graze], vm[graze], f_hit[graze], rest[:, None])
-            through = side[g] * domain.signed_distance(g_end) < 0.0
+            through = domain.signed_distance(g_end) < 0.0
             g_end[through] = domain.project_boundary(g_end[through])
-            g_v = vm[graze] + 0.5 * rest[:, None] * (f_hit[graze] + field_at(g, g_end))
-            nrm = side[g[through], None] * domain.inward_normal(g_end[through])
+            g_v = vm[graze] + 0.5 * rest[:, None] * (f_hit[graze] + e_fn(g_end))
+            nrm = domain.inward_normal(g_end[through])
             vn = _dot(g_v[through], nrm)
             g_v[through] -= np.where(0.0 < vn, 0.0, vn)[:, None] * nrm
             x[g], v[g] = g_end, g_v
             hit, s, hits, f_hit, vm, normal = (
                 a[~graze] for a in (hit, s, hits, f_hit, vm, normal))
-        if fold:
-            # through the plane: the next sub-step starts on it (x_1 = 0) with
-            # the field branch of the new side
-            v_plus = vm
-            side[hit] = -side[hit]
-            f_hit[:, 0] = -f_hit[:, 0]
-        else:
-            v_plus = reflect_velocity(normal, vm)
-            events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk,
-                                       float(t0))
-                       for k, tk, xk, vk, wk, fk
-                       in zip(hit, t[hit] + s, hits, vm, v_plus, f_hit)]
+        v_plus = reflect_velocity(normal, vm)
+        events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk, float(t0))
+                   for k, tk, xk, vk, wk, fk in zip(hit, t[hit] + s, hits, vm, v_plus, f_hit)]
         x[hit], v[hit], e[hit] = hits, v_plus, f_hit
         t[hit] += s
         remaining[hit] -= s
@@ -361,14 +341,13 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         overflow.extend(particles[hit[over]])
         rows = hit[~stop & ~over]
         if len(rows):
-            xr, vr, er, hr, sr = x[rows], v[rows], e[rows], remaining[rows], side[rows]
-            theta = _first_exit(domain, _distance_poly(domain, xr, vr, er, hr, sr),
-                                xr, vr, er, hr, sr)
+            xr, vr, er, hr = x[rows], v[rows], e[rows], remaining[rows]
+            theta = _first_exit(domain, _distance_poly(domain, xr, vr, er, hr), xr, vr, er, hr)
     if overflow:
         raise ReflectionOverflow(
             f"particle {int(min(overflow))} exceeded {max_reflections} reflections in one step")
     events.sort(key=lambda ev: ev.particle)
-    return crossed, x, v, events
+    return crossed, x, v, events, bounces
 
 
 def _mark_blowups(alive, x, v, scale):
@@ -406,8 +385,9 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None, 
     (none in the whole space).  A ProblemB ensemble is a whole-space,
     even-symmetric one with no reflections (read it through
     ``fold_halfspace``): a field carrying ``plane_split = True`` (hard sign)
-    gets its kicks split where paths cross the plane {x_1 = 0}, and the
-    event list is empty; a smooth field takes the plain KDK step.
+    is stepped in folded coordinates, where the plane {x_1 = 0} is the
+    half-space wall, and unfolded by the side each row ends on; the event
+    list is empty.  A smooth field takes the plain KDK step.
 
     Particles whose path leaves the domain (or crosses the plane) take
     their whole step, trailing kick included, in the event sub-stepper
@@ -436,20 +416,33 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None, 
 
     rest = alive
     if wall is not None:
-        side = np.where(e.x[:, 0] >= 0.0, 1.0, -1.0) if fold else 1.0
+        x, v, end = e.x, e.v, x_new
+        if fold:
+            # fold (x_1 -> |x_1|, v_1 -> sgn(x_1) v_1): the plane is the wall, and
+            # the hard-sign field at a folded point is the folded field
+            flip = np.ones_like(x)
+            flip[x[:, 0] < 0.0, 0] = -1.0
+            x, v, e0, end = x * flip, v * flip, e0 * flip, end * flip
         # on [0, 1] the distance polynomial is at least its constant term
         # plus its negative coefficients; the end point may round outside
-        c = _distance_poly(wall, e.x, e.v, e0, dt, side)
-        outside = side * wall.signed_distance(x_new) < 0.0
+        c = _distance_poly(wall, x, v, e0, dt)
+        outside = wall.signed_distance(end) < 0.0
         near = np.flatnonzero(
             alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside))
         if len(near):
-            crossed, x_out, v_out, events = _advance_with_events(
-                e.x[near], e.v[near], e0[near], c[near], field_fn, dt, t0, wall,
-                cfg.max_reflections_per_step, near, fold)
+            crossed, x_out, v_out, events, bounces = _advance_with_events(
+                x[near], v[near], e0[near], c[near], field_fn, dt, t0, wall,
+                cfg.max_reflections_per_step, near)
+            hit = near[crossed]
             rest = alive.copy()
-            rest[near[crossed]] = False
-            x_new[near[crossed]], v_new[near[crossed]] = x_out[crossed], v_out[crossed]
+            rest[hit] = False
+            x_new[hit], v_new[hit] = x_out[crossed], v_out[crossed]
+            if fold:
+                # unfold by the side each row ends on; a plane pass is no event
+                flip[hit, 0] *= (-1.0) ** bounces[crossed]
+                x_new[hit] *= flip[hit]
+                v_new[hit] *= flip[hit]
+                events = []
             # a path that stays in the closed domain but whose end rounds outside
             stay = near[~crossed & outside[near]]
             x_new[stay] = wall.project_boundary(x_new[stay])

@@ -106,6 +106,31 @@ REFUSED = {
         "simulate",
         MINIMAL.replace("x_min = 1.0", "x_min = -2.0").replace("x_max = 2.0", "x_max = -1.0"),
         "misses the domain"),
+    # a value that is not finite: the run would stop at its first step
+    "explicit-particle-nan": (
+        "simulate", MINIMAL[:MINIMAL.index("[initial]")] + "[initial]\ntype = explicit\n"
+        "[particles]\n0 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1\n"
+        "1 = nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1\n[stepper]\ndt = 1e-3\nt_end = 0.01\n",
+        "initial-condition x is not finite"),
+    "explicit-velocity-inf": (
+        "simulate", MINIMAL[:MINIMAL.index("[initial]")] + "[initial]\ntype = explicit\n"
+        "[particles]\n0 = 1.0, 0.0, 0.0, inf, 0.0, 0.0, 0.1\n[stepper]\ndt = 1e-3\nt_end = 0.01\n",
+        "initial-condition v is not finite"),
+    "maxwellian-v-center-nan": (
+        "simulate",
+        MINIMAL.replace("type = uniform_box", "type = maxwellian\nv_center = nan, 0, 0"),
+        "initial-condition v_center is not finite"),
+    "maxwellian-temperature-inf": (
+        "simulate", MINIMAL.replace("type = uniform_box", "type = maxwellian\ntemperature = inf"),
+        "initial-condition temperature is not finite"),
+    "maxwellian-mass-inf": (
+        "simulate", MINIMAL.replace("type = uniform_box", "type = maxwellian")
+        .replace("mass = 0.1", "mass = inf"),
+        "initial-condition mass is not finite"),
+    "delta-x0-nan": (
+        "simulate",
+        MINIMAL.replace("type = uniform_box", "type = delta\nx0 = nan, 0, 0\nv0 = 0, 0, 0"),
+        "initial-condition x0 is not finite"),
     # exact W1 refuses these; the picard run must not step before it says so
     "picard-w1-too-many-particles": (
         "picard", MINIMAL.replace("n = 2", "n = 300") + "backend = fold\n[picard]\nw1 = true\n",
@@ -304,6 +329,7 @@ class TestCommands:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, match", [
         pytest.param(*case, id=name) for name, case in BAD_INPUTS.items()])

@@ -695,6 +695,37 @@ class TestFoldBackend:
         out, _, _ = step(e, zero_field, StepperConfig(dt=1.0))
         assert np.all(out.x[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), dt=st.floats(0.05, 1.0))
+    @example(seed=0, k=3, dt=1.0)  # every row crosses at least twice
+    def test_fold_step_is_the_reflected_step_of_the_folded_rows(self, dim, seed, k, dt):
+        # in a field mirror-symmetric by construction, a plane pass is a
+        # bounce in folded coordinates, bit for bit, and records no event
+        rng = np.random.default_rng(seed)
+        x, v = draw_cloud(rng, "halfspace", dim, k)
+        v[:, 0] = -np.abs(v[:, 0])
+        # pulled at the plane hard enough to cross it several times in a step
+        upper = affine_field(rng.standard_normal((dim, dim)),
+                             np.r_[-rng.uniform(5.0, 50.0), rng.standard_normal(dim - 1)])
+
+        def mirrored(p):
+            # the upper field at the folded point, E_1 unfolded by side
+            f = upper(np.c_[np.abs(p[:, :1]), p[:, 1:]])
+            f[p[:, 0] < 0.0, 0] *= -1.0
+            return f
+        mirrored.plane_split = True
+
+        base = Ensemble(x=x, v=v, w=np.ones(k), domain=HalfSpace(dim))
+        cfg = StepperConfig(dt=dt, max_reflections_per_step=64)
+        out_a, events_a, _ = step(base, upper, cfg)
+        out_b, events_b, _ = step(symmetrize(base), mirrored, cfg)
+        counts = np.bincount([ev.particle for ev in events_a], minlength=k)
+        event(f"at most {counts.max()} crossings of one row")
+        assert events_b == []
+        xf, vf = fold_halfspace(out_b.x, out_b.v)
+        assert np.array_equal(xf, np.tile(out_a.x, (2, 1)))
+        assert np.array_equal(vf, np.tile(out_a.v, (2, 1)))
+
     def test_backend_equivalence_within_bound(self):
         rng = np.random.default_rng(4)
         n = 6
