@@ -33,14 +33,12 @@ from .fields import (
     smooth_sign,
 )
 from .ensemble import (
-    AsymmetricInput,
     Ensemble,
     Frame,
     FrameMismatch,
     InitialCondition,
     UnsupportedDensity,
     kinetic_energy,
-    restrict,
     sample_initial,
     symmetrize,
 )

@@ -251,6 +251,9 @@ def _run_config(sections, text):
 
     itype = initial("type", str, required=True)
     n = initial("n", int, default=0)
+    seed = initial("seed", int, default=0)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ValidationError(f"[initial] seed = {seed} is not >= 0")
     mass = initial("mass", float, default=1.0)
 
     def box(name):
@@ -311,7 +314,7 @@ def _run_config(sections, text):
         field_kind=field_kind,
         params=params,
         initial=ic,
-        seed=initial("seed", int, default=0),
+        seed=seed,
         t_end=t_end,
         stepper=stepper,
         fold=fold,
@@ -523,7 +526,9 @@ def _cmd_picard(args):
 
 
 def _cmd_diagnose(args):
-    with _refusing():  # a missing, empty or malformed ledger
+    with _refusing():  # a --tol not >= 0; a missing, empty or malformed ledger
+        if not args.tol >= 0:
+            raise ValueError(f"--tol {args.tol} is not >= 0")
         ledger = read_ledger_csv(args.ledger)
         check = energy_bound_check(ledger, tol=args.tol)
     verdict = "PASS" if check.passed else "FAIL"
@@ -615,6 +620,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValidationError(f"--seed {args.seed} is not >= 0")
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

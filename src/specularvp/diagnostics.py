@@ -56,7 +56,6 @@ __all__ = [
     "energy_audit",
     "energy_bound_check",
     "make_separation_probe",
-    "phi_functional",
     "phi_series",
     "phi_growth_check",
     "SeparableBump",
@@ -319,14 +318,6 @@ def phi_series(probe: SeparationProbe):
     dv = np.linalg.norm(probe.v_base - probe.v_pert, axis=2)
     logs = np.log1p(dx / (probe.zeta * probe.delta) + dv / probe.delta)
     return np.sum(probe.w[None, :] * logs, axis=1) / np.sum(probe.w)
-
-
-def phi_functional(probe: SeparationProbe, t) -> float:
-    """Phi at one sample time (must lie on the probe grid)."""
-    idx = np.flatnonzero(np.isclose(probe.times, t, rtol=0, atol=1e-12))
-    if len(idx) != 1:
-        raise PairMismatch(f"t={t} is not a probe sample time")
-    return float(phi_series(probe)[idx[0]])
 
 
 @dataclass(frozen=True)

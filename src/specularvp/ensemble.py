@@ -15,10 +15,8 @@ __all__ = [
     "Sources",
     "InitialCondition",
     "FrameMismatch",
-    "AsymmetricInput",
     "UnsupportedDensity",
     "symmetrize",
-    "restrict",
     "kinetic_energy",
     "sample_initial",
 ]
@@ -30,10 +28,6 @@ BOUNDARY_NUDGE = 1e-12
 
 class FrameMismatch(ValueError):
     """Operation applied to an ensemble in the wrong frame."""
-
-
-class AsymmetricInput(ValueError):
-    """ProblemB ensemble is not closed under the mirror map."""
 
 
 class UnsupportedDensity(ValueError):
@@ -106,14 +100,6 @@ class Sources:
     frame: Frame
 
 
-def _mirror_xv(x, v):
-    xm = np.array(x, dtype=float)
-    vm = np.array(v, dtype=float)
-    xm[:, 0] = -xm[:, 0]
-    vm[:, 0] = -vm[:, 0]
-    return xm, vm
-
-
 def symmetrize(e: Ensemble) -> Ensemble:
     """Even extension: append the mirror (x', v', w) of every particle.
 
@@ -125,58 +111,15 @@ def symmetrize(e: Ensemble) -> Ensemble:
         raise FrameMismatch("symmetrize expects a ProblemA ensemble")
     if not isinstance(e.domain, HalfSpace):
         raise FrameMismatch("symmetrize is defined for half-space ensembles")
-    xm, vm = _mirror_xv(e.x, e.v)
+    mirror = np.ones(e.dim)
+    mirror[0] = -1.0
     return Ensemble(
-        x=np.concatenate([e.x, xm]),
-        v=np.concatenate([e.v, vm]),
+        x=np.concatenate([e.x, e.x * mirror]),
+        v=np.concatenate([e.v, e.v * mirror]),
         w=np.concatenate([e.w, e.w]),
         domain=e.domain,
         frame=Frame.PROBLEM_B,
         alive=np.concatenate([e.alive, e.alive]),
-    )
-
-
-def mirror_pair_indices(e: Ensemble):
-    """Index ``m`` with ``m[i]`` the mirror partner of particle i.
-
-    Raises AsymmetricInput if some particle has no partner within 1e-9
-    (relative to the domain scale) in mirrored phase space.
-    """
-    from scipy.spatial import cKDTree
-
-    scale = e.domain.scale if e.domain is not None else 1.0
-    z = np.concatenate([e.x, e.v, e.w[:, None]], axis=1)
-    xm, vm = _mirror_xv(e.x, e.v)
-    zm = np.concatenate([xm, vm, e.w[:, None]], axis=1)
-    dist, idx = cKDTree(zm).query(z, k=1)
-    if np.any(dist > 1e-9 * max(scale, 1.0)):
-        raise AsymmetricInput("ensemble is not closed under the mirror map")
-    return idx
-
-
-def restrict(e: Ensemble) -> Ensemble:
-    """Keep the half-space representative of an even-symmetric ensemble.
-
-    Inverse of ``symmetrize`` up to ordering: keeps x_1 > 0, and one member
-    of each mirror pair sitting exactly on the plane.
-    """
-    if e.frame is not Frame.PROBLEM_B:
-        raise FrameMismatch("restrict expects a ProblemB ensemble")
-    if len(e) == 0:
-        return Ensemble(
-            x=e.x, v=e.v, w=e.w, domain=e.domain, frame=Frame.PROBLEM_A, alive=e.alive
-        )
-    partner = mirror_pair_indices(e)
-    keep = e.x[:, 0] > 0
-    on_plane = np.flatnonzero(e.x[:, 0] == 0)
-    keep[np.minimum(on_plane, partner[on_plane])] = True  # the lower index of each pair
-    return Ensemble(
-        x=e.x[keep],
-        v=e.v[keep],
-        w=e.w[keep],
-        domain=e.domain,
-        frame=Frame.PROBLEM_A,
-        alive=e.alive[keep],
     )
 
 

@@ -5,8 +5,7 @@ the mass-weighted mean phase-space displacement between consecutive
 iterates, sup over the time grid.  Both iterates start from the same
 particles, so mass * Z_n is the sup of the identity coupling's cost, an O(N)
 upper bound: sup_k W_1(k) <= mass * Z_n.  Exact W_1 (min-cost matching) is a
-secondary certified check at small N; the sliced estimator scales to large N
-but is an estimator, not a bound.
+secondary certified check at small N.
 
 The matching's cost matrix and assignment run in the pair kernel's library
 (pairs.c: ``phase_cost``, ``assignment``), which gives scipy's ``cdist`` and
@@ -17,7 +16,6 @@ imported where they are called, so no command loads scipy at start.
 from __future__ import annotations
 
 import ctypes
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +26,6 @@ from .ensemble import Ensemble, Sources
 from .flow import StepperConfig, step
 
 __all__ = [
-    "W1Report",
     "PicardState",
     "MassMismatch",
     "TooLarge",
@@ -37,7 +34,6 @@ __all__ = [
     "N_EXACT",
     "check_exact_w1",
     "w1_exact",
-    "w1_sliced",
     "picard_iterate",
 ]
 
@@ -53,21 +49,12 @@ class TooLarge(ValueError):
 
 
 class UnequalWeights(ValueError):
-    """Exact W_1 needs equal weights within each ensemble."""
+    """Exact W_1 needs equal weights within each ensemble, and equal live
+    counts across the two."""
 
 
 class NonContractionWarning(UserWarning):
     """Picard ratio exceeded 1 for several consecutive iterates (T_0 too large)."""
-
-
-@dataclass(frozen=True)
-class W1Report:
-    value: float
-    method: str            # "exact_matching" or "sliced"
-    certified: bool
-    directions: int = 0
-    seed: int | None = None
-    raw_mean: float = 0.0  # sliced only: unnormalized slice average (contracts)
 
 
 def _phase_points(e: Ensemble):
@@ -81,18 +68,17 @@ def _check_mass(a: Ensemble, b: Ensemble):
     return ma
 
 
-def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> W1Report:
+def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> float:
     """Exact Kantorovich W_1 between two equal-mass empirical measures.
 
-    Euclidean cost on phase space (x, v) between the live particles.  Equal
-    live counts reduce to a min-cost perfect matching (shortest augmenting
-    paths, O(N^3)); unequal counts with uniform weights fall back to the
-    transport LP.
+    Euclidean cost on phase space (x, v) between the live particles, with
+    equal weights throughout: a min-cost perfect matching (shortest
+    augmenting paths, O(N^3)).  Equal masses with unequal live counts mean
+    unequal weights, an UnequalWeights.
     """
     mass = _check_mass(a, b)
-    value = _w1_alive(_phase_points(a)[a.alive], a.w[a.alive],
-                      _phase_points(b)[b.alive], b.w[b.alive], mass, n_exact)
-    return W1Report(value, "exact_matching", True)
+    return _w1_alive(_phase_points(a)[a.alive], a.w[a.alive],
+                     _phase_points(b)[b.alive], b.w[b.alive], mass, n_exact)
 
 
 def check_exact_w1(w, n_exact=N_EXACT):
@@ -111,10 +97,11 @@ def _w1_alive(za, wa, zb, wb, mass, n_exact=N_EXACT):
         check_exact_w1(w, n_exact)
     if len(za) == 0 or len(zb) == 0:
         return 0.0
+    if len(za) != len(zb):
+        raise UnequalWeights(f"exact W_1 requires equal weights across the ensembles, "
+                             f"got {len(za)} and {len(zb)} live particles")
     kernel = fields._load_kernel()
     cost = _cost_matrix(kernel, za, zb)
-    if len(za) != len(zb):
-        return _w1_lp(cost, wa, wb)
     cols = _assignment(kernel, cost)
     return mass / len(za) * float(cost[np.arange(len(za)), cols].sum())
 
@@ -147,71 +134,6 @@ def _assignment(kernel, cost):
     if status:
         raise MemoryError("no memory for the assignment")
     return cols
-
-
-def _w1_lp(cost, wa, wb):
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    na, nb = cost.shape
-    rows, cols, vals = [], [], []
-    for i in range(na):
-        rows.extend([i] * nb)
-        cols.extend(range(i * nb, (i + 1) * nb))
-        vals.extend([1.0] * nb)
-    for j in range(nb):
-        rows.extend([na + j] * na)
-        cols.extend(range(j, na * nb, nb))
-        vals.extend([1.0] * na)
-    A = csr_matrix((vals, (rows, cols)), shape=(na + nb, na * nb))
-    rhs = np.concatenate([wa, wb])
-    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=rhs[:-1], method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
-def _w1_1d(pa, wa, pb, wb):
-    """Exact 1-D W_1 between weighted point sets (equal total mass)."""
-    ia = np.argsort(pa, kind="stable")
-    ib = np.argsort(pb, kind="stable")
-    pa, wa = pa[ia], wa[ia]
-    pb, wb = pb[ib], wb[ib]
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
-    total = min(ca[-1], cb[-1])
-    grid = np.unique(np.concatenate([ca, cb]))
-    grid = grid[grid <= total]
-    qa = pa[np.searchsorted(ca, grid - 1e-15 * total)]
-    qb = pb[np.searchsorted(cb, grid - 1e-15 * total)]
-    dm = np.diff(np.concatenate([[0.0], grid]))
-    return float(np.sum(dm * np.abs(qa - qb)))
-
-
-def w1_sliced(a: Ensemble, b: Ensemble, directions=128, seed=0) -> W1Report:
-    """Sliced W_1: projected 1-D transport averaged over random directions.
-
-    Each slice contracts (a projection is 1-Lipschitz), so the raw slice
-    average sits below the true W_1 by roughly the mean projection factor
-    E|u . e|; ``value`` divides it out, giving an estimator that lands near
-    the exact distance when the transport is displacement-dominated.  An
-    estimator, never a bound: ``certified`` is False, ``raw_mean`` keeps
-    the uncorrected average.
-    """
-    _check_mass(a, b)
-    if len(a) == 0 and len(b) == 0:
-        return W1Report(0.0, "sliced", False, directions, seed)
-    rng = np.random.default_rng(seed)
-    za, zb = _phase_points(a), _phase_points(b)
-    dims = za.shape[1]
-    u = rng.standard_normal((directions, dims))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    wa = a.w * a.alive
-    wb = b.w * b.alive
-    raw = float(np.mean([_w1_1d(za @ ui, wa, zb @ ui, wb) for ui in u]))
-    # E|u . e| for a uniform direction in R^dims
-    mean_proj = math.gamma(dims / 2.0) / (math.sqrt(math.pi) * math.gamma((dims + 1) / 2.0))
-    return W1Report(raw / mean_proj, "sliced", False, directions, seed, raw_mean=raw)
 
 
 def _sup_w1(za, zb, w, mass):

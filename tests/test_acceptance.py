@@ -227,7 +227,7 @@ def test_criterion_07_w1_oracle_equivalence():
                      domain=None, frame=Frame.PROBLEM_A)
         cost = cdist(np.c_[a.x, a.v], np.c_[b.x, b.v])
         brute = cost[rows, perms].sum(axis=1).min() * 0.125
-        exact = w1_exact(a, b).value
+        exact = w1_exact(a, b)
         worst = max(worst, abs(exact - brute))
         assert abs(exact - brute) <= 1e-12, "matching does not reach the brute optimum"
     elapsed = time.time() - t0

@@ -89,6 +89,8 @@ REFUSED = {
     "negative-n": ("simulate", MINIMAL.replace("n = 2", "n = -1"), "n must be >= 0"),
     "negative-mass": ("simulate", MINIMAL.replace("mass = 0.1", "mass = -1"),
                       "mass must be >= 0"),
+    "initial-seed-negative": ("simulate", MINIMAL.replace("seed = 0", "seed = -3"),
+                              "[initial] seed = -3 is not >= 0"),
     # beyond those: more values that crashed a run, or stepped a wrong state
     "zero-cadence": ("simulate", MINIMAL + "\n[output]\ncadence_snapshot = 0\n",
                      "cadences must be >= 1"),
@@ -152,6 +154,7 @@ HANGS = {"box-outside-the-halfspace"}
 # is the test's directory) and a fragment of the one error line
 LEDGER_HEADER_ONLY = "t,kinetic,potential,total,K_integral,drift\n"
 LEDGER_MISSING_COLUMNS = "t,kinetic\n0.0,1.0\n"
+LEDGER_ONE_ROW = LEDGER_HEADER_ONLY + "0.0,1.0,0.5,1.5,0.0,0.0\n"
 BAD_INPUTS = {
     "diagnose-missing-ledger": (["diagnose", "--ledger", "{tmp}/missing.csv"], "not found"),
     "diagnose-header-only-ledger": (["diagnose", "--ledger", "{tmp}/header_only.csv"],
@@ -165,6 +168,17 @@ BAD_INPUTS = {
     "audit-green-no-pairs": (["audit-green", "--pairs", "0"], "--pairs 0 is not >= 1"),
     "audit-green-negative-radius": (["audit-green", "--domain", "ball", "--radius", "-1",
                                      "--pairs", "10"], "radius must be positive"),
+    # numpy's generators take no negative seed; the run must not start
+    **{f"{command}-negative-seed": ([command, "--config", "{tmp}/run.cfg", "--out", "{tmp}/x",
+                                     "--seed", "-1"], "--seed -1 is not >= 0")
+       for command in ("simulate", "picard", "compare-backends")},
+    "audit-green-negative-seed": (["audit-green", "--pairs", "10", "--seed", "-1"],
+                                  "--seed -1 is not >= 0"),
+    # a tolerance that is not >= 0 gives a verdict from bad input
+    "diagnose-tol-nan": (["diagnose", "--ledger", "{tmp}/one_row.csv", "--tol", "nan"],
+                         "--tol nan is not >= 0"),
+    "diagnose-tol-negative": (["diagnose", "--ledger", "{tmp}/one_row.csv", "--tol", "-1"],
+                              "--tol -1.0 is not >= 0"),
 }
 
 PACKAGE_ROOT = str(Path(specularvp.__file__).resolve().parents[1])
@@ -336,11 +350,14 @@ class TestCommands:
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, match):
         write(tmp_path, LEDGER_HEADER_ONLY, "header_only.csv")
         write(tmp_path, LEDGER_MISSING_COLUMNS, "two_columns.csv")
+        write(tmp_path, LEDGER_ONE_ROW, "one_row.csv")
+        write(tmp_path, MINIMAL)
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+        assert not (tmp_path / "x").exists()
 
     def scipy_modules(self, code, *argv):
         """The scipy modules a fresh interpreter holds after running code."""

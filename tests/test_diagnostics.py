@@ -17,7 +17,6 @@ from specularvp.diagnostics import (
     incompressibility_probe,
     k_tau,
     make_separation_probe,
-    phi_functional,
     phi_growth_check,
     phi_series,
     read_ledger_csv,
@@ -238,7 +237,7 @@ class TestPhi:
             x_pert=np.array([[[zeta * delta, 0.0, 0.0]]]),
             v_pert=np.zeros((1, 1, 3)),
             w=np.ones(1), delta=delta, zeta=zeta)
-        assert phi_functional(probe, 0.0) == pytest.approx(np.log(2.0), rel=1e-14)
+        assert phi_series(probe)[0] == pytest.approx(np.log(2.0), rel=1e-14)
 
     def test_free_streaming_closed_form(self):
         # common positions, velocity offset dv: Phi(t) = log(1 + t|dv|/(zd) + |dv|/d)
@@ -271,12 +270,6 @@ class TestPhi:
         short = free_streaming_pair(n=8)[0]
         with pytest.raises(PairMismatch):
             make_separation_probe(rec_b, short, delta=1e-3, zeta=0.1)
-
-    def test_functional_needs_grid_time(self):
-        rec_b, rec_p = free_streaming_pair()
-        probe = make_separation_probe(rec_b, rec_p, delta=1e-3, zeta=0.1)
-        with pytest.raises(PairMismatch):
-            phi_functional(probe, 0.123456)
 
     def test_parameters_in_unit_interval(self):
         rec_b, rec_p = free_streaming_pair()
