@@ -15,7 +15,7 @@ from specularvp.diagnostics import audit_green
 from specularvp.ensemble import Ensemble
 from specularvp.fields import GreenKind
 from specularvp.flow import StepperConfig, step
-from specularvp.geometry import Ball
+from specularvp.geometry import Ball, FlatteningMap
 
 
 def main():
@@ -41,7 +41,7 @@ def main():
     print(f"  potential on the sphere  : {rep.max_boundary_potential:.2e} relative")
 
     print("\n-- flattening map identities at 1000 chart points --")
-    fm = ball.flattening_map()
+    fm = FlatteningMap(ball)
     pts = np.empty((1000, 3))
     have = 0
     while have < 1000:

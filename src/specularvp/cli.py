@@ -582,7 +582,6 @@ def _cmd_audit_green(args):
 def _add_common(p):
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default="run", help="output directory")
 
 
 def main(argv=None) -> int:
@@ -594,10 +593,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run a configured simulation")
     _add_common(p)
+    p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("picard", help="run the Picard contraction loop")
     _add_common(p)
+    p.add_argument("--out", default="run", help="output directory")
     p.set_defaults(func=_cmd_picard)
 
     p = sub.add_parser("diagnose", help="check an emitted ledger")

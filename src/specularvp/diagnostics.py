@@ -16,23 +16,20 @@ Conventions worth pinning down once:
   accuracy at bounces.
 * The whole-space (Problem B) route replaces (1 - rbar^zeta) S by
   (sgn - sbar)(x_1) times the mollified-kernel sum against the odd density.
-* Every diagnostic reads the field from the run itself: ``blowup_monitor``
-  and the trajectories read the field stored with each snapshot and each
-  event, ``energy_audit`` and ``incompressibility_probe`` rebuild each
-  stored snapshot's field with the run's own factory
-  (``RunRecord.field_factory``), ``LedgerObserver`` and ``k_tau`` take a
-  snapshot's ``SnapshotField``.  So a ledger cannot be audited with another
-  field, sign or kind than the run's.
-* ``energy_audit`` and ``blowup_monitor`` recompute everything from stored
-  snapshots; ``LedgerObserver`` accumulates the same ledger and moment
-  sample by sample while the run goes, from the stepper's own pair sweeps.
-  Both book a bounce with one helper and add in the same order, so they
-  agree bit for bit.
+* Every diagnostic reads the run itself, a ``RunRecord``: the list of its
+  samples (t, snapshot, field, events).  So a ledger cannot be audited
+  with another field, sign or kind than the run's.  A stored field may be
+  bound to the step's ``Sources``, which carry no velocities, so ``k_tau``
+  takes the snapshot beside it.
+* ``LedgerObserver`` streams the ledger and the log-log moment from the
+  stepper's own pair sweeps; ``energy_audit`` is an independent oracle
+  that sums each snapshot's potential and K in passes of its own.  Both
+  book a bounce with one helper and add in the same order, so they agree
+  bit for bit, as does ``blowup_monitor``'s moment.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 from array import array
 from dataclasses import dataclass
@@ -73,7 +70,7 @@ __all__ = [
 
 
 class GridMismatch(ValueError):
-    """Run was not recorded densely enough for this diagnostic."""
+    """A diagnostic asked for a time beyond the run."""
 
 
 class PairMismatch(ValueError):
@@ -97,8 +94,8 @@ def _k_power(e: Ensemble, w, gap, s_sum) -> float:
     return 2.0 * float((w * gap * (e.v * s_sum).sum(axis=1)).sum())
 
 
-def k_tau(field) -> float:
-    """Instantaneous energy-error power K of a snapshot's ``SnapshotField``.
+def k_tau(snap: Ensemble, field) -> float:
+    """Instantaneous energy-error power K of a snapshot in its ``SnapshotField``.
 
     Domain route:   K = 2 sum_i w_i (1 - rbar^zeta(x_i)) v_i . S_i with S_i
     = sum_j w_j grad_x G^delta(x_i, x_j), vanishing as soon as every
@@ -111,11 +108,10 @@ def k_tau(field) -> float:
     strip.  A hard-sign field has no sign mismatch at all: its K is
     identically zero.
     """
-    e = field.ens
-    gap = field.model.cutoff_gap(e.x)
+    gap = field.model.cutoff_gap(snap.x)
     if not np.any(gap):
         return 0.0
-    return _k_power(e, e.w * e.alive, gap, field.pre_cutoff_sum(e.x))
+    return _k_power(snap, snap.w * snap.alive, gap, field.pre_cutoff_sum(snap.x))
 
 
 @dataclass
@@ -158,25 +154,23 @@ def _event_correction(ev, field, t0, t1) -> float:
 
 
 def energy_audit(run: RunRecord) -> EnergyLedger:
-    """Recompute the energy ledger from a run's snapshots, each in its own
-    field (the run's ``field_factory``), as whole arrays: the trapezoid
-    K-integral plus the summed event corrections, and the drift.
+    """Recompute the energy ledger from a run's samples as whole arrays: the
+    trapezoid K-integral plus the summed event corrections, and the drift.
 
-    Each bounce is booked in the step that made it, the index of its
-    ``step_start`` among the sample times (found by bisection).  Requires
-    one snapshot per step (GridMismatch otherwise).
+    Each snapshot's potential and K are summed in passes of their own in
+    the field stored with it (``model.potential``, ``pre_cutoff_sum``), not
+    read from the sweep the run stepped with.  A sample's events are booked
+    in the step that ends on it, against the field of the sample before, in
+    ``LedgerObserver``'s order.
     """
-    if run.snapshot_every != 1:
-        raise GridMismatch("energy audit needs one snapshot per step")
-    fields = [run.field_factory(s) for _, s in run.snapshots]
-    times = np.array([t for t, _ in run.snapshots])
-    ke = np.array([kinetic_energy(f.ens) for f in fields])
-    pe = np.array([f.model.potential(f.ens) for f in fields])
-    kt = np.array([k_tau(f) for f in fields])
+    times = np.array([t for t, *_ in run.samples])
+    ke = np.array([kinetic_energy(e) for _, e, _, _ in run.samples])
+    pe = np.array([f.model.potential(e) for _, e, f, _ in run.samples])
+    kt = np.array([k_tau(e, f) for _, e, f, _ in run.samples])
     corr = np.zeros(len(times))
-    for ev in run.events:
-        k = bisect.bisect_left(times, ev.step_start)
-        corr[k + 1] += _event_correction(ev, fields[k], times[k], times[k + 1])
+    for k, ((t0, _, f0, _), (t1, *_, events)) in enumerate(zip(run.samples, run.samples[1:]), 1):
+        for ev in events:
+            corr[k] += _event_correction(ev, f0, t0, t1)
     total = ke + pe
     k_int = np.concatenate([[0.0], np.cumsum(0.5 * (kt[1:] + kt[:-1]) * np.diff(times))])
     k_int = k_int + np.cumsum(corr)
@@ -186,8 +180,8 @@ def energy_audit(run: RunRecord) -> EnergyLedger:
 class LedgerObserver:
     """The energy ledger and the log-log moment, accumulated during a run.
 
-    Call it on each sample of ``flow.samples`` (or pass it as
-    ``integrate``'s observer): a snapshot's kinetic and potential energy, K
+    Call it on each sample of ``flow.samples`` (or replay a record's
+    ``samples`` into it): a snapshot's kinetic and potential energy, K
     and moment come from the snapshot and the cached ``sweep`` of the field
     the run stepped with (the cutoff gap from its factor).  A step's events
     are booked in the call that ends the step, against the field of the
@@ -199,7 +193,7 @@ class LedgerObserver:
     and None for the others.  The observer keeps those rows with their K
     for ``ledger()``, and every sample's moment for ``total_variation``, as
     packed doubles.  With ``every = 1`` both equal ``energy_audit`` and
-    ``blowup_monitor`` on a run that stored every snapshot, bit for bit.
+    ``blowup_monitor`` on the run's record, bit for bit.
     """
 
     def __init__(self, every=1):
@@ -294,10 +288,7 @@ class SeparationProbe:
 
 def make_separation_probe(run_base: RunRecord, run_pert: RunRecord,
                           delta, zeta) -> SeparationProbe:
-    """Pair two runs' snapshots by particle id; GridMismatch unless both
-    kept one snapshot per step, PairMismatch on misalignment."""
-    if run_base.snapshot_every != 1 or run_pert.snapshot_every != 1:
-        raise GridMismatch("the separation probe needs one snapshot per step")
+    """Pair two runs' snapshots by particle id; PairMismatch on misalignment."""
     (t_b, x_b, v_b), (t_p, x_p, v_p) = (
         (np.array([t for t, _ in run.snapshots]), np.array([s.x for _, s in run.snapshots]),
          np.array([s.v for _, s in run.snapshots])) for run in (run_base, run_pert))
@@ -531,39 +522,38 @@ def weakform_residual(traj: Trajectory, phi, domain=None) -> float:
 # incompressibility probe
 # -----------------------------------------------------------------------------
 
-def incompressibility_probe(run: RunRecord, seed_point, h=1e-5, t_end=1.0) -> float:
-    """|det J - 1| of the finite-difference flow-map Jacobian at one point.
+def incompressibility_probe(run: RunRecord, seed_points, h=1e-5, t_end=1.0) -> np.ndarray:
+    """|det J - 1| of the finite-difference flow-map Jacobian at each of the
+    seed points, the rows of ``seed_points`` (phase points (x, v)).
 
-    A stencil of 4d+1 passive tracers (center and +-h along every phase
-    coordinate) takes the run's own steps: step k is a ``step`` of
-    ``run.dt`` in the frozen field of ``run.snapshots[k]``, rebuilt with
-    the run's factory.  ``t_end`` must lie within the run (GridMismatch
-    otherwise).  Any step in which a tracer's path bounces off the
-    boundary, however briefly, raises StencilReflected (the map is not
-    smooth across events, so the stencil must stay reflection-free).
+    Each point's stencil of 4d+1 passive tracers (center and +-h along every
+    phase coordinate) joins one tracer ensemble, which takes the run's own
+    steps: step k is a ``step`` of ``run.dt`` in the field stored with
+    sample k.  A step treats its rows independently, so each value is the
+    one its stencil gives alone.  ``t_end`` must lie within the run
+    (GridMismatch otherwise).  Any step in which a tracer's path bounces
+    off the boundary, however briefly, raises StencilReflected (the map is
+    not smooth across events, so every stencil must stay reflection-free).
     """
-    if run.snapshot_every != 1:
-        raise GridMismatch("incompressibility probe needs one snapshot per step")
     cfg = StepperConfig(dt=run.dt)
     n_steps = cfg.steps(t_end, "t_end")
-    if n_steps >= len(run.snapshots):
+    if n_steps >= len(run.samples):
         raise GridMismatch(f"t_end = {t_end!r} lies beyond the run")
-    z0 = np.asarray(seed_point, dtype=float)
-    d = z0.size // 2
+    z0 = np.asarray(seed_points, dtype=float)
+    m, d = len(z0), z0.shape[1] // 2
     offsets = np.zeros((4 * d + 1, 2 * d))
     offsets[1::2], offsets[2::2] = h * np.eye(2 * d), -h * np.eye(2 * d)
-    z = z0 + offsets
-    tracers = Ensemble(x=z[:, :d], v=z[:, d:], w=np.zeros(len(z)),
-                       domain=run.snapshots[0][1].domain)
+    z = (z0[:, None, :] + offsets).reshape(-1, 2 * d)
+    tracers = Ensemble(x=z[:, :d], v=z[:, d:], w=np.zeros(len(z)), domain=run.final.domain)
 
-    for _, snap in run.snapshots[:n_steps]:
-        tracers, events, _ = step(tracers, run.field_factory(snap), cfg)
+    for _, _, field, _ in run.samples[:n_steps]:
+        tracers, events, _ = step(tracers, field, cfg)
         if events:
             raise StencilReflected("tracer stencil reached the boundary")
 
-    z_end = np.concatenate([tracers.x, tracers.v], axis=1)
-    jac = (z_end[1::2] - z_end[2::2]).T / (2.0 * h)
-    return float(abs(np.linalg.det(jac) - 1.0))
+    z_end = np.concatenate([tracers.x, tracers.v], axis=1).reshape(m, 4 * d + 1, 2 * d)
+    jac = (z_end[:, 1::2] - z_end[:, 2::2]).transpose(0, 2, 1) / (2.0 * h)
+    return np.abs(np.linalg.det(jac) - 1.0)
 
 
 # -----------------------------------------------------------------------------

@@ -30,7 +30,7 @@ The ensemble's frame decides the wall:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,10 +107,9 @@ class ReflectionEvent:
     """One specular bounce: velocity jump v_plus - v_minus = -2 (v_minus . n) n.
 
     ``e`` is the step's frozen field at the hit x, the value the sub-stepper
-    kicked with (bitwise the frozen field function called at x).
-    ``step_start`` is the start time of the step that made the bounce, the
-    sample the energy ledger books its correction against; t may equal it,
-    or round past the step's end.
+    kicked with (bitwise the frozen field function called at x).  The
+    bounce belongs to the step that made it, the sample it arrives with in
+    ``samples``: t may equal the step's start, or round past its end.
     """
 
     t: float
@@ -119,7 +118,6 @@ class ReflectionEvent:
     v_minus: np.ndarray
     v_plus: np.ndarray
     e: np.ndarray
-    step_start: float
 
 
 @dataclass
@@ -279,10 +277,10 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
     events, bounces): ``crossed`` marks the rows whose path leaves, x and v
     are the rows' end states (rows that do not cross come back as given),
-    the events are in (particle, time) order, each with ``t0``, the step's
-    start, as its ``step_start``, and ``bounces`` counts each row's
-    reflections.  ReflectionOverflow names the lowest particle with more
-    than ``max_reflections`` bounces.
+    the events are in (particle, time) order, timed from ``t0``, the step's
+    start, and ``bounces`` counts each row's reflections.
+    ReflectionOverflow names the lowest particle with more than
+    ``max_reflections`` bounces.
     """
     x, v, e = (np.array(a, dtype=float) for a in (x, v, e))
     n = len(x)
@@ -330,7 +328,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
             hit, s, hits, f_hit, vm, normal = (
                 a[~graze] for a in (hit, s, hits, f_hit, vm, normal))
         v_plus = reflect_velocity(normal, vm)
-        events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk, float(t0))
+        events += [ReflectionEvent(float(tk), int(particles[k]), xk, vk, wk, fk)
                    for k, tk, xk, vk, wk, fk in zip(hit, t[hit] + s, hits, vm, v_plus, f_hit)]
         x[hit], v[hit], e[hit] = hits, v_plus, f_hit
         t[hit] += s
@@ -473,35 +471,51 @@ def fold_halfspace(x, v):
 
 @dataclass
 class RunRecord:
-    """Everything a fixed-dt run left behind.
+    """A fixed-dt run as the list of its ``samples``, (t, snapshot, field,
+    events), kept as they came, and its step ``dt``.
 
-    ``snapshots`` holds (time, Ensemble) pairs every ``snapshot_every``
-    steps, always including the initial and final states, and ``fields``
-    the field of each at its own positions, the one the run stepped with.
-    ``events`` are the bounces in (particle, time) order within each step,
-    each carrying the field at its hit.  ``deaths`` maps each particle that
-    blew up to the time of the step it died in.  ``field_factory`` is the
-    factory the run stepped with; the diagnostics rebuild each snapshot's
-    field function from it.
+    The other attributes are views of the samples: ``snapshots`` the (time,
+    Ensemble) pairs, ``final`` the last snapshot, ``events`` the bounces in
+    step order and (particle, time) order within a step, each carrying the
+    field at its hit, and ``deaths`` each particle that blew up with the
+    time of the step it died in.  ``fields`` is each snapshot's field at its
+    own positions, the one the run stepped with: a ``SnapshotField``'s
+    cached sweep's, or a plain field function's value.
     """
 
-    snapshots: list
-    fields: list
-    events: list
-    final: Ensemble
+    samples: list
     dt: float
-    snapshot_every: int = 1
-    deaths: dict = field(default_factory=dict)
-    field_factory: object = None
+
+    @property
+    def snapshots(self):
+        return [(t, e) for t, e, _, _ in self.samples]
+
+    @property
+    def final(self) -> Ensemble:
+        return self.samples[-1][1]
+
+    @property
+    def events(self):
+        return [ev for *_, evts in self.samples for ev in evts]
+
+    @property
+    def fields(self):
+        return [_own_field(f, e.x) for _, e, f, _ in self.samples]
+
+    @property
+    def deaths(self):
+        deaths, alive = {}, self.samples[0][1].alive
+        for t, e, _, _ in self.samples:
+            deaths.update(dict.fromkeys(np.flatnonzero(alive & ~e.alive).tolist(), t))
+            alive = e.alive
+        return deaths
 
     def trajectory(self, i: int) -> Trajectory:
-        """Particle i's path; needs one snapshot per step (ValueError otherwise)."""
-        if self.snapshot_every != 1:
-            raise ValueError("a trajectory needs one snapshot per step")
+        """Particle i's path through the samples."""
         return Trajectory(
-            times=np.array([t for t, _ in self.snapshots]),
-            x=np.array([s.x[i] for _, s in self.snapshots]),
-            v=np.array([s.v[i] for _, s in self.snapshots]),
+            times=np.array([t for t, *_ in self.samples]),
+            x=np.array([e.x[i] for _, e, _, _ in self.samples]),
+            v=np.array([e.v[i] for _, e, _, _ in self.samples]),
             e_field=np.array([f[i] for f in self.fields]),
             events=[ev for ev in self.events if ev.particle == i],
         )
@@ -513,11 +527,12 @@ def samples(e0: Ensemble, field_factory, cfg: StepperConfig, t_end):
 
     ``field`` is the snapshot's own field, the one the next step steps in
     (the factory's ``SnapshotField``: its ``model`` and cached ``sweep``,
-    the per-row potential included); ``events`` are the bounces of the step
-    that made the snapshot, in (particle, time) order, each with the time
-    of the sample before as its ``step_start``.  Each step freezes the
-    field from the snapshot entering it (the Picard-style decoupling); a
-    step that raises ends the stream after the samples made before it.
+    the per-row potential included; it may be bound to the step's
+    ``Sources``, which carry no velocities); ``events`` are the bounces of
+    the step from the sample before, in (particle, time) order.  Each step
+    freezes the field from the snapshot entering it (the Picard-style
+    decoupling); a step that raises ends the stream after the samples made
+    before it.
 
     Force reuse: in refresh mode the trailing-kick field of a step is the
     field of the snapshot it ends on, so it is the next step's field, and
@@ -543,34 +558,7 @@ def samples(e0: Ensemble, field_factory, cfg: StepperConfig, t_end):
         yield t, e, field_fn, events
 
 
-def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end,
-              snapshot_every=1, observer=None):
-    """Fixed-dt run over [0, t_end]; returns its ``RunRecord``, recorded
-    from ``samples``.
-
-    A snapshot is kept every ``snapshot_every`` steps, a whole number >= 1
-    (ValueError otherwise, before any step), with the field it steps in at
-    its own positions: that field's sweep's, or a plain field function's
-    value.  ``observer(t, snapshot, field, events)`` is handed every sample
-    of the stream as it is made.
-    """
-    if not (float(snapshot_every).is_integer() and snapshot_every >= 1):
-        raise ValueError(f"snapshot_every = {snapshot_every!r} is not a whole number >= 1")
-    snapshot_every = int(snapshot_every)
-    n_steps = cfg.steps(t_end, "t_end")
-
-    snapshots, fields, events, deaths = [], [], [], {}
-    alive = e0.alive
-    for k, (t, e, field_fn, evts) in enumerate(samples(e0, field_factory, cfg, t_end)):
-        events.extend(evts)
-        deaths.update(dict.fromkeys(np.flatnonzero(alive & ~e.alive).tolist(), t))
-        alive = e.alive
-        if observer is not None:
-            observer(t, e, field_fn, evts)
-        if k % snapshot_every == 0 or k == n_steps:
-            snapshots.append((t, e))
-            fields.append(_own_field(field_fn, e.x))
-
-    return RunRecord(snapshots=snapshots, fields=fields, events=events, final=e, dt=cfg.dt,
-                     snapshot_every=snapshot_every, deaths=deaths,
-                     field_factory=field_factory)
+def integrate(e0: Ensemble, field_factory, cfg: StepperConfig, t_end) -> RunRecord:
+    """Fixed-dt run over [0, t_end]; its ``RunRecord`` keeps every sample of
+    ``samples``."""
+    return RunRecord(list(samples(e0, field_factory, cfg, t_end)), cfg.dt)

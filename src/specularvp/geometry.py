@@ -50,9 +50,6 @@ class Domain:
     def project_boundary(self, x):
         raise NotImplementedError
 
-    def flattening_map(self) -> "FlatteningMap":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class HalfSpace(Domain):
@@ -79,9 +76,6 @@ class HalfSpace(Domain):
         x = np.array(x, dtype=float)
         x[..., 0] = 0.0
         return x
-
-    def flattening_map(self):
-        return FlatteningMap(self)
 
 
 @dataclass(frozen=True)
@@ -123,9 +117,6 @@ class Ball(Domain):
             p = np.where(outside, p * (1.0 - np.finfo(float).eps), p)
             outside = np.linalg.norm(p, axis=-1, keepdims=True) > self.radius
         return p
-
-    def flattening_map(self):
-        return FlatteningMap(self)
 
 
 def reflect_velocity(n, v):

@@ -68,7 +68,7 @@ def _check_mass(a: Ensemble, b: Ensemble):
     return ma
 
 
-def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> float:
+def w1_exact(a: Ensemble, b: Ensemble) -> float:
     """Exact Kantorovich W_1 between two equal-mass empirical measures.
 
     Euclidean cost on phase space (x, v) between the live particles, with
@@ -78,23 +78,23 @@ def w1_exact(a: Ensemble, b: Ensemble, n_exact=N_EXACT) -> float:
     """
     mass = _check_mass(a, b)
     return _w1_alive(_phase_points(a)[a.alive], a.w[a.alive],
-                     _phase_points(b)[b.alive], b.w[b.alive], mass, n_exact)
+                     _phase_points(b)[b.alive], b.w[b.alive], mass)
 
 
-def check_exact_w1(w, n_exact=N_EXACT):
+def check_exact_w1(w):
     """What exact W_1 cannot match, for the weights w of one ensemble's live
-    particles: TooLarge past ``n_exact`` of them, UnequalWeights if they differ."""
-    if len(w) > n_exact:
-        raise TooLarge(f"exact matching limited to {n_exact} particles, got {len(w)}")
+    particles: TooLarge past ``N_EXACT`` of them, UnequalWeights if they differ."""
+    if len(w) > N_EXACT:
+        raise TooLarge(f"exact matching limited to {N_EXACT} particles, got {len(w)}")
     if len(w) and np.ptp(w) > 1e-12 * np.max(w):
         raise UnequalWeights("exact W_1 requires equal weights within each ensemble")
 
 
-def _w1_alive(za, wa, zb, wb, mass, n_exact=N_EXACT):
+def _w1_alive(za, wa, zb, wb, mass):
     """Exact W_1 between the phase points za and zb, live rows only, with
     weights wa and wb, each summing to ``mass``."""
     for w in (wa, wb):
-        check_exact_w1(w, n_exact)
+        check_exact_w1(w)
     if len(za) == 0 or len(zb) == 0:
         return 0.0
     if len(za) != len(zb):

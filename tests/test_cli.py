@@ -171,7 +171,9 @@ BAD_INPUTS = {
     # numpy's generators take no negative seed; the run must not start
     **{f"{command}-negative-seed": ([command, "--config", "{tmp}/run.cfg", "--out", "{tmp}/x",
                                      "--seed", "-1"], "--seed -1 is not >= 0")
-       for command in ("simulate", "picard", "compare-backends")},
+       for command in ("simulate", "picard")},
+    "compare-backends-negative-seed": (["compare-backends", "--config", "{tmp}/run.cfg",
+                                        "--seed", "-1"], "--seed -1 is not >= 0"),
     "audit-green-negative-seed": (["audit-green", "--pairs", "10", "--seed", "-1"],
                                   "--seed -1 is not >= 0"),
     # a tolerance that is not >= 0 gives a verdict from bad input
@@ -316,8 +318,16 @@ class TestCommands:
     def test_compare_backends(self, tmp_path):
         text = MINIMAL.replace("t_end = 0.01", "t_end = 0.05")
         cfg_path = write(tmp_path, text)
-        assert main(["compare-backends", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "cmp")]) == 0
+        assert main(["compare-backends", "--config", str(cfg_path)]) == 0
+
+    def test_compare_backends_takes_no_out(self, tmp_path, capsys):
+        # the command writes no file, so an output directory is refused
+        cfg_path = write(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-backends", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_picard_writes_contraction_csv(self, tmp_path):
         text = MINIMAL + "\n[picard]\nt0 = 0.01\nn_max = 3\n"

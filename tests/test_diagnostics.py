@@ -34,7 +34,7 @@ from specularvp.fields import (
     cutoff_rbar_prime,
     make_field_factory,
 )
-from specularvp.flow import StepperConfig, integrate
+from specularvp.flow import RunRecord, StepperConfig, integrate
 from specularvp.geometry import Ball, HalfSpace
 
 HS = HalfSpace(3)
@@ -59,12 +59,12 @@ class TestKTau:
         rng = np.random.default_rng(0)
         e = make(np.c_[0.5 + rng.random(8), rng.normal(size=(8, 2))],
                  rng.normal(size=(8, 3)), np.full(8, 0.1))
-        assert k_tau(field_of(e)) == 0.0
+        assert k_tau(e, field_of(e)) == 0.0
 
     def test_vanishes_for_velocity_orthogonal_to_field(self):
         # single particle in the shell moving tangentially: v . S = 0
         e = make([[0.15, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [1.0])
-        assert k_tau(field_of(e)) == pytest.approx(0.0, abs=1e-18)
+        assert k_tau(e, field_of(e)) == pytest.approx(0.0, abs=1e-18)
 
     def test_single_particle_hand_value(self):
         # K = 2 w (1 - rbar^zeta) v . S with S the self-image gradient sum
@@ -76,24 +76,24 @@ class TestKTau:
                    + cutoff_rbar(s / PARAMS.delta) * (-1.0) * c_d(3) / s**2)
         s1 = -w * g_prime
         expected = 2 * w * (1 - cutoff_rbar(x1 / PARAMS.zeta)) * v1 * s1
-        assert k_tau(field_of(e)) == pytest.approx(expected, rel=1e-12)
+        assert k_tau(e, field_of(e)) == pytest.approx(expected, rel=1e-12)
 
     def test_problem_b_route_vanishes_outside_sign_strip(self):
         rng = np.random.default_rng(1)
         base = make(np.c_[0.5 + rng.random(4), rng.normal(size=(4, 2))],
                     rng.normal(size=(4, 3)), np.full(4, 0.2))
         sym = symmetrize(base)
-        assert k_tau(field_of(sym, GreenKind.WHOLE_SPACE)) == 0.0
+        assert k_tau(sym, field_of(sym, GreenKind.WHOLE_SPACE)) == 0.0
 
     def test_whole_space_kind_is_zero(self):
         e = make([[0.02, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [1.0], domain=None)
-        assert k_tau(field_of(e, GreenKind.WHOLE_SPACE)) == 0.0
+        assert k_tau(e, field_of(e, GreenKind.WHOLE_SPACE)) == 0.0
 
 
-def run_fixture(e0, dt, t_end, kind=KIND, params=PARAMS, **kw):
+def run_fixture(e0, dt, t_end, kind=KIND, params=PARAMS):
     fac = make_field_factory(e0.domain, kind, params)
     cfg = StepperConfig(dt=dt)
-    return integrate(e0, fac, cfg, t_end, **kw)
+    return integrate(e0, fac, cfg, t_end)
 
 
 class TestEnergyAudit:
@@ -133,17 +133,13 @@ class TestEnergyAudit:
                               (on_sample, (1 / 32, 1 / 64), 0.5)):
             drifts = []
             for dt in dts:
-                obs = LedgerObserver()
-                ledger = energy_audit(run_fixture(e, dt, t_end, observer=obs))
+                obs, rec = LedgerObserver(), run_fixture(e, dt, t_end)
+                for sample in rec.samples:
+                    obs(*sample)
+                ledger = energy_audit(rec)
                 assert obs.ledger().drift.tobytes() == ledger.drift.tobytes()
                 drifts.append(ledger.max_abs_drift)
             assert drifts[0] / drifts[1] >= 3.0
-
-    def test_grid_mismatch(self):
-        e = make([[0.6, 0.0, 0.0]], [[-1.0, 0.0, 0.0]], [1.0])
-        rec = run_fixture(e, 1e-2, 0.1, snapshot_every=5)
-        with pytest.raises(GridMismatch):
-            energy_audit(rec)
 
     def test_smooth_sign_fold_ledger_closes_through_k(self):
         # whole-space route: the sign-mismatch power balances the books
@@ -383,21 +379,27 @@ class TestIncompressibility:
     def test_zero_field_shear_map(self):
         e = make([[5.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [0.0])
         rec = run_fixture(e, 1e-3, 1.0)
-        err = incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]),
-                                      h=1e-5, t_end=1.0)
+        err, = incompressibility_probe(rec, [[3.0, 0, 0, 0.1, 0.2, 0.0]], h=1e-5, t_end=1.0)
         assert err < 1e-9
 
     def test_self_consistent_two_body(self):
         rec = self.reference_run()
-        err = incompressibility_probe(rec, np.array([1.5, 0.3, 0.0, 0.0, 0.1, 0.0]),
-                                      h=1e-5, t_end=1.0)
+        err, = incompressibility_probe(rec, [[1.5, 0.3, 0.0, 0.0, 0.1, 0.0]], h=1e-5, t_end=1.0)
         assert err <= 1e-4
+
+    def test_points_are_probed_as_if_alone(self):
+        # the stencils share one tracer ensemble, whose rows step independently
+        rec = self.reference_run()
+        points = [[1.5, 0.3, 0.0, 0.0, 0.1, 0.0], [2.0, -0.2, 0.1, 0.1, 0.0, -0.1],
+                  [1.2, 0.0, 0.4, -0.1, 0.2, 0.1]]
+        together = incompressibility_probe(rec, points, h=1e-5, t_end=0.5)
+        alone = [incompressibility_probe(rec, [p], h=1e-5, t_end=0.5)[0] for p in points]
+        assert together.tobytes() == np.array(alone).tobytes()
 
     def test_stencil_reflection_raises(self):
         rec = self.reference_run()
         with pytest.raises(StencilReflected):
-            incompressibility_probe(rec, np.array([0.05, 0.0, 0.0, -1.0, 0.0, 0.0]),
-                                    h=1e-5, t_end=1.0)
+            incompressibility_probe(rec, [[0.05, 0.0, 0.0, -1.0, 0.0, 0.0]], h=1e-5, t_end=1.0)
 
     def test_excursion_within_one_step_raises(self):
         # in a field of 1e4 pushing off the wall, a tracer at x_1 = 1.2e-5
@@ -409,15 +411,15 @@ class TestIncompressibility:
         rec = integrate(make([[0.5, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [1.0]), push,
                         StepperConfig(dt=1e-3), 1e-3)
         with pytest.raises(StencilReflected):
-            incompressibility_probe(rec, np.array([1.2e-5, 0.0, 0.0, -1.0, 0.0, 0.0]),
+            incompressibility_probe(rec, [[1.2e-5, 0.0, 0.0, -1.0, 0.0, 0.0]],
                                     h=1e-6, t_end=1e-3)
 
     def test_t_end_beyond_the_run_raises(self):
         # tracer step k takes the field of snapshot k; past the run there is none
         rec = run_fixture(make([[5.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [0.0]), 1e-2, 0.1)
-        incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]), t_end=0.1)
+        incompressibility_probe(rec, [[3.0, 0, 0, 0.1, 0.2, 0.0]], t_end=0.1)
         with pytest.raises(GridMismatch):
-            incompressibility_probe(rec, np.array([3.0, 0, 0, 0.1, 0.2, 0.0]), t_end=0.11)
+            incompressibility_probe(rec, [[3.0, 0, 0, 0.1, 0.2, 0.0]], t_end=0.11)
 
 
 class TestBlowupMonitor:
@@ -474,9 +476,8 @@ class TestBlowupMonitor:
 class TestMirrorSymmetryOfDiagnostics:
     def test_problem_b_ledger_and_phi_are_mirror_invariant(self):
         # diagnostics computed on a ProblemB run equal those on its mirror
-        # image bitwise (negation and |.| are exact)
-        import dataclasses
-
+        # image, each snapshot in its own field, bitwise (negation and |.|
+        # are exact)
         rng = np.random.default_rng(7)
         base = make(np.c_[0.3 + rng.random(6), rng.normal(size=(6, 2))],
                     rng.normal(size=(6, 3)) * 0.5, np.full(6, 0.1))
@@ -485,14 +486,15 @@ class TestMirrorSymmetryOfDiagnostics:
         rec = integrate(sym, fac, StepperConfig(dt=1e-2), 0.2)
 
         def mirrored(run):
-            snaps = []
-            for t, s in run.snapshots:
+            samples = []
+            for t, s, _, events in run.samples:
                 xm = s.x.copy()
                 vm = s.v.copy()
                 xm[:, 0] = -xm[:, 0]
                 vm[:, 0] = -vm[:, 0]
-                snaps.append((t, s.with_state(x=xm, v=vm)))
-            return dataclasses.replace(run, snapshots=snaps)
+                sm = s.with_state(x=xm, v=vm)
+                samples.append((t, sm, fac(sm), events))
+            return RunRecord(samples, run.dt)
 
         led = energy_audit(rec)
         led_m = energy_audit(mirrored(rec))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from specularvp.geometry import (
     Ball,
     ChartViolation,
+    FlatteningMap,
     HalfSpace,
     reflect_velocity,
 )
@@ -139,7 +140,7 @@ def random_chart_points(rng, ball, n):
 
 class TestFlatteningMap:
     def test_halfspace_is_identity(self):
-        fm = HalfSpace(3).flattening_map()
+        fm = FlatteningMap(HalfSpace(3))
         x = np.array([0.3, -1.0, 2.0])
         y, J = fm.flatten(x)
         assert np.array_equal(y, x)
@@ -147,20 +148,20 @@ class TestFlatteningMap:
 
     def test_boundary_maps_to_zero_height(self):
         ball = Ball(3, 1.0)
-        fm = ball.flattening_map()
+        fm = FlatteningMap(ball)
         y = fm.forward(np.array([1.0, 0.0, 0.0]))
         assert y[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_first_coordinate_is_distance(self):
         ball = Ball(3, 1.0)
-        fm = ball.flattening_map()
+        fm = FlatteningMap(ball)
         rng = np.random.default_rng(4)
         for x in random_chart_points(rng, ball, 20):
             assert fm.forward(x)[0] == pytest.approx(ball.signed_distance(x), rel=1e-13)
 
     def test_jacobian_against_finite_differences(self):
         ball = Ball(3, 1.0)
-        fm = ball.flattening_map()
+        fm = FlatteningMap(ball)
         x = np.array([0.9, 0.0, 0.0])
         assert np.allclose(fm.jacobian(x), fd_jacobian(fm, x), atol=1e-8)
         rng = np.random.default_rng(5)
@@ -170,7 +171,7 @@ class TestFlatteningMap:
     def test_normal_identities_at_random_chart_points(self):
         # J n(x) = e_1 and v . n(x) = J v . e_1 at 10^3 chart points
         ball = Ball(3, 1.3)
-        fm = ball.flattening_map()
+        fm = FlatteningMap(ball)
         rng = np.random.default_rng(6)
         pts = random_chart_points(rng, ball, 1000)
         J = fm.jacobian(pts)
@@ -186,7 +187,7 @@ class TestFlatteningMap:
 
     def test_roundtrip_and_det_bounds(self):
         ball = Ball(4, 1.0)
-        fm = ball.flattening_map()
+        fm = FlatteningMap(ball)
         rng = np.random.default_rng(7)
         pts = random_chart_points(rng, ball, 200)
         back = fm.inverse(fm.forward(pts))
@@ -196,7 +197,7 @@ class TestFlatteningMap:
         assert np.all((det > 1e-2) & (det < 1e2))
 
     def test_chart_violation(self):
-        fm = Ball(3, 1.0).flattening_map()
+        fm = FlatteningMap(Ball(3, 1.0))
         with pytest.raises(ChartViolation):
             fm.forward(np.array([0.1, 0.0, 0.0]))
         with pytest.raises(ChartViolation):

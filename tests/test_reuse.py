@@ -1,13 +1,13 @@
 """Force reuse and the streamed ledger.
 
-``integrate`` carries each step's trailing-kick field into the next step as
+``samples`` carries each step's trailing-kick field into the next step as
 its field, the field's sweep as the leading field, and drops it when a
 particle dies.  Every run here is
 compared with a reference loop that reuses nothing: it evaluates each
 step's leading field afresh, as the stepper did before the reuse, and the
 two must agree bit for bit.  The ledger and log-log moment streamed by
 ``LedgerObserver`` must equal ``energy_audit`` and ``blowup_monitor``,
-recomputed from stored snapshots, bit for bit.
+recomputed from the run's record, bit for bit.
 """
 
 import dataclasses
@@ -28,7 +28,14 @@ from specularvp.fields import (
     SnapshotField,
     make_field_factory,
 )
-from specularvp.flow import ReflectionEvent, StepperConfig, fold_halfspace, integrate, step
+from specularvp.flow import (
+    ReflectionEvent,
+    RunRecord,
+    StepperConfig,
+    fold_halfspace,
+    integrate,
+    step,
+)
 from specularvp.geometry import Ball, HalfSpace
 
 HS = HalfSpace(3)
@@ -245,7 +252,10 @@ def test_one_snapshot_and_one_factor_evaluation_per_step(monkeypatch):
 
     monkeypatch.setattr(model, "factor", counted_factor)
     k = 30
-    rec = integrate(e0, factory, StepperConfig(dt=1e-3), k * 1e-3, observer=LedgerObserver())
+    rec = integrate(e0, factory, StepperConfig(dt=1e-3), k * 1e-3)
+    obs = LedgerObserver()
+    for sample in rec.samples:
+        obs(*sample)
     assert not rec.events and not rec.deaths
     assert 0 < len(builds) <= k + 1
     assert bound == [len(e0)] * (k + 1)
@@ -276,15 +286,12 @@ def _whole_run(case, dim, n, steps, seed):
                   domain=dom)
     if fold:
         e0 = symmetrize(e0)
-    obs, calls = LedgerObserver(), []
-
-    def observer(t, snap, field, events):
-        calls.append((t, events))
-        obs(t, snap, field, events)
-
     cfg = StepperConfig(dt=1e-2)
     factory = make_field_factory(dom, kind, PARAMS, hard_sign=fold)
-    return e0, obs, calls, integrate(e0, factory, cfg, steps * cfg.dt, observer=observer)
+    rec, obs = integrate(e0, factory, cfg, steps * cfg.dt), LedgerObserver()
+    for sample in rec.samples:
+        obs(*sample)
+    return e0, obs, rec
 
 
 def assert_mirror_pairs(s, n):
@@ -316,8 +323,8 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
     # the stepper builds each snapshot once and the tail field reads unchecked
     # Sources; every stored snapshot must still lie in the closed domain, or
     # for the fold keep its mirror pairs, and every bounce must be specular
-    # and name the step that made it
-    e0, obs, calls, rec = _whole_run(case, dim, n, steps, seed)
+    # and arrive with the step that made it
+    e0, obs, rec = _whole_run(case, dim, n, steps, seed)
     event("bounces" if rec.events else "no bounce")
     assert len(rec.snapshots) == steps + 1
     for _, s in rec.snapshots:
@@ -328,9 +335,9 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
         assert s.w.tobytes() == e0.w.tobytes()
     for ev in rec.events:
         assert_specular(e0.domain, ev)
-    # a call's events come from the step that starts at the call before
-    for (t_start, _), (_, events) in zip(calls, calls[1:]):
-        assert all(ev.step_start == t_start for ev in events)
+    # a bounce arrives with the sample that ends the step that made it
+    for (t0, *_), (t1, _, _, events) in zip(rec.samples, rec.samples[1:]):
+        assert all(t0 <= ev.t <= t1 + 1e-12 for ev in events)
     audit, ledger = energy_audit(rec), obs.ledger()
     for f in dataclasses.fields(audit):
         assert getattr(ledger, f.name).tobytes() == getattr(audit, f.name).tobytes(), f.name
@@ -339,8 +346,9 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_streamed_ledger_equals_the_audits(case):
     e0, factory, cfg, t_end = CASES[case]()
-    obs = LedgerObserver()
-    rec = integrate(e0, factory, cfg, t_end, observer=obs)
+    rec, obs = integrate(e0, factory, cfg, t_end), LedgerObserver()
+    for sample in rec.samples:
+        obs(*sample)
     audit = energy_audit(rec)
     ledger = obs.ledger()
     for f in dataclasses.fields(audit):
@@ -353,32 +361,33 @@ def test_streamed_ledger_equals_the_audits(case):
 
 
 def test_streamed_event_corrections_follow_the_step_index_rule():
-    # an event is corrected in the step that made it, whatever its time: at
-    # the step's start, just past its end, or just past the run's end, in
-    # the same sample, with the same source snapshot, in both paths
+    # an event is corrected in the step that made it, the one ending on the
+    # sample it arrives with, whatever its time: at the step's start, just
+    # past its end, or just past the run's end, with the same source
+    # snapshot, in both paths
     e0, factory, cfg, _ = bounce()
     rec = integrate(e0, factory, cfg, 0.3)
-    times = np.array([t for t, _ in rec.snapshots])
-    fields = [factory(s) for _, s in rec.snapshots]
-    last = len(fields) - 2
+    times = [t for t, *_ in rec.samples]
+    last = len(times) - 1
 
-    def bounce_at(t, k):
+    def bounce_at(t):
         return ReflectionEvent(t, 1, np.array([0.0, 0.1, 0.0]),
                                np.array([-1.0, 0.2, 0.0]), np.array([1.0, 0.2, 0.0]),
-                               np.zeros(3), times[k])
+                               np.zeros(3))
 
-    by_step = {
-        5: [bounce_at(times[5] + 0.3 * cfg.dt, 5)],
-        10: [bounce_at(times[10], 10)],                                 # theta = 0
-        11: [bounce_at(np.nextafter(times[12], np.inf), 11)],           # theta > 1
-        last: [bounce_at(np.nextafter(times[-1], np.inf), last)],       # past the end
+    by_sample = {
+        6: [bounce_at(times[5] + 0.3 * cfg.dt)],
+        11: [bounce_at(times[10])],                                    # theta = 0
+        12: [bounce_at(np.nextafter(times[12], np.inf))],              # theta > 1
+        last: [bounce_at(np.nextafter(times[-1], np.inf))],            # past the end
     }
+    moved = RunRecord([(t, s, f, by_sample.get(m, []))
+                       for m, (t, s, f, _) in enumerate(rec.samples)], rec.dt)
     obs = LedgerObserver()
-    for m, field in enumerate(fields):
-        obs(times[m], field.ens, field, by_step.get(m - 1, []))
-    events = [ev for k in sorted(by_step) for ev in by_step[k]]
-    audit = energy_audit(dataclasses.replace(rec, events=events))
+    for sample in moved.samples:
+        obs(*sample)
+    audit = energy_audit(moved)
     for name in ("k_integral", "drift"):
         assert getattr(obs.ledger(), name).tobytes() == getattr(audit, name).tobytes()
     jumps = np.diff(audit.k_integral - energy_audit(rec).k_integral)
-    assert list(np.flatnonzero(jumps) + 1) == [6, 11, 12, len(times) - 1]
+    assert list(np.flatnonzero(jumps) + 1) == [6, 11, 12, last]
