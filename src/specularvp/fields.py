@@ -357,8 +357,9 @@ _KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPI
 @functools.cache
 def _load_kernel():
     """pairs.c as a ctypes library (``pair_rows``, ``phase_cost``,
-    ``assignment``), or None when it cannot be built or loaded: the numpy
-    path and scipy then give the same bits.
+    ``assignment``, ``first_exit``), or None when it cannot be built or
+    loaded: the numpy path, scipy and ``flow._exit_row`` then give the same
+    bits.
 
     gcc builds it on first use into the package's ``__pycache__``, under a
     name keyed by the sha256 of the source and the flags, and publishes it
@@ -389,6 +390,8 @@ def _load_kernel():
     kernel.phase_cost.restype = None
     kernel.assignment.argtypes = [n, p, p]
     kernel.assignment.restype = i
+    kernel.first_exit.argtypes = [i, dbl, n, p, p, p, p, p]
+    kernel.first_exit.restype = None
     return kernel
 
 

@@ -8,10 +8,10 @@ the distance to the wall is a polynomial in time (a quadratic for the
 half-space, a quartic for the ball), and the exit is its first root where
 the path leaves, so an excursion that returns within the step is found.
 All particles whose path leaves in a step advance together, in rounds of
-one bounce each, with one field call per round; round 0 reuses the leading
-field and distance polynomials the step computed to find them.  Particles
-are summed and located independently, so the result is bitwise the same as
-stepping them one at a time.
+one bounce each, with one field call and one compiled event-location call
+per round; round 0 reuses the leading field the step computed to find
+them.  Particles are summed and located independently, so the result is
+bitwise the same as stepping them one at a time.
 
 The ensemble's frame decides the wall:
 
@@ -36,6 +36,7 @@ import numpy as np
 
 from .geometry import GRAZE_RTOL, Domain, HalfSpace, reflect_velocity
 from .ensemble import Ensemble, Frame, Sources
+from . import fields
 from .fields import SnapshotField
 
 __all__ = [
@@ -59,7 +60,6 @@ EVENT_DIST_RTOL = 1e-13
 
 # an exit time settles on a grid of this many ulps either side of its root
 ULP_WALK = 4
-_OFFSETS = np.arange(-ULP_WALK, ULP_WALK + 1)
 _EPS = np.finfo(float).eps
 
 
@@ -144,135 +144,174 @@ def _dot(a, b):
 
 def _distance_poly(domain: Domain, x, v, e, h):
     """Coefficients (lowest degree first, last axis) of the distance to the
-    wall along ``_path`` in theta = s / h, for rows with a scalar or per-row
-    h: x_1 for the half-space wall (the fold plane, folded by ``step``),
-    R^2 - |x|^2 for the ball.  The constant term comes from the start's
-    computed signed distance d (R^2 - |x|^2 = d (2R - d)), clipped at 0: a
-    start that reads as on the wall is a root at theta = 0, and one an ulp
-    outside is not an exit.  The powers h^3 and h^4 are taken per value as
-    Python floats, whose rounding differs from numpy's array power."""
-    d = np.maximum(domain.signed_distance(x), 0.0)
+    wall along ``_path`` in theta = s / h for a step of length h: x_1 for
+    the half-space wall (the fold plane, folded by ``step``), R^2 - |x|^2
+    for the ball.  The constant term comes from the start's computed signed
+    distance d (R^2 - |x|^2 = d (2R - d)), clipped at 0: a start that reads
+    as on the wall is a root at theta = 0, and one an ulp outside is not an
+    exit.  ``step`` flags the rows that may leave with it; ``_exit_row``
+    computes the same coefficients per row."""
+    h, d = float(h), np.maximum(domain.signed_distance(x), 0.0)
     if isinstance(domain, HalfSpace):
         return np.stack([d, h * v[..., 0], 0.5 * h * h * e[..., 0]], axis=-1)
-    hs = np.asarray(h, dtype=float)
-    h3, h4 = (np.array([t**p for t in hs.ravel().tolist()]).reshape(hs.shape) for p in (3, 4))
     xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
                           for a, b in ((x, v), (v, v), (x, e), (v, e), (e, e)))
     return np.stack([d * (2.0 * domain.radius - d), -2.0 * h * xv, -h * h * (vv + xe),
-                     -h3 * ve, -0.25 * h4 * ee], axis=-1)
+                     -h**3 * ve, -0.25 * h**4 * ee], axis=-1)
 
 
-def _real_roots(cs):
-    """Real roots of each sum_k c[k] t^k in the list cs, leading terms below
-    rounding on [0, 1] dropped: the stable closed form up to degree 2 (the
-    half-space, the plane, a ball in a zero field), else companion-matrix
-    eigenvalues, one stacked ``eigvals`` per matrix size."""
-    trimmed, roots = [], []
-    for c in cs:
-        while len(c) > 1 and abs(c[-1]) <= _EPS * sum(map(abs, c)):
-            c = c[:-1]
-        trimmed.append(c)
-        if len(c) > 3:
-            roots.append(None)
-            continue
+def _horner(c, t):
+    """sum_k c[k] t^k in Horner's form."""
+    p = c[-1]
+    for cj in reversed(c[:-1]):
+        p = p * t + cj
+    return p
+
+
+def _real_roots(c):
+    """Real roots of sum_k c[k] t^k (c a list), leading terms below rounding
+    on [0, 1] dropped.  Up to degree 2 the stable closed form gives every
+    real root (the half-space, the plane, a ball in a zero field).  Above,
+    the roots in (0, 1) are isolated: the roots of the derivative, found the
+    same way, split [0, 1] into monotone pieces; a zero at a split point is
+    a root, and a piece whose ends have opposite signs is bisected, in
+    Horner's form, until its midpoint equals an end, the root returned."""
+    while len(c) > 1 and abs(c[-1]) <= _EPS * sum(map(abs, c)):
+        c = c[:-1]
+    if len(c) <= 3:
         c0, b, a = c + [0.0] * (3 - len(c))
         disc = b * b - 4.0 * a * c0
         if a == 0.0 or disc < 0.0:
-            roots.append([-c0 / b] if a == 0.0 and b else [])
-        else:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots.append([q / a, c0 / q] if q else [0.0])
-    for m in {len(c) - 1 for c in trimmed if len(c) > 3}:
-        rows = [k for k, c in enumerate(trimmed) if len(c) == m + 1]
-        comp = np.zeros((len(rows), m, m))
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        comp[:, :, -1] = [[-ck / trimmed[k][-1] for ck in trimmed[k][:-1]] for k in rows]
-        z = np.linalg.eigvals(comp)
-        real = np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z.real))
-        for k, zk, rk in zip(rows, z.real.tolist(), real.tolist()):
-            roots[k] = [r for r, keep in zip(zk, rk) if keep]
+            return [-c0 / b] if a == 0.0 and b else []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [q / a, c0 / q] if q else [0.0]
+    slope = [j * cj for j, cj in enumerate(c)][1:]
+    cut = [0.0, *sorted(r for r in _real_roots(slope) if 0.0 < r < 1.0), 1.0]
+    f = [_horner(c, t) for t in cut]
+    roots = [t for t, ft in zip(cut[1:-1], f[1:-1]) if ft == 0.0]
+    for lo, hi, flo, fhi in zip(cut, cut[1:], f, f[1:]):
+        if flo < 0.0 < fhi or fhi < 0.0 < flo:
+            while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
+                fm = _horner(c, mid)
+                if fm == 0.0:
+                    break
+                if (fm < 0.0) == (flo < 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(mid)
     return roots
 
 
-def _first_exit(domain: Domain, c, x, v, e, h):
-    """Fraction theta in [0, 1) of each row's sub-step h at which its path
-    first leaves the domain, NaN where it stays in the closed domain; c holds
-    the rows' ``_distance_poly`` coefficients.
+def _exit_row(radius, x, v, e, h):
+    """``_first_exit`` of one row in Python floats: x, v and e are lists, h
+    a float, radius the ball's or 0.0 for the half-space wall.
 
-    The real roots of the distance polynomial split [0, 1]; the exit starts
-    the first piece on which it is negative, so a tangency, a start on the
-    wall moving inward and an arrival on the wall at theta = 1 are not
-    exits.  A root gets two Newton steps, then theta moves to the last float
-    with computed distance >= 0 in the run from ULP_WALK ulps below to
-    ULP_WALK above (further back if there is none).  A path whose computed
-    end point rounds outside exits just before theta = 1.  The piece search
-    and Newton steps run per row in Python floats, the ulp walk on all rows
-    at once.  The fold plane is the half-space wall of rows folded by ``step``.
-    """
-    def poly(t, c):
+    The distance polynomial's coefficients are ``_distance_poly``'s float
+    operations: numpy adds a short row's products from the first on (d < 8)
+    and takes h^3 and h^4 as Python's ``**`` does, with libm's pow."""
+    def dot(a, b):
+        s = a[0] * b[0]
+        for ak, bk in zip(a[1:], b[1:]):
+            s += ak * bk
+        return s
+
+    def dist(s):
+        # the computed signed distance at time s along the path
+        p = [xk + s * vk + 0.5 * s * s * ek for xk, vk, ek in zip(x, v, e)]
+        return radius - math.sqrt(dot(p, p)) if radius else p[0]
+
+    def poly(c, t):
         return sum(cj * t**j for j, cj in enumerate(c))
 
-    def dist(i, t):
-        # signed distance at fractions t (a row of columns per row i)
-        return domain.signed_distance(
-            _path(x[i, None], v[i, None], e[i, None], (t * h[i, None])[..., None]))
+    d0 = dist(0.0)
+    d0 = d0 if d0 > 0.0 else 0.0
+    if radius:
+        c = [d0 * (2.0 * radius - d0), -2.0 * h * dot(x, v), -h * h * (dot(v, v) + dot(x, e)),
+             -h**3 * dot(v, e), -0.25 * h**4 * dot(e, e)]
+    else:
+        c = [d0, h * v[0], 0.5 * h * h * e[0]]
+    cut = sorted([0.0, 1.0, *(r for r in _real_roots(c) if 0.0 < r < 1.0)])
+    mid = [0.5 * (a + b) for a, b in zip(cut, cut[1:])]
+    k = next((k for k, m in enumerate(mid) if cut[k + 1] > cut[k] and poly(c, m) < 0.0), None)
+    th = 1.0 if k is None else cut[k]
+    if k:
+        # a root: Newton, kept between the midpoints of the pieces around it
+        slope = [j * cj for j, cj in enumerate(c)][1:]
+        for _ in range(2):
+            if poly(slope, th):
+                th = min(max(th - poly(c, th) / poly(slope, th), mid[k - 1]), mid[k])
+    if k is None and dist(1.0 * h) >= 0.0:
+        return math.nan
+    grid = [min(max(th + math.ulp(th) * o, 0.0), 1.0) for o in range(-ULP_WALK, ULP_WALK + 1)]
+    run = next((j for j, g in enumerate(grid)
+                if (j > ULP_WALK and not (k and g < 1.0)) or not dist(g * h) >= 0.0), len(grid))
+    if run:
+        return grid[run - 1]
+    th, step = grid[0], 2.0 * ULP_WALK
+    while th > 0.0 and dist(th * h) < 0.0:
+        th = max(th - step * math.ulp(th), 0.0)
+        step *= 2.0
+    return th
 
-    polys = c.tolist()
-    theta = np.empty(len(polys))
-    root, none = np.zeros(len(polys), dtype=bool), np.zeros(len(polys), dtype=bool)
-    for i, (cf, roots) in enumerate(zip(polys, _real_roots(polys))):
-        cut = sorted([0.0, 1.0, *(r for r in roots if 0.0 < r < 1.0)])
-        mid = [0.5 * (a + b) for a, b in zip(cut, cut[1:])]
-        k = next((k for k, m in enumerate(mid) if cut[k + 1] > cut[k] and poly(m, cf) < 0.0),
-                 None)
-        th = 1.0 if k is None else cut[k]
-        if k:
-            # a root: Newton, kept between the midpoints of the pieces around it
-            slope = [j * cj for j, cj in enumerate(cf)][1:]
-            for _ in range(2):
-                if poly(th, slope):
-                    th = min(max(th - poly(th, cf) / poly(th, slope), mid[k - 1]), mid[k])
-        theta[i], root[i], none[i] = th, bool(k), k is None
-    grid = np.clip(theta[:, None] + np.spacing(theta)[:, None] * _OFFSETS, 0.0, 1.0)
-    d = dist(slice(None), grid)
-    stay = none & (d[:, ULP_WALK] >= 0.0)
-    ok = (d >= 0.0) & ((_OFFSETS <= 0) | (root[:, None] & (grid < 1.0)))
-    run = np.where(ok.all(axis=1), len(_OFFSETS), ok.argmin(axis=1))
-    theta = grid[np.arange(len(grid)), np.maximum(run - 1, 0)]
-    for i in np.flatnonzero((run == 0) & ~stay):
-        step = 2.0 * ULP_WALK
-        while theta[i] > 0.0 and dist([i], theta[[i], None])[0, 0] < 0.0:
-            theta[i] = max(theta[i] - step * np.spacing(theta[i]), 0.0)
-            step *= 2.0
-    theta[stay] = np.nan
+
+def _first_exit(domain: Domain, x, v, e, h):
+    """Fraction theta in [0, 1) of each row's sub-step h at which its path
+    first leaves the domain, NaN where it stays in the closed domain.
+
+    Along the path the distance to the wall is a polynomial in theta (see
+    ``_distance_poly``); its real roots (``_real_roots``) split [0, 1], and
+    the exit starts the first piece on which it is negative, so a tangency,
+    a start on the wall moving inward and an arrival on the wall at
+    theta = 1 are not exits.  A root gets two Newton steps, then theta
+    moves to the last float with computed distance >= 0 in the run from
+    ULP_WALK ulps below to ULP_WALK above (further back if there is none).
+    A path whose computed end point rounds outside exits just before
+    theta = 1.  The fold plane is the half-space wall of rows folded by
+    ``step``.
+
+    The rows go to pairs.c's ``first_exit`` in one call, which does each
+    row's float operations in scalar doubles; without the compiled kernel
+    ``_exit_row`` does the same operations in Python floats, with the same
+    bits.
+    """
+    radius = 0.0 if isinstance(domain, HalfSpace) else float(domain.radius)
+    kernel = fields._load_kernel()
+    if kernel is None:
+        return np.array([_exit_row(radius, *row) for row in
+                         zip(x.tolist(), v.tolist(), e.tolist(), h.tolist())])
+    x, v, e, h = (np.ascontiguousarray(a, dtype=float) for a in (x, v, e, h))
+    if not x.shape == v.shape == e.shape == (len(h), domain.dim) or h.ndim != 1:
+        raise ValueError("first_exit takes rows x, v, e of shape (m, dim) and h of shape (m,)")
+    theta = np.empty(len(h))
+    kernel.first_exit(x.shape[1], radius, len(h), x.ctypes.data, v.ctypes.data,
+                      e.ctypes.data, h.ctypes.data, theta.ctypes.data)
     return theta
 
 
-def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflections,
-                         particles):
+def _advance_with_events(x, v, e, e_fn, dt, t0, domain: Domain, max_reflections, particles):
     """One full KDK step of the rows (x, v), each split where its path leaves.
 
-    ``e`` is the frozen field ``e_fn`` at x and ``c`` the rows'
-    ``_distance_poly`` over the whole step, as the caller computed them to
-    flag the rows.  Between exits each sub-interval is a kick-drift-kick
-    sub-step with the frozen field, and the partial sub-step up to an exit
-    is completed on the wall, where the velocity is reflected and the event
-    recorded; ``step`` hands in the fold plane as the half-space wall of
-    folded rows, where a pass is a bounce.  Grazing hits (|v . n| <=
-    GRAZE_RTOL |v|, v = 0 included) finish the step with no jump, sliding
-    along the wall if the field pushes them into it; so do hits whose KDK
-    velocity v_minus already points inward (v . n > GRAZE_RTOL |v|, n the
-    inward normal), which the path can reach when the field at the hit
-    differs from the one at the sub-step's start: a reflection would send
-    them out, and the next sub-step would undo it at the same time.
+    ``e`` is the frozen field ``e_fn`` at x, as the caller computed it.
+    Between exits each sub-interval is a kick-drift-kick sub-step with the
+    frozen field, and the partial sub-step up to an exit is completed on the
+    wall, where the velocity is reflected and the event recorded; ``step``
+    hands in the fold plane as the half-space wall of folded rows, where a
+    pass is a bounce.  Grazing hits (|v . n| <= GRAZE_RTOL |v|, v = 0
+    included) finish the step with no jump, sliding along the wall if the
+    field pushes them into it; so do hits whose KDK velocity v_minus already
+    points inward (v . n > GRAZE_RTOL |v|, n the inward normal), which the
+    path can reach when the field at the hit differs from the one at the
+    sub-step's start: a reflection would send them out, and the next
+    sub-step would undo it at the same time.
 
-    The rows advance together in rounds.  Round 0 locates the first exits
-    from ``c`` and calls no field.  Every later round makes one ``e_fn``
-    call, at the wall hits just located and the step ends of rows with no
-    further exit, and one more at the ends of its grazing slides, which
-    finish in the round that finds them; then the rows that bounced locate
-    their next exits.  Each row goes through the float operations it would
-    go through alone.
+    The rows advance together in rounds, each with one ``_first_exit`` call
+    for the rows still moving.  Round 0 calls no field.  Every later round
+    makes one ``e_fn`` call, at the wall hits just located and the step ends
+    of rows with no further exit, and one more at the ends of its grazing
+    slides, which finish in the round that finds them; then the rows that
+    bounced locate their next exits.  Each row goes through the float
+    operations it would go through alone.
 
     ``particles`` are the rows' particle indices.  Returns (crossed, x, v,
     events, bounces): ``crossed`` marks the rows whose path leaves, x and v
@@ -289,7 +328,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
     tol = EVENT_DIST_RTOL * domain.scale
     events, overflow = [], []
 
-    theta = _first_exit(domain, c, x, v, e, remaining)
+    theta = _first_exit(domain, x, v, e, remaining)
     crossed = ~np.isnan(theta)
     rows, theta = np.flatnonzero(crossed), theta[crossed]
     while len(rows):
@@ -339,8 +378,7 @@ def _advance_with_events(x, v, e, c, e_fn, dt, t0, domain: Domain, max_reflectio
         overflow.extend(particles[hit[over]])
         rows = hit[~stop & ~over]
         if len(rows):
-            xr, vr, er, hr = x[rows], v[rows], e[rows], remaining[rows]
-            theta = _first_exit(domain, _distance_poly(domain, xr, vr, er, hr), xr, vr, er, hr)
+            theta = _first_exit(domain, x[rows], v[rows], e[rows], remaining[rows])
     if overflow:
         raise ReflectionOverflow(
             f"particle {int(min(overflow))} exceeded {max_reflections} reflections in one step")
@@ -429,7 +467,7 @@ def step(e: Ensemble, field_fn, cfg: StepperConfig, t0=0.0, field_factory=None, 
             alive & ((c[:, 0] + np.minimum(c[:, 1:], 0.0).sum(axis=1) < 0.0) | outside))
         if len(near):
             crossed, x_out, v_out, events, bounces = _advance_with_events(
-                x[near], v[near], e0[near], c[near], field_fn, dt, t0, wall,
+                x[near], v[near], e0[near], field_fn, dt, t0, wall,
                 cfg.max_reflections_per_step, near)
             hit = near[crossed]
             rest = alive.copy()

@@ -47,18 +47,36 @@
  * 52(4), 2016) on a square matrix, as scipy's linear_sum_assignment runs it:
  * the same reduced costs and dual updates in the same order, and its tie
  * rules (the free columns scanned from the last; on an equal reduced cost,
- * an unassigned column wins), so it returns scipy's assignment. */
+ * an unassigned column wins), so it returns scipy's assignment.
+ *
+ * The event sub-stepper (flow._first_exit) adds first_exit: for each row
+ * (x, v, e, h) of a round, the fraction theta of the sub-step h at which
+ * the kicked path x + s v + s^2 e / 2 first leaves the half-space or the
+ * ball, or NaN.  It is flow.py's Python-float reference, operation for
+ * operation, in scalar doubles: the wall-distance polynomial's
+ * coefficients, its real roots (the closed form up to degree 2, else
+ * isolation on [0, 1] by the roots of the derivative and bisection), the
+ * piece search, two Newton steps and the walk on the signed distance.
+ * Python's t**j is libm's pow, called through a volatile pointer so that
+ * gcc cannot rewrite pow(t, 2.0) as t * t; sum() adds from 0.0 in order;
+ * numpy's short dot products and norms (d < 8) add from the first term in
+ * order.  It is not cloned: its loops are short and scalar. */
 
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
 #define L 32
 
+/* -DCLONES=... builds one ISA only (tools/samebytes.py checks each gives
+   the same bytes) */
+#ifndef CLONES
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__linux__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define CLONES
+#endif
 #endif
 
 /* the rows of the nl <= L targets t[0..nl), one lane each; a full block
@@ -283,4 +301,220 @@ assignment(long n, const double *cost, long *col4row)
     }
     free(u);
     return status;
+}
+
+
+/* ---- first exits of kicked sub-paths: flow._first_exit ---- */
+
+#define ULP_WALK 4      /* flow.ULP_WALK */
+
+/* libm's pow, which Python's float ** calls; through a volatile pointer gcc
+   cannot rewrite pow(t, 2.0) as t * t, which may round differently */
+static double (*volatile pow_)(double, double) = pow;
+
+/* sum(c_j * t**j); Python's t**0 is 1.0 */
+static double
+poly(int n, const double *c, double t)
+{
+    double s = 0.0;
+
+    for (int j = 0; j < n; j++)
+        s += c[j] * (j ? pow_(t, j) : 1.0);
+    return s;
+}
+
+static double
+horner(int n, const double *c, double t)
+{
+    double p = c[n - 1];
+
+    for (int j = n - 2; j >= 0; j--)
+        p = p * t + c[j];
+    return p;
+}
+
+/* a.b added from the first term on, as numpy adds a row of d < 8 */
+static double
+dot(int d, const double *a, const double *b)
+{
+    double s = a[0] * b[0];
+
+    for (int k = 1; k < d; k++)
+        s += a[k] * b[k];
+    return s;
+}
+
+/* the signed distance of x + s v + s^2 e / 2 to the wall: its first
+   coordinate (radius 0), or radius - |.| */
+static double
+path_distance(int d, double radius, const double *x, const double *v,
+              const double *e, double s)
+{
+    double p[d];
+
+    for (int k = 0; k < d; k++)
+        p[k] = x[k] + s * v[k] + 0.5 * s * s * e[k];
+    return radius ? radius - sqrt(dot(d, p, p)) : p[0];
+}
+
+static void
+sort_doubles(int n, double *a)
+{
+    for (int i = 1; i < n; i++)
+        for (int j = i; j > 0 && a[j] < a[j - 1]; j--) {
+            double t = a[j];
+            a[j] = a[j - 1];
+            a[j - 1] = t;
+        }
+}
+
+/* flow._real_roots: real roots of sum_j c_j t^j (n <= 5 terms) into r, at
+   most 8 of them; returns how many */
+static int
+real_roots(int n, const double *c, double *r)
+{
+    while (n > 1) {
+        double s = 0.0;
+        for (int j = 0; j < n; j++)
+            s += fabs(c[j]);
+        if (!(fabs(c[n - 1]) <= DBL_EPSILON * s))
+            break;
+        n--;
+    }
+    if (n <= 3) {
+        double c0 = c[0], b = n > 1 ? c[1] : 0.0, a = n > 2 ? c[2] : 0.0;
+        double disc = b * b - 4.0 * a * c0, q;
+
+        if (a == 0.0 || disc < 0.0) {
+            if (a == 0.0 && b != 0.0) {
+                r[0] = -c0 / b;
+                return 1;
+            }
+            return 0;
+        }
+        q = -0.5 * (b + copysign(sqrt(disc), b));
+        if (q == 0.0) {
+            r[0] = 0.0;
+            return 1;
+        }
+        r[0] = q / a;
+        r[1] = c0 / q;
+        return 2;
+    }
+
+    /* the derivative's roots split [0, 1] into monotone pieces */
+    double dc[4], dr[8], cut[6], f[6];
+    int m = 0, nr = 0, nd;
+
+    for (int j = 1; j < n; j++)
+        dc[j - 1] = j * c[j];
+    nd = real_roots(n - 1, dc, dr);
+    cut[m++] = 0.0;
+    for (int i = 0; i < nd; i++)
+        if (0.0 < dr[i] && dr[i] < 1.0)
+            cut[m++] = dr[i];
+    sort_doubles(m - 1, cut + 1);
+    cut[m++] = 1.0;
+    for (int i = 0; i < m; i++)
+        f[i] = horner(n, c, cut[i]);
+    for (int i = 1; i + 1 < m; i++)
+        if (f[i] == 0.0)
+            r[nr++] = cut[i];
+    for (int i = 0; i + 1 < m; i++) {
+        double lo = cut[i], hi = cut[i + 1], flo = f[i], mid, fm;
+
+        if (!((flo < 0.0 && 0.0 < f[i + 1]) || (f[i + 1] < 0.0 && 0.0 < flo)))
+            continue;
+        for (;;) {
+            mid = 0.5 * (lo + hi);
+            if (mid == lo || mid == hi || (fm = horner(n, c, mid)) == 0.0)
+                break;
+            if ((fm < 0.0) == (flo < 0.0)) {
+                lo = mid;
+                flo = fm;
+            } else {
+                hi = mid;
+            }
+        }
+        r[nr++] = mid;
+    }
+    return nr;
+}
+
+/* flow._exit_row */
+static double
+exit_row(int d, double radius, const double *x, const double *v,
+         const double *e, double h)
+{
+    double c[5], sl[4], r[8], cut[10], mid[9], grid[2 * ULP_WALK + 1];
+    double d0 = path_distance(d, radius, x, v, e, 0.0), th, ulp, step;
+    int n, nr, m = 0, k = -1, run;
+
+    d0 = d0 > 0.0 ? d0 : 0.0;
+    if (!radius) {
+        n = 3;
+        c[0] = d0;
+        c[1] = h * v[0];
+        c[2] = 0.5 * h * h * e[0];
+    } else {
+        n = 5;
+        c[0] = d0 * (2.0 * radius - d0);
+        c[1] = -2.0 * h * dot(d, x, v);
+        c[2] = -h * h * (dot(d, v, v) + dot(d, x, e));
+        c[3] = -pow_(h, 3.0) * dot(d, v, e);
+        c[4] = -0.25 * pow_(h, 4.0) * dot(d, e, e);
+    }
+
+    nr = real_roots(n, c, r);
+    cut[m++] = 0.0;
+    cut[m++] = 1.0;
+    for (int i = 0; i < nr; i++)
+        if (0.0 < r[i] && r[i] < 1.0)
+            cut[m++] = r[i];
+    sort_doubles(m, cut);
+    for (int i = 0; i + 1 < m; i++)
+        mid[i] = 0.5 * (cut[i] + cut[i + 1]);
+    for (int i = 0; i + 1 < m && k < 0; i++)
+        if (cut[i + 1] > cut[i] && poly(n, c, mid[i]) < 0.0)
+            k = i;
+    th = k < 0 ? 1.0 : cut[k];
+    if (k > 0) {
+        for (int j = 1; j < n; j++)
+            sl[j - 1] = j * c[j];
+        for (int it = 0; it < 2; it++)
+            if (poly(n - 1, sl, th) != 0.0) {
+                th = th - poly(n, c, th) / poly(n - 1, sl, th);
+                th = mid[k - 1] > th ? mid[k - 1] : th;
+                th = mid[k] < th ? mid[k] : th;
+            }
+    }
+    if (k < 0 && path_distance(d, radius, x, v, e, 1.0 * h) >= 0.0)
+        return NAN;
+
+    ulp = nextafter(th, INFINITY) - th;
+    for (run = 0; run <= 2 * ULP_WALK; run++) {
+        double g = th + ulp * (run - ULP_WALK);
+        g = 0.0 > g ? 0.0 : g;
+        grid[run] = g = 1.0 < g ? 1.0 : g;
+        if ((run > ULP_WALK && !(k > 0 && g < 1.0))
+            || !(path_distance(d, radius, x, v, e, g * h) >= 0.0))
+            break;
+    }
+    if (run)
+        return grid[run - 1];
+    th = grid[0];
+    for (step = 2.0 * ULP_WALK;
+         th > 0.0 && path_distance(d, radius, x, v, e, th * h) < 0.0; step *= 2.0) {
+        th = th - step * (nextafter(th, INFINITY) - th);
+        th = 0.0 > th ? 0.0 : th;
+    }
+    return th;
+}
+
+void
+first_exit(int d, double radius, long m, const double *x, const double *v,
+           const double *e, const double *h, double *theta)
+{
+    for (long i = 0; i < m; i++)
+        theta[i] = exit_row(d, radius, x + i * d, v + i * d, e + i * d, h[i]);
 }

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from specularvp import fields
 from specularvp.ensemble import Ensemble, Frame, symmetrize
 from specularvp.fields import (
     GreenKind,
@@ -15,6 +18,8 @@ from specularvp.flow import (
     NonFiniteState,
     ReflectionOverflow,
     StepperConfig,
+    _first_exit,
+    _real_roots,
     fold_halfspace,
     integrate,
     step,
@@ -361,6 +366,105 @@ class TestEventProperties:
         Ensemble(x=out.x, v=out.v, w=out.w, domain=domain)
 
 
+def exit_rows(rng, domain, k):
+    """k locator rows (x, v, e, h) against the wall of ``domain``: starts in
+    the bulk, on the wall and an ulp inside; no field (the ball's distance is
+    then a quadratic), a moderate and a strong one; free, tangent (v . n = 0
+    at the start) and arriving paths, which reach the wall at theta = 1 or
+    within a relative 1e-15 or 1e-9 of it; h from 1e-6 to 1."""
+    rows = []
+    for _ in range(k):
+        dim, h = domain.dim, 10.0 ** rng.uniform(-6.0, 0.0)
+        e = rng.choice([0.0, 3.0, 30.0]) * rng.standard_normal(dim)
+        u = rng.standard_normal(dim)
+        if isinstance(domain, HalfSpace):
+            x = np.r_[rng.uniform(0.0, 1.0), u[1:]]
+        else:
+            x = rng.uniform(0.0, 1.0) * u / np.linalg.norm(u)
+        start = rng.integers(3)
+        if start:
+            x = domain.project_boundary(x)
+        if start == 2:  # an ulp inside
+            x = np.r_[np.nextafter(0.0, 1.0), x[1:]] if isinstance(domain, HalfSpace) \
+                else x * (1.0 - np.finfo(float).eps)
+        v = 3.0 * rng.standard_normal(dim)
+        path = rng.integers(3)
+        if path == 1:
+            nrm = domain.inward_normal(x)
+            v -= np.dot(v, nrm) * nrm
+        elif path == 2:
+            end = domain.project_boundary(x + rng.standard_normal(dim))
+            v = (end - x - 0.5 * h * h * e) / h * (1.0 + rng.choice([0.0, 1e-15, -1e-15, 1e-9, -1e-9]))
+        rows.append((x, v, e, h))
+    return tuple(np.array(a) for a in zip(*rows))
+
+
+class TestFirstExit:
+    """The compiled locator is the Python one, and its roots are the
+    polynomial's."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("wall", ["halfspace", "ball"])
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30))
+    def test_compiled_locator_is_the_python_one_bitwise(self, wall, dim, seed, k):
+        assert fields._load_kernel() is not None
+        domain = HalfSpace(dim) if wall == "halfspace" else Ball(dim, 1.0)
+        rows = exit_rows(np.random.default_rng(seed), domain, k)
+        compiled = _first_exit(domain, *rows)
+        with mock.patch.object(fields, "_load_kernel", lambda: None):
+            reference = _first_exit(domain, *rows)
+        event(f"{int(np.sum(~np.isnan(compiled)))} of {k} rows exit")
+        assert compiled.tobytes() == reference.tobytes()
+
+    @given(first=st.integers(1, 4095), gaps=st.lists(st.integers(5, 2000), max_size=3),
+           rest=st.sampled_from(["real", "complex"]), far=st.lists(st.integers(1025, 4095),
+                                                                   min_size=4, max_size=4),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+           scale=st.integers(-10, 10))
+    def test_isolated_roots_are_the_quartics_roots(self, first, gaps, rest, far, signs, scale):
+        # roots on the 2^-12 grid, at least 5 / 4096 apart in (0, 1), and the
+        # rest beyond [-1, 1] or a complex pair: the coefficients are exact.
+        # A root comes back within 1e-12, or within the width 4 eps kappa
+        # where p's rounding hides its sign, kappa = sum |c_j| r^j / |p'(r)|
+        # (roots 1e-3 apart in a cluster of three or four are that ill
+        # conditioned)
+        inside = [k / 4096 for k in np.cumsum([first, *gaps]) if k < 4096]
+        outside = [s * m / 1024 for s, m in zip(signs, far)][:4 - len(inside)]
+        c = np.polynomial.polynomial.polyfromroots(inside) * (signs[0] * 2.0 ** scale)
+        if rest == "complex" and len(outside) >= 2:
+            a, b = outside[0] / 16, far[1] / 4096  # (t - a)^2 + b^2
+            outside = [(a * a + b * b, -2.0 * a, 1.0), *[(-r, 1.0) for r in outside[2:]]]
+        else:
+            outside = [(-r, 1.0) for r in outside]
+        for factor in outside:
+            c = np.polynomial.polynomial.polymul(c, factor)
+        c = c.tolist()
+        found = sorted(r for r in _real_roots(c) if 0.0 < r < 1.0)
+        assert len(found) == len(inside)
+        slope = np.polynomial.polynomial.polyder(c)
+        for got, r in zip(found, inside):
+            kappa = sum(abs(cj) * r**j for j, cj in enumerate(c)) / abs(
+                np.polynomial.polynomial.polyval(r, slope))
+            assert abs(got - r) <= max(1e-12, 4.0 * np.finfo(float).eps * kappa)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_touch_of_the_wall_is_not_an_exit(self, compiled):
+        # x_1 = x0 + s - s^2 turns at s = 1/2, where it reaches x0 + 1/4.
+        # From x0 = 3/4 it touches the unit sphere there: 1 - x_1^2 has a
+        # double root at 1/2 and is positive around it, so the path stays.
+        # From an x0 2^-20 further out it leaves at 1/2 - 2^-10; from one
+        # 2^-20 further in it stays.
+        loader = fields._load_kernel if compiled else (lambda: None)
+        theta = []
+        with mock.patch.object(fields, "_load_kernel", loader):
+            for dx in (0.0, 2.0**-20, -(2.0**-20)):
+                theta += _first_exit(BALL, np.array([[0.75 + dx, 0.0, 0.0]]),
+                                     np.array([[1.0, 0.0, 0.0]]), np.array([[-2.0, 0.0, 0.0]]),
+                                     np.array([1.0])).tolist()
+        assert np.isnan(theta[0]) and np.isnan(theta[2])
+        assert abs(theta[1] - (0.5 - 2.0**-10)) <= 1e-12
+
+
 def affine_field(a, b):
     """E(x) = A x + b, summed elementwise so each row's bits depend on that row alone."""
     def field(x):
@@ -482,6 +586,16 @@ REVERSAL_C = 32.0
 FOLD_REVERSAL_C = 53.0
 
 
+# In the self-consistent half-space image field the identity holds where
+# every crossing row feels no field.  16 particles of draw_cloud(seed 3),
+# w = 2/16, zeta = 0.1, T = 0.8 cross only inside the zeta-shell, where the
+# boundary cutoff makes the field 0, with 6 bounces each way.  Measured
+# before the test: max |dx| of 6.1e-16 to 1.3e-15 and max |dv| of 8.9e-16 to
+# 1.3e-15 for dt = 4e-3, 2e-3, 1e-3 and 5e-4, at most 0.78 eps scale with
+# scale = 7.66, the largest |x| or |v| component; the bound is ten times that.
+IMAGE_REVERSAL_C = 8.0
+
+
 def there_and_back(e, field, cfg, n, count):
     """n steps, a velocity reversal, n steps and a reversal; returns the end,
     each way's sum of count(before, after, events) over its steps, and the
@@ -523,6 +637,23 @@ class TestTimeReversal:
         bound = REVERSAL_C * np.finfo(float).eps * (1 + bounces[0]) * scale
         assert np.abs(e.x - x).max() <= bound
         assert np.abs(e.v - v).max() <= bound
+
+    @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3, 5e-4])
+    def test_reversed_image_run_returns_to_its_start(self, dt):
+        x, v = draw_cloud(np.random.default_rng(3), "halfspace", 3, 16)
+        factory = make_field_factory(HS, GreenKind.HALF_SPACE_IMAGE, RegularizationParams(
+            eps_mollify=0.05, r_sign=0.05, zeta=0.1, delta=0.1))
+        cfg = StepperConfig(dt=dt, max_reflections_per_step=50)
+        there = integrate(Ensemble(x=x, v=v, w=np.full(16, 2 / 16), domain=HS), factory, cfg,
+                          0.8)
+        back = integrate(there.final.with_state(v=-there.final.v), factory, cfg, 0.8)
+        assert len(there.events) == len(back.events) == 6
+        assert not any(ev.e.any() for ev in there.events + back.events)
+        scale = max(np.abs(a).max() for run in (there, back) for _, s in run.snapshots
+                    for a in (s.x, s.v))
+        bound = IMAGE_REVERSAL_C * np.finfo(float).eps * scale
+        assert np.abs(back.final.x - x).max() <= bound
+        assert np.abs(back.final.v + v).max() <= bound
 
     @pytest.mark.parametrize("dim", [3, 4])
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["zero", "linear", "sign"]),

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+from specularvp import fields
 from specularvp.cli import bounce3d_ensemble
 from specularvp.diagnostics import LedgerObserver, blowup_monitor, energy_audit
 from specularvp.ensemble import Ensemble, symmetrize
@@ -341,6 +342,32 @@ def test_whole_runs_stay_closed_keep_their_weights_and_stream_the_audit(
     audit, ledger = energy_audit(rec), obs.ledger()
     for f in dataclasses.fields(audit):
         assert getattr(ledger, f.name).tobytes() == getattr(audit, f.name).tobytes(), f.name
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+@pytest.mark.parametrize("case", ["halfspace", "ball"])
+def test_whole_runs_do_not_depend_on_the_tile_size(case, n, monkeypatch):
+    # each row is summed on its own, in lanes of L = 32 rows: tiles of 1, 7
+    # and 32 target rows, with row counts either side of a lane block, give
+    # the default tiling's samples bit for bit
+    def samples():
+        return _whole_run(case, 3, n, 10, seed=n)[2].samples
+
+    ref = samples()
+    assert any(events for *_, events in ref), "the case must reflect"
+    for tile in (1, 7, 32):
+        monkeypatch.setattr(fields, "_CHUNK_TARGETS", tile)
+        run = samples()
+        assert len(run) == len(ref)
+        for (t, a, fa, ea), (t_ref, b, fb, eb) in zip(run, ref):
+            assert t == t_ref
+            for name in ("x", "v", "alive"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert fa.sweep.field.tobytes() == fb.sweep.field.tobytes()
+            assert [(ev.t, ev.particle) for ev in ea] == [(ev.t, ev.particle) for ev in eb]
+            for ev, ev_ref in zip(ea, eb):
+                for name in ("x", "v_minus", "v_plus", "e"):
+                    assert getattr(ev, name).tobytes() == getattr(ev_ref, name).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -13,17 +13,21 @@ The corpus, built from the working tree's files:
 - the five demos, each run in a directory of its own.
 
 Every command's stdout and stderr are kept, with its exit status, beside
-the files it writes.  Two legs compare the corpus:
+the files it writes.  These legs compare the corpus:
 
 - ``kernel``: REV's ``src`` (from ``git archive``, no worktree) against the
-  working tree's, both with the compiled pair kernel;
-- ``numpy``: the working tree's with the kernel loader returning None
-  against the same with the kernel.
+  working tree's, both with the compiled kernel;
+- ``numpy``: the working tree's with the kernel loader returning None (the
+  numpy, scipy and Python-float paths) against the same with the kernel;
+- ``avx512f``, ``avx2`` and ``baseline``: the working tree's with pairs.c
+  built for that ISA alone (its ``CLONES`` macro set by ``-D``) against the
+  same with the default build, which clones for the CPU it runs on.  A leg
+  whose ISA the CPU lacks is skipped, with a line saying so.
 
 One line per file: "same", or "moved" with the rows that moved and, for a
 CSV, the max |delta| per column.  Both sources are copied to a temporary
-directory, which builds its own kernel, and nothing is written into the
-checkout.  Exit status 0 when every file is the same on both legs.
+directory, which builds its kernels, and nothing is written into the
+checkout.  Exit status 0 when every file is the same on every leg.
 
 Run from anywhere:  python tools/samebytes.py REV
 """
@@ -44,6 +48,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+
+# leg -> pairs.c's CLONES macro for a build of that ISA alone
+ISAS = {"avx512f": '__attribute__((target("avx512f")))',
+        "avx2": '__attribute__((target("avx2")))',
+        "baseline": ""}
 
 
 def in_d4(text):
@@ -92,15 +101,18 @@ def write_corpus(configs):
     return commands
 
 
-def run_corpus(out, numpy):
+def run_corpus(out, leg):
     """Child side: run the commands of ``out/../commands.json`` and the demos
-    with cwd ``out``, in the specularvp on the path; with ``numpy`` the
-    kernel loader returns None."""
+    with cwd ``out``, in the specularvp on the path.  On the ``numpy`` leg
+    the kernel loader returns None; on an ISA leg it builds pairs.c for that
+    ISA alone."""
     import specularvp.fields as fields
     from specularvp import cli
 
-    if numpy:
+    if leg == "numpy":
         fields._load_kernel = lambda: None
+    elif leg in ISAS:
+        fields._KERNEL_FLAGS = (*fields._KERNEL_FLAGS, f"-DCLONES={ISAS[leg]}")
     out = Path(out)
     commands = json.loads((out.parent / "commands.json").read_text())
     os.chdir(out)
@@ -161,13 +173,23 @@ def compare(leg, a: Path, b: Path):
         else:
             verdict = "moved: " + describe(pa, pb)
         same &= verdict == "same"
-        print(f"{leg:6}  {name}  {verdict}")
+        print(f"{leg:8}  {name}  {verdict}")
     return same
+
+
+def cpu_flags():
+    """The CPU's feature flags, empty where /proc/cpuinfo does not list them."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags")
+            for f in line.split(":", 1)[1].split()}
 
 
 def main(argv):
     if argv[:1] == ["--child"]:
-        return run_corpus(argv[1], argv[2] == "numpy")
+        return run_corpus(argv[1], argv[2])
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
@@ -188,13 +210,20 @@ def main(argv):
         sys.path.insert(0, str(tmp / "work" / "src"))
         (tmp / "out").mkdir()
         (tmp / "out" / "commands.json").write_text(json.dumps(write_corpus(tmp / "configs")))
-        for name, side in (("rev", "rev"), ("work", "work"), ("numpy", "work")):
+        flags = cpu_flags()
+        isas = [isa for isa in ISAS if isa == "baseline" or isa in flags]
+        for name in ("rev", "work", "numpy", *isas):
             (tmp / "out" / name).mkdir()
             subprocess.run([sys.executable, __file__, "--child", str(tmp / "out" / name), name],
                            check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-                                            "PYTHONPATH": str(tmp / side / "src")})
+                                            "PYTHONPATH": str(tmp / ("rev" if name == "rev" else
+                                                                     "work") / "src")})
         same = compare("kernel", tmp / "out" / "rev", tmp / "out" / "work")
-        same &= compare("numpy", tmp / "out" / "work", tmp / "out" / "numpy")
+        for leg in ("numpy", *isas):
+            same &= compare(leg, tmp / "out" / "work", tmp / "out" / leg)
+        for isa in ISAS:
+            if isa not in isas:
+                print(f"{isa:8}  skipped: the CPU has no {isa}")
     return 0 if same else 1
 
 
