@@ -50,8 +50,8 @@ from .diagnostics import (
     LEDGER_HEADER,
     LedgerObserver,
     audit_green,
+    csv_rows,
     energy_bound_check,
-    float_rows,
     read_ledger_csv,
 )
 from .ensemble import Ensemble, Frame, InitialCondition, sample_initial, symmetrize
@@ -345,6 +345,12 @@ def _header(dim, *vectors):
     return ",".join(["t", "id", *(f"{name}{i}" for name in vectors for i in range(dim))])
 
 
+def _snapshot_rows(t, snap):
+    """A snapshot's ``snapshots.csv`` lines: t, the particle's index, x, v, w."""
+    n = len(snap)
+    return csv_rows(np.full(n, t), snap.x, snap.v, snap.w, ids=np.arange(n))
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:  # in blocks: a run's files can be long
@@ -379,9 +385,9 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
         ledger = None if mollified else LedgerObserver(every=cfg.cadence_ledger)
         with contextlib.ExitStack() as files:
             def csv(name, header):
-                fh = files.enter_context(open(out / name, "w"))
+                fh = files.enter_context(open(out / name, "wb"))
                 written.append(name)
-                fh.write(header + "\n")
+                fh.write(header.encode() + b"\n")
                 return fh
 
             snapshots = csv("snapshots.csv", _header(e0.dim, "x", "v") + ",w")
@@ -392,15 +398,13 @@ def run(cfg: RunConfig, out_dir, seed=None) -> int:
                     samples(e0, cfg.field.bind, cfg.stepper, cfg.t_end)):
                 if evts:
                     n_events += len(evts)
-                    cols = ([getattr(e, a) for e in evts] for a in ("x", "v_minus", "v_plus"))
-                    events.writelines(f"{e.t!r},{e.particle},{row}\n"
-                                      for e, row in zip(evts, float_rows(*cols)))
+                    events.write(csv_rows(*([getattr(e, a) for e in evts]
+                                            for a in ("t", "x", "v_minus", "v_plus")),
+                                          ids=[e.particle for e in evts]))
                 if k % cfg.cadence_snapshot == 0 or k == last:
-                    lead = f"{t!r},"
-                    snapshots.writelines(f"{lead}{i},{row}\n" for i, row
-                                         in enumerate(float_rows(snap.x, snap.v, snap.w)))
+                    snapshots.write(_snapshot_rows(t, snap))
                 if ledger is not None and (row := ledger(t, snap, field, evts)):
-                    rows.write(",".join(map(repr, row)) + "\n")
+                    rows.write(csv_rows([row]))
         diag = {"events": n_events, "particles": len(e0), "t_end": cfg.t_end}
         if ledger is not None:
             kept = ledger.ledger()
@@ -471,7 +475,8 @@ def bounce3d_config_text(dt=1e-3, t_end=2.0):
         "",
         "[particles]",
     ]
-    lines += [f"{i} = {row}" for i, row in enumerate(float_rows(e0.x, e0.v, e0.w))]
+    lines += [f"{i} = {row}" for i, row in enumerate(
+        csv_rows(e0.x, e0.v, e0.w).decode().splitlines())]
     lines += [
         "",
         "[stepper]",

@@ -30,12 +30,14 @@ Conventions worth pinning down once:
 
 from __future__ import annotations
 
+import ctypes
 import json
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .ensemble import Ensemble, kinetic_energy
 from .fields import c_d, grad_green, green
 from .flow import RunRecord, StepperConfig, Trajectory, step
@@ -62,6 +64,7 @@ __all__ = [
     "blowup_monitor",
     "audit_green",
     "float_rows",
+    "csv_rows",
     "LEDGER_HEADER",
     "write_ledger_csv",
     "write_phi_csv",
@@ -689,23 +692,48 @@ def audit_green(domain, kind, n_pairs=10_000, seed=0) -> GreenAudit:
 # writers (diff-friendly, deterministic)
 # -----------------------------------------------------------------------------
 
-def float_rows(*columns):
+def float_rows(*columns, ids=None):
     """The rows of the columns (1-D, or 2-D for several) side by side, as
     comma-joined ``repr(float)``: the shortest text that reads back to the
-    same double.  One ``tolist`` makes every value a Python float at once."""
-    return [",".join(map(repr, row))
-            for row in np.column_stack(columns).astype(float).tolist()]
+    same double; ``ids`` (integers), when given, go after the first value.
+    One ``tolist`` makes every value a Python float at once.  ``csv_rows``
+    writes the same text in the compiled kernel."""
+    rows = np.column_stack(columns).astype(float).tolist()
+    if ids is None:
+        return [",".join(map(repr, row)) for row in rows]
+    return [",".join([repr(row[0]), str(i), *map(repr, row[1:])])
+            for row, i in zip(rows, np.asarray(ids).tolist(), strict=True)]
+
+
+def csv_rows(*columns, ids=None):
+    """``float_rows``' lines as ASCII bytes, each ending in a newline, from
+    one call of pairs.c's ``csv_rows``, a shortest-digits formatter that
+    writes ``repr``'s text; ``float_rows`` itself without the compiled
+    kernel.  The values and ids go over as C-ordered bytes, and the lines
+    come back from a buffer of pairs.c's bound (25 bytes a value, 21 an id),
+    so a block of rows costs one copy each way."""
+    kernel = fields._load_kernel()
+    if kernel is None:
+        return "".join(row + "\n" for row in float_rows(*columns, ids=ids)).encode()
+    values = np.column_stack(columns).astype(float, copy=False)
+    m, n = values.shape
+    if ids is not None:
+        ids = np.asarray(ids, dtype=np.dtype(ctypes.c_long))
+        if ids.shape != (m,):
+            raise ValueError(f"{len(ids)} ids for {m} rows")
+        ids = ids.tobytes()
+    out = ctypes.create_string_buffer(m * (25 * n + 21))
+    return ctypes.string_at(out, kernel.csv_rows(m, n, values.tobytes(), ids, out))
 
 
 LEDGER_HEADER = "t,kinetic,potential,total,K_integral,drift"
 
 
 def write_ledger_csv(ledger: EnergyLedger, path):
-    lines = [LEDGER_HEADER]
-    lines += float_rows(ledger.times, ledger.kinetic, ledger.potential,
-                        ledger.total, ledger.k_integral, ledger.drift)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(LEDGER_HEADER.encode() + b"\n")
+        fh.write(csv_rows(ledger.times, ledger.kinetic, ledger.potential,
+                          ledger.total, ledger.k_integral, ledger.drift))
 
 
 def read_ledger_csv(path) -> EnergyLedger:
@@ -719,9 +747,8 @@ def read_ledger_csv(path) -> EnergyLedger:
 def write_phi_csv(probe: SeparationProbe, path):
     series = phi_series(probe)
     slopes = np.concatenate([[0.0], np.diff(series) / np.diff(probe.times)])
-    lines = ["t,phi,slope"] + float_rows(probe.times, series, slopes)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,phi,slope\n" + csv_rows(probe.times, series, slopes))
 
 
 def write_residual_jsonl(records, path):

@@ -354,12 +354,25 @@ _KERNEL_SOURCE = Path(__file__).with_name("pairs.c")
 _KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _pow10_table():
+    """The 126-bit powers of ten of pairs.c's ``float_table``, from exact
+    integers: for k = -324 ... 292, g = floor(10^-k 2^-r) + 1 with r such
+    that 2^125 <= 10^-k 2^-r < 2^126, as the words g >> 63, g mod 2^63."""
+    words, p = [], 10**324  # p = 10^|k|
+    for k in range(-324, 293):
+        b = p.bit_length()  # 2^(b-1) <= p < 2^b, and 10^k (k > 0) is no power of 2
+        g = (p << 126 >> b if k <= 0 else (1 << 125 + b) // p) + 1
+        words += [g >> 63, g & ((1 << 63) - 1)]
+        p = p // 10 if k < 0 else p * 10
+    return np.array(words, dtype=np.uint64)
+
+
 @functools.cache
 def _load_kernel():
     """pairs.c as a ctypes library (``pair_rows``, ``phase_cost``,
-    ``assignment``, ``first_exit``), or None when it cannot be built or
-    loaded: the numpy path, scipy and ``flow._exit_row`` then give the same
-    bits.
+    ``assignment``, ``first_exit``, ``csv_rows``), or None when it cannot
+    be built or loaded: the numpy path, scipy, ``flow._exit_row`` and
+    ``diagnostics.float_rows`` then give the same bits.
 
     gcc builds it on first use into the package's ``__pycache__``, under a
     name keyed by the sha256 of the source and the flags, and publishes it
@@ -392,6 +405,12 @@ def _load_kernel():
     kernel.assignment.restype = i
     kernel.first_exit.argtypes = [i, dbl, n, p, p, p, p, p]
     kernel.first_exit.restype = None
+    kernel.float_table.argtypes = [p]
+    kernel.float_table.restype = None
+    kernel.csv_rows.argtypes = [n, i, p, p, p]
+    kernel.csv_rows.restype = n
+    kernel.pow10 = _pow10_table()  # csv_rows reads it for the life of the library
+    kernel.float_table(kernel.pow10.ctypes.data)
     return kernel
 
 

@@ -153,11 +153,16 @@ def _distance_poly(domain: Domain, x, v, e, h):
     computes the same coefficients per row."""
     h, d = float(h), np.maximum(domain.signed_distance(x), 0.0)
     if isinstance(domain, HalfSpace):
-        return np.stack([d, h * v[..., 0], 0.5 * h * h * e[..., 0]], axis=-1)
-    xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
-                          for a, b in ((x, v), (v, v), (x, e), (v, e), (e, e)))
-    return np.stack([d * (2.0 * domain.radius - d), -2.0 * h * xv, -h * h * (vv + xe),
-                     -h**3 * ve, -0.25 * h**4 * ee], axis=-1)
+        terms = d, h * v[..., 0], 0.5 * h * h * e[..., 0]
+    else:
+        xv, vv, xe, ve, ee = ((a * b).sum(axis=-1)
+                              for a, b in ((x, v), (v, v), (x, e), (v, e), (e, e)))
+        terms = (d * (2.0 * domain.radius - d), -2.0 * h * xv, -h * h * (vv + xe),
+                 -h**3 * ve, -0.25 * h**4 * ee)
+    c = np.empty(d.shape + (len(terms),))  # filled in place: no np.stack copy
+    for j, term in enumerate(terms):
+        c[..., j] = term
+    return c
 
 
 def _horner(c, t):

@@ -112,10 +112,11 @@ class Ball(Domain):
         """
         x = np.asarray(x, dtype=float)
         p = self.radius * x / np.linalg.norm(x, axis=-1, keepdims=True)
-        outside = np.linalg.norm(p, axis=-1, keepdims=True) > self.radius
-        while np.any(outside):
-            p = np.where(outside, p * (1.0 - np.finfo(float).eps), p)
-            outside = np.linalg.norm(p, axis=-1, keepdims=True) > self.radius
+        rows = p.reshape(-1, p.shape[-1])
+        out = np.flatnonzero(np.linalg.norm(rows, axis=-1) > self.radius)
+        while len(out):
+            rows[out] *= 1.0 - np.finfo(float).eps
+            out = out[np.linalg.norm(rows[out], axis=-1) > self.radius]
         return p
 
 

@@ -60,10 +60,19 @@
  * Python's t**j is libm's pow, called through a volatile pointer so that
  * gcc cannot rewrite pow(t, 2.0) as t * t; sum() adds from 0.0 in order;
  * numpy's short dot products and norms (d < 8) add from the first term in
- * order.  It is not cloned: its loops are short and scalar. */
+ * order.  It is not cloned: its loops are short and scalar.
+ *
+ * The CSV writers (diagnostics.csv_rows) add csv_rows: a block of float64
+ * rows as CSV text, each value as CPython's repr(float) writes it.  The
+ * digits are the shortest that read back to the double and of those the
+ * closest, by Schubfach (R. Giulietti, "The Schubfach way to render
+ * doubles", 2020), an exact method; its 126-bit powers of ten come once
+ * from fields._load_kernel through float_table.  Python's float_rows, repr
+ * itself, writes the same bytes without the compiler. */
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -517,4 +526,194 @@ first_exit(int d, double radius, long m, const double *x, const double *v,
 {
     for (long i = 0; i < m; i++)
         theta[i] = exit_row(d, radius, x + i * d, v + i * d, e + i * d, h[i]);
+}
+
+
+/* ---- CSV rows: diagnostics.csv_rows ---- */
+
+typedef unsigned __int128 u128;
+
+#define Q_MIN (-1074)               /* the least binary exponent of a double */
+#define C_MIN (1ULL << 52)          /* the hidden bit */
+#define K_MIN (-324)                /* the least decimal exponent k, at Q_MIN */
+
+/* g_k = floor(10^-k 2^-r) + 1 with 2^125 <= 10^-k 2^-r < 2^126, as the words
+   g >> 63 and g mod 2^63, for k = K_MIN ... 292; fields._load_kernel builds
+   it from exact integers and hands it over once */
+static const uint64_t *pow10_g;
+
+void
+float_table(const uint64_t *g)
+{
+    pow10_g = g;
+}
+
+/* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)), exact for
+   the |e| < 1100 used here (Giulietti, section 9.4) */
+static int flog10pow2(int e) { return (int)((e * 661971961083LL) >> 41); }
+static int flog10threequarterspow2(int e)
+{
+    return (int)((e * 661971961083LL - 274743187321LL) >> 41);
+}
+static int flog2pow10(int e) { return (int)((e * 913124641741LL) >> 38); }
+
+/* the rounded-to-odd product cp g 2^-127 */
+static uint64_t
+rop(const uint64_t *g, uint64_t cp)
+{
+    uint64_t x1 = (uint64_t)(((u128)g[1] * cp) >> 64);
+    u128 y = (u128)g[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    uint64_t vbp = (uint64_t)(y >> 64) + (z >> 63);
+
+    return vbp | (((z & ~(1ULL << 63)) + ~(1ULL << 63)) >> 63);
+}
+
+/* The shortest decimal f 10^e that reads back to the positive double
+   c 2^q, and of those the closest, a tie to the even f: Schubfach
+   (R. Giulietti, "The Schubfach way to render doubles", 2020, figure 7),
+   which finds it among s 10^k, (s + 1) 10^k and the multiples of 10^(k+1)
+   around them, with 10^k <= 2^q the rounding interval's width.  Schubfach
+   keeps two digits at least (s >= 100 and 10 c in place of a subnormal
+   c < 3); repr takes one digit where it reads back, hence s >= 10. */
+static uint64_t
+shortest(int q, uint64_t c, int *e)
+{
+    uint64_t cb = c << 2, cbr = cb + 2, cbl, vb, vbl, vbr, s, t;
+    int out = (int)(c & 1), k, h;
+    const uint64_t *g;
+    int64_t cmp;
+
+    if (c != C_MIN || q == Q_MIN) {         /* even spacing around c */
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else {                                /* a power of 2: half below */
+        cbl = cb - 1;
+        k = flog10threequarterspow2(q);
+    }
+    h = q + flog2pow10(-k) + 2;
+    g = pow10_g + 2 * (k - K_MIN);
+    vb = rop(g, cb << h);
+    vbl = rop(g, cbl << h);
+    vbr = rop(g, cbr << h);
+    *e = k;
+
+    s = vb >> 2;
+    if (s >= 10) {                          /* one digit fewer, if it reads back */
+        uint64_t sp10 = 10 * (s / 10), tp10 = sp10 + 10;
+        int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
+        if (upin != wpin)
+            return upin ? sp10 : tp10;
+    }
+    t = s + 1;
+    int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    cmp = (int64_t)(vb - ((s + t) << 1));   /* both read back: the closer */
+    return cmp < 0 || (cmp == 0 && !(s & 1)) ? s : t;
+}
+
+/* repr(v) at p, returns the end: the shortest digits, in fixed notation
+   for decimal exponents -4 <= x < 16 (".0" on an integral value), else as
+   d.ddde+XX with at least two exponent digits; "-0.0", "inf", "-inf", "nan" */
+static char *
+float_repr(double v, char *p)
+{
+    uint64_t bits, f;
+    int bq, e, n = 0, point;
+    char digits[20];
+
+    memcpy(&bits, &v, sizeof bits);
+    bq = (int)(bits >> 52) & 0x7ff;
+    f = bits & (C_MIN - 1);
+    if (bq == 0x7ff) {
+        if (f)
+            return memcpy(p, "nan", 3), p + 3;
+        if (bits >> 63)
+            *p++ = '-';
+        return memcpy(p, "inf", 3), p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0 && f == 0)
+        return memcpy(p, "0.0", 3), p + 3;
+    f = bq ? shortest(bq - 1075, f | C_MIN, &e) : shortest(Q_MIN, f, &e);
+    for (; f % 10 == 0; f /= 10)
+        e++;
+    for (; f; f /= 10)
+        digits[n++] = (char)('0' + f % 10);
+    point = n + e;                          /* v = 0.d1 d2 ... 10^point */
+
+    if (point <= -4 || point > 16) {
+        int x = point - 1;
+
+        *p++ = digits[--n];
+        if (n)
+            *p++ = '.';
+        while (n)
+            *p++ = digits[--n];
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        if (x >= 100)
+            *p++ = (char)('0' + x / 100);
+        *p++ = (char)('0' + x / 10 % 10);
+        *p++ = (char)('0' + x % 10);
+        return p;
+    }
+    if (point <= 0) {                       /* 0.000ddd */
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = point; i < 0; i++)
+            *p++ = '0';
+    }
+    for (int i = 0; i < n; i++) {           /* ddd.ddd, or ddd000.0 */
+        if (i == point && i)
+            *p++ = '.';
+        *p++ = digits[n - 1 - i];
+    }
+    if (point < n)
+        return p;
+    for (int i = n; i < point; i++)
+        *p++ = '0';
+    return memcpy(p, ".0", 2), p + 2;
+}
+
+/* i in decimal at p, returns the end */
+static char *
+long_text(long i, char *p)
+{
+    unsigned long u = i < 0 ? 0UL - (unsigned long)i : (unsigned long)i;
+    char digits[20];
+    int n = 0;
+
+    if (i < 0)
+        *p++ = '-';
+    do
+        digits[n++] = (char)('0' + u % 10);
+    while (u /= 10);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* The m rows of the n columns a (row-major) as CSV lines at out: each value
+   as repr(float) writes it, ids[r] (when ids is not NULL) after the first,
+   commas between and a newline after.  Returns the bytes written, at most
+   m (25 n + 21): a value takes at most 24, an id 20. */
+long
+csv_rows(long m, int n, const double *a, const long *ids, char *out)
+{
+    char *p = out;
+
+    for (long r = 0; r < m; r++)
+        for (int j = 0; j < n; j++) {
+            p = float_repr(a[r * n + j], p);
+            if (j == 0 && ids) {
+                *p++ = ',';
+                p = long_text(ids[r], p);
+            }
+            *p++ = j + 1 < n ? ',' : '\n';
+        }
+    return p - out;
 }

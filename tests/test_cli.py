@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ import specularvp.fields as fields
 from specularvp.cli import (
     ParseError,
     ValidationError,
+    _snapshot_rows,
     bounce3d_config_text,
     main,
     parse_config,
     run,
 )
+from specularvp.ensemble import Ensemble
 from specularvp.geometry import Ball, HalfSpace
 
 MINIMAL = """
@@ -293,6 +296,19 @@ class TestRun:
         traced_peak(0.01)  # first-use allocations (the compiled kernel, caches)
         short, long = traced_peak(0.1), traced_peak(0.4)
         assert long - short < 0.5e6, (short, long)
+
+    def test_dead_particle_rows_are_the_same_through_the_twin(self):
+        # a blown-up particle keeps what it held when it died, inf and nan too
+        snap = Ensemble(x=[[0.5, 0.0, 0.0], [np.nan, np.inf, -np.inf]],
+                        v=[[1.0, -0.0, 5e-324], [-np.inf, 1e300, -np.nan]],
+                        w=[0.5, 0.25], alive=[True, False])
+        compiled = _snapshot_rows(0.125, snap)
+        with mock.patch.object(fields, "_load_kernel", lambda: None):
+            twin = _snapshot_rows(0.125, snap)
+        assert compiled == twin
+        assert compiled.decode().splitlines() == [
+            "0.125,0,0.5,0.0,0.0,1.0,-0.0,5e-324,0.5",
+            "0.125,1,nan,inf,-inf,-inf,1e+300,nan,0.25"]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from specularvp import fields
 from specularvp.diagnostics import (
     GridMismatch,
     LedgerObserver,
@@ -12,8 +17,10 @@ from specularvp.diagnostics import (
     audit_green,
     blowup_monitor,
     bump_library,
+    csv_rows,
     energy_audit,
     energy_bound_check,
+    float_rows,
     incompressibility_probe,
     k_tau,
     make_separation_probe,
@@ -551,3 +558,56 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[1])["test_function"] == 1
+
+
+def formatted(compiled, *columns, ids=None):
+    """csv_rows' lines, from the compiled kernel or from its twin."""
+    assert fields._load_kernel() is not None
+    loader = fields._load_kernel if compiled else (lambda: None)
+    with mock.patch.object(fields, "_load_kernel", loader):
+        return csv_rows(*columns, ids=ids)
+
+
+def edge_values():
+    """The values where a shortest-digits formatter goes wrong first: the
+    extremes, every power of 2 and of 10 with their neighbours, and the
+    neighbours of 1e-4 and 1e16, where repr's layout switches."""
+    big = np.finfo(float).max
+    values = [0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan,
+              np.finfo(float).tiny, 1e-4, 1e16]
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        below, above = np.nextafter(values, -np.inf), np.nextafter(values, np.inf)
+    step = np.array([1e-4, 1e16])
+    return np.concatenate([values, below, above, np.nextafter(below[-2:], 0.0),
+                           np.nextafter(above[-2:], np.inf), -step])
+
+
+class TestCsvRows:
+    """csv_rows writes repr(float)'s text, from the compiled kernel and from
+    its twin alike."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_edge_values_are_repr(self, compiled):
+        values = edge_values()
+        text = formatted(compiled, values).decode()
+        assert text.splitlines() == [repr(x) for x in values.tolist()]
+
+    def test_random_bit_patterns_are_repr(self):
+        values = np.random.default_rng(20261022).integers(
+            0, 2**64, size=200_000, dtype=np.uint64, endpoint=False).view(float)
+        text = "".join([f"{x!r}\n" for x in values.tolist()]).encode()
+        assert formatted(True, values) == text
+        assert formatted(False, values) == text
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @given(rows=st.lists(st.tuples(st.floats(allow_subnormal=True), st.floats(),
+                                   st.floats(width=32), st.integers(-(2**63), 2**63 - 1)),
+                         min_size=1, max_size=20))
+    def test_rows_and_ids_are_repr_joined(self, compiled, rows):
+        a, b, c, ids = (list(col) for col in zip(*rows))
+        text = formatted(compiled, a, np.column_stack([b, c]), ids=ids).decode()
+        assert text == "".join(f"{x!r},{i},{y!r},{z!r}\n" for x, y, z, i in zip(a, b, c, ids))
+        assert text.splitlines() == float_rows(a, np.column_stack([b, c]), ids=ids)
